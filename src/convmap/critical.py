@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import grid_functionals, poincare_density
+from .errors import RadiusExceeded
+from .functionals import default_grid, grid_functionals, poincare_density
 from .grid import GridSpec
 from .maps import MapSpec, jet_of, phi_values
 
@@ -48,32 +49,36 @@ def _p_scalar(m: MapSpec, z: complex) -> complex:
 def _newton_zero(m: MapSpec, z: complex) -> complex | None:
     """2-d Newton on (Re p, Im p) over (x, y).  p contains conj(z), so it is
     not holomorphic and the Jacobian is a genuine real 2x2, estimated by
-    central differences."""
+    central differences.  A seed fails (None) when an iterate leaves the
+    disk (|z| >= INTERIOR_CAP) or a series map's certified radius."""
     h = NEWTON_FD_STEP
-    for _ in range(NEWTON_MAX_ITER):
-        pv = _p_scalar(m, z)
-        if abs(pv) <= NEWTON_TOL:
-            return z
-        px = (_p_scalar(m, z + h) - _p_scalar(m, z - h)) / (2.0 * h)
-        py = (_p_scalar(m, z + 1j * h) - _p_scalar(m, z - 1j * h)) / (2.0 * h)
-        jac = np.array([[px.real, py.real], [px.imag, py.imag]])
-        rhs = -np.array([pv.real, pv.imag])
-        delta, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-        dz = complex(delta[0], delta[1])
-        if abs(dz) > 0.2:
-            dz *= 0.2 / abs(dz)
-        z = z + dz
-        if abs(z) >= INTERIOR_CAP:
-            return None
-        if abs(dz) < 1e-15 and abs(_p_scalar(m, z)) > NEWTON_TOL:
-            return None
+    try:
+        for _ in range(NEWTON_MAX_ITER):
+            pv = _p_scalar(m, z)
+            if abs(pv) <= NEWTON_TOL:
+                return z
+            px = (_p_scalar(m, z + h) - _p_scalar(m, z - h)) / (2.0 * h)
+            py = (_p_scalar(m, z + 1j * h) - _p_scalar(m, z - 1j * h)) / (2.0 * h)
+            jac = np.array([[px.real, py.real], [px.imag, py.imag]])
+            rhs = -np.array([pv.real, pv.imag])
+            delta, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
+            dz = complex(delta[0], delta[1])
+            if abs(dz) > 0.2:
+                dz *= 0.2 / abs(dz)
+            z = z + dz
+            if abs(z) >= INTERIOR_CAP:
+                return None
+            if abs(dz) < 1e-15 and abs(_p_scalar(m, z)) > NEWTON_TOL:
+                return None
+    except RadiusExceeded:
+        return None
     return None
 
 
 def find_critical_point(m: MapSpec, grid: GridSpec | None = None) -> CriticalResult:
     """Scan |p| on a polar grid, polish the best seeds by Newton, and report
     the zero set of p."""
-    grid = grid or GridSpec()
+    grid = grid or default_grid(m)
     zs = grid.points()
     vals = grid_functionals(m, zs)
     ap = np.abs(vals["p"])
@@ -122,7 +127,7 @@ def classify_phi(m: MapSpec, grid: GridSpec | None = None) -> PhiClass:
     off theta = arg u and a = v/u; a genuine automorphism reproduces the
     samples to machine precision, so the 1e-8 acceptance threshold is loose.
     """
-    grid = grid or GridSpec(16, 24, 0.8)
+    grid = grid or default_grid(m, GridSpec(16, 24, 0.8))
     zs = grid.points()
     phis = phi_values(m, zs)
     keep = np.isfinite(phis)

@@ -8,14 +8,14 @@ slack1 >= 0 everywhere and the strengthened bounds mean slack2, slack3 >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateDenominator, SingularPoint
 from .grid import GridSpec
 from .jet import Jet
-from .maps import MapSpec, jet_fields
+from .maps import MapSpec, certified_rmax, jet_fields
 
 UNIMODULAR_EPS = 1e-10
 CLOSED_FORM_TOL = 1e-9
@@ -196,6 +196,16 @@ def grid_functionals(m: MapSpec, zs) -> dict:
     }
 
 
+def default_grid(m: MapSpec, base: GridSpec = GridSpec()) -> GridSpec:
+    """The grid a scan uses when the caller gives none: ``base`` with its
+    rmax clamped to the certified radius of a series map.  A precomposed
+    map's certified set is not a disk about 0, so it keeps ``base``."""
+    rmax = certified_rmax(m)
+    if m.pre is None and rmax < base.rmax:
+        return replace(base, rmax=rmax)
+    return base
+
+
 def slack_tolerance(m: MapSpec) -> float:
     """Equality/verdict tolerance: tighter for closed forms than for series."""
     return SERIES_TOL if m.kind in ("series", "herglotz") else CLOSED_FORM_TOL
@@ -229,7 +239,7 @@ def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None
     """
     from .critical import classify_phi  # deferred: critical itself uses this module
 
-    grid = grid or GridSpec()
+    grid = grid or default_grid(m)
     tol = slack_tolerance(m) if tol is None else float(tol)
     zs = grid.points()
     vals = grid_functionals(m, zs)

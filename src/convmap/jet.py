@@ -5,8 +5,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+_COMPONENTS = ("z", "f0", "f1", "f2", "f3")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Jet:
     """f, f', f'', f''' of a holomorphic map at a base point with |z| < 1.
 
@@ -21,12 +23,15 @@ class Jet:
     f3: complex
     tail: float = 0.0
 
-    def __post_init__(self):
-        for name in ("z", "f0", "f1", "f2", "f3"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        object.__setattr__(self, "tail", float(self.tail))
-        for name in ("z", "f0", "f1", "f2", "f3"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"jet component {name} is not finite")
-        if abs(self.z) >= 1.0:
-            raise ValueError(f"jet base point needs |z| < 1, got |z| = {abs(self.z):.6g}")
+    def __init__(self, z, f0, f1, f2, f3, tail=0.0):
+        # written out rather than generated: the tracer and the critical
+        # search build scalar jets in their inner loops, and a generated
+        # frozen __init__ plus __post_init__ would set every field twice
+        vals = (complex(z), complex(f0), complex(f1), complex(f2), complex(f3))
+        tail = float(tail)
+        if not all(map(cmath.isfinite, vals)):
+            name = next(n for n, v in zip(_COMPONENTS, vals) if not cmath.isfinite(v))
+            raise ValueError(f"jet component {name} is not finite")
+        if abs(vals[0]) >= 1.0:
+            raise ValueError(f"jet base point needs |z| < 1, got |z| = {abs(vals[0]):.6g}")
+        self.__dict__.update(zip(_COMPONENTS, vals), tail=tail)

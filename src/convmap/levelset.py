@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished
 from .functionals import p_field
 from .jet import Jet
-from .maps import MapSpec, jet_fields, jet_of
+from .maps import MapSpec, certified_rmax, jet_fields, jet_of
 
 P_MIN = 1e-4
 RESIDUAL_TARGET = 1e-12
@@ -41,10 +41,6 @@ def level_value(m: MapSpec, z):
     return (1.0 - np.abs(z) ** 2) * np.abs(f1)
 
 
-def _certified_rmax(m: MapSpec) -> float:
-    return m.series.rmax if m.series is not None else 1.0
-
-
 def find_level_start(
     m: MapSpec,
     c: float,
@@ -61,7 +57,7 @@ def find_level_start(
     c = float(c)
     if c <= 0.0:
         raise ValueError("level constant must be positive")
-    rmax = min(float(rmax), _certified_rmax(m))
+    rmax = min(float(rmax), certified_rmax(m))
     u = np.exp(1j * float(theta))
     rs = np.linspace(0.0, rmax, samples)
     err = level_value(m, rs * u) - c
@@ -319,7 +315,7 @@ def trace_level_set(
         raise ValueError("step must be positive")
     if max_points < 2:
         raise ValueError("max_points must be at least 2")
-    rmax = min(float(rmax), _certified_rmax(m))
+    rmax = min(float(rmax), certified_rmax(m))
     if abs(z0) > rmax:
         raise ValueError(f"|z0| = {abs(z0):.6g} is outside the tracing radius {rmax:g}")
     g0 = float(level_value(m, z0))

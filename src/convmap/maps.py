@@ -13,22 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConvmapError, DegenerateDenominator, PhiOutOfRange, RadiusExceeded, SingularPoint
+from .errors import ConvmapError, DegenerateDenominator, PhiOutOfRange, SingularPoint
 from .jet import Jet
 from .series import (
     DEFAULT_ORDER,
     DEFAULT_RMAX,
     MIN_ORDER,
     PowerSeries,
-    derivative_table,
-    eval_table,
     series_exp,
     series_integrate,
     series_inv,
+    series_jet_fields,
     series_mul,
 )
 
-RADIUS_SLACK = 1e-12
 DEGENERATE_EPS = 1e-12
 PHI_SUP_TOL = 1e-12
 PHI_BOUNDARY_SAMPLES = 4096
@@ -302,13 +300,6 @@ def _jets_polygon(z, n):
     return _polygon_f0(z, n), f1, f1 * P, f1 * (Pp + P * P)
 
 
-def _jets_series(series, z):
-    if np.any(np.abs(z) > series.rmax + RADIUS_SLACK):
-        worst = float(np.max(np.abs(z)))
-        raise RadiusExceeded(f"|z| = {worst:.6g} exceeds the certified radius {series.rmax:g}")
-    return eval_table(derivative_table(series.coeffs), z)
-
-
 def _auto_jets(z, a, theta):
     """Jet of the automorphism tau(z) = e^{i theta} (z + a) / (1 + conj(a) z)."""
     ab = a.conjugate()
@@ -331,7 +322,7 @@ def _raw_jet_fields(m: MapSpec, z):
         return _jets_polygon(z, m.n)
     if m.kind == "koebe":
         return _jets_koebe(z)
-    return _jets_series(m.series, z)
+    return series_jet_fields(m.series, z)
 
 
 def jet_fields(m: MapSpec, z):
@@ -353,6 +344,12 @@ def jet_fields(m: MapSpec, z):
     return f0, f1, f2, f3
 
 
+def certified_rmax(m: MapSpec) -> float:
+    """Radius of the series behind a map (1.0 for closed forms), before any
+    precomposition."""
+    return m.series.rmax if m.series is not None else 1.0
+
+
 def _tail_at(m: MapSpec, z: complex) -> float:
     if m.series is None:
         return 0.0
@@ -368,7 +365,7 @@ def jet_of(m: MapSpec, z: complex) -> Jet:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
-    f0, f1, f2, f3 = (complex(v) for v in jet_fields(m, z))
+    f0, f1, f2, f3 = jet_fields(m, z)
     if f1 == 0:
         raise SingularPoint(f"f' vanishes at z = {z}")
     return Jet(z, f0, f1, f2, f3, tail=_tail_at(m, z))

@@ -9,6 +9,7 @@ are exact; truncation only ever removes high-order terms.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ MIN_ORDER = 3
 DEFAULT_ORDER = 64
 DEFAULT_RMAX = 0.9
 TAIL_REPORT_BAR = 1e-10
+# points on the circle |z| = rmax (outer grid rings) may land this far outside
+RADIUS_SLACK = 1e-12
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -53,6 +56,12 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return self.coeffs.size - 1
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """derivative_table(coeffs), built on first use and kept; the
+        intermediate series of a recurrence never build it."""
+        return derivative_table(self.coeffs)
 
     def tail_bound(self, r: float | None = None) -> float:
         """One-term geometric tail estimate |c_M| r**M (default r = rmax)."""
@@ -136,17 +145,36 @@ def derivative_table(coeffs: np.ndarray) -> np.ndarray:
 
 
 def eval_table(table: np.ndarray, z):
-    """Evaluate the four stacked polynomials at scalar or array z."""
+    """Evaluate the four stacked polynomials at scalar or array z.
+
+    A scalar z takes the powers 1, z, z**2, ... as one running product and
+    the jet as one vector-matrix product; arrays use Horner.
+    """
+    if np.ndim(z) == 0:
+        powers = np.full(table.shape[0], z, dtype=complex)
+        powers[0] = 1.0
+        np.multiply.accumulate(powers, out=powers)  # cumprod without a copy
+        return tuple(np.dot(powers, table).tolist())
     vals = npoly.polyval(z, table)
     return vals[0], vals[1], vals[2], vals[3]
 
 
+def series_jet_fields(s: PowerSeries, z):
+    """(f, f', f'', f''') of the series at scalar or array z.
+
+    Points with |z| > rmax + RADIUS_SLACK raise RadiusExceeded.
+    """
+    if np.ndim(z) == 0:
+        worst = abs(complex(z))
+    else:
+        worst = float(np.abs(z).max()) if np.size(z) else 0.0
+    if worst > s.rmax + RADIUS_SLACK:
+        raise RadiusExceeded(f"|z| = {worst:.6g} exceeds the certified radius {s.rmax:g}")
+    return eval_table(s.table, z)
+
+
 def series_eval_jet(s: PowerSeries, z: complex) -> Jet:
-    """Jet of the series at z.  Points with |z| > rmax raise RadiusExceeded."""
+    """Jet of the series at z, evaluated and radius-checked by series_jet_fields."""
     z = complex(z)
-    if abs(z) > s.rmax:
-        raise RadiusExceeded(
-            f"|z| = {abs(z):.6g} exceeds the certified radius {s.rmax:g}"
-        )
-    f0, f1, f2, f3 = eval_table(derivative_table(s.coeffs), z)
+    f0, f1, f2, f3 = series_jet_fields(s, z)
     return Jet(z, f0, f1, f2, f3, tail=s.tail_bound(abs(z)))

@@ -273,6 +273,19 @@ class TestGen:
         assert m.series.rmax == 0.5
 
 
+TREE_ROOT = Path(cm.__file__).resolve().parents[2]
+
+
+def run_in_tree(*args, timeout):
+    """Run ``python *args`` in a child with the ``src`` of the tree under
+    test first on ``PYTHONPATH``."""
+    paths = [str(TREE_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
 def run_console_script(*argv, timeout):
     """Run the ``convmap`` script that pyproject.toml declares, without an install.
 
@@ -282,8 +295,7 @@ def run_console_script(*argv, timeout):
     ``PYTHONPATH`` so the child runs the code under test.
     """
     tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
-    root = Path(cm.__file__).resolve().parents[2]
-    with open(root / "pyproject.toml", "rb") as fh:
+    with open(TREE_ROOT / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"].get("scripts", {}).get("convmap")
     assert target is not None
     module, attr = target.split(":")
@@ -291,12 +303,7 @@ def run_console_script(*argv, timeout):
         f"import sys; sys.argv[0] = 'convmap'; "
         f"from {module} import {attr}; sys.exit({attr}())"
     )
-    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
-    )
+    return run_in_tree("-c", code, *argv, timeout=timeout)
 
 
 class TestConsoleScript:
@@ -313,3 +320,13 @@ class TestConsoleScript:
         # a broken entry point also exits 1, with an ImportError traceback
         assert "invalid choice" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestModuleEntry:
+    def test_python_m_convmap_matches_cli_module(self):
+        argv = ("check", "--map", "identity")
+        pkg = run_in_tree("-m", "convmap", *argv, timeout=120)
+        cli = run_in_tree("-m", "convmap.cli", *argv, timeout=120)
+        assert pkg.returncode == cli.returncode == 0
+        assert pkg.stdout == cli.stdout
+        assert json.loads(pkg.stdout)["verdict"] == "Convex"

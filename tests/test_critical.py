@@ -57,6 +57,20 @@ class TestCriticalPoints:
         assert res.kind == "none"
         assert res.residual_floor == pytest.approx(KOEBE_FLOOR, abs=1e-12)
 
+    def test_newton_leaving_the_certified_radius_fails_the_seed(self):
+        # a seed's Newton iterate reaches |z| = 0.86 > rmax; that seed fails
+        # instead of aborting the search
+        m = gen_quiet(cm.PhiSpec.polynomial([0.345094 + 0.267751j, -0.050254 + 0.487701j]))
+        res = cm.find_critical_point(m, cm.GridSpec(40, 40, 0.78))
+        assert res.kind == "none"
+        assert res.residual_floor == pytest.approx(0.1016, abs=1e-4)
+
+    def test_default_grid_stays_inside_the_certified_radius(self):
+        # phi(0) = 0 puts the zero of p at the origin
+        res = cm.find_critical_point(gen_quiet(cm.PhiSpec.polynomial([0.0, 0.4])))
+        assert res.kind == "unique"
+        assert abs(res.z) < 1e-10
+
     def test_halfplane_has_no_critical_point(self):
         # |p| = |1 - z|^2 / ... stays positive inside the grid radius
         res = cm.find_critical_point(cm.halfplane())

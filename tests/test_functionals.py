@@ -197,3 +197,13 @@ class TestReport:
         assert rep.tolerance == pytest.approx(1e-7)
         assert rep.verdict == "Convex"
         assert cm.convexity_report(cm.halfplane()).tolerance == pytest.approx(1e-9)
+
+    def test_default_grid_stays_inside_the_certified_radius(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            m = cm.gen_herglotz(cm.PhiSpec.polynomial([0.0, 0.4]), order=192, rmax=0.8)
+        rep = cm.convexity_report(m)
+        assert rep.grid == cm.GridSpec(rmax=0.8)
+        assert rep.verdict == "Convex"
+        # closed forms keep the full default grid
+        assert cm.convexity_report(cm.identity()).grid == cm.GridSpec()

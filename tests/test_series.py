@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -131,3 +133,43 @@ class TestEvaluation:
         s = geometric(30)
         jet = cm.series_eval_jet(s, 0.5)
         assert jet.tail == pytest.approx(s.tail_bound(0.5))
+
+
+class TestScalarFastPath:
+    @pytest.mark.parametrize("order", [3, 40, 192, 384])
+    def test_scalar_matches_array_horner(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            s = cm.gen_herglotz(cm.PhiSpec.polynomial([0.3 + 0.2j, -0.1 + 0.4j]), order=order).series
+        angles = np.exp(2j * np.pi * np.arange(8) / 8 + 0.3j)
+        zs = np.concatenate([[0j], 0.5 * s.rmax * angles, s.rmax * angles])
+        cols = np.asarray(eval_table(s.table, zs))  # arrays take Horner
+        for i, z in enumerate(zs):
+            scalar = np.asarray(eval_table(s.table, complex(z)))
+            np.testing.assert_allclose(scalar, cols[:, i], rtol=1e-13, atol=0)
+
+    def test_table_is_built_once(self):
+        s = geometric(30)
+        assert "table" not in vars(s)
+        table = s.table
+        assert s.table is table
+        np.testing.assert_array_equal(table, derivative_table(s.coeffs))
+
+    def test_eval_jet_shares_the_radius_slack(self):
+        s = geometric(10, 0.5)
+        # the outer ring of a grid may land an ulp outside rmax
+        cm.series_eval_jet(s, 0.5 * (1.0 + 1e-15))
+        cm.jet_of(cm.from_series(s), 0.5 * (1.0 + 1e-15))
+        with pytest.raises(cm.RadiusExceeded):
+            cm.series_eval_jet(s, 0.5 + 1e-9)
+
+    def test_jet_of_rejects_nonfinite_jet(self):
+        m = cm.from_series([0.0, 1.0, 1e308, 1e308], 0.9)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            cm.jet_of(m, 0.8)
+
+    def test_jet_of_rejects_boundary_points(self):
+        with pytest.raises(ValueError):
+            cm.jet_of(cm.identity(), 1.0)
+        with pytest.raises(ValueError):
+            cm.Jet(0.6 + 0.8j, 0.0, 1.0, 0.0, 0.0)
