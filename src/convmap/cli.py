@@ -27,7 +27,7 @@ import numpy as np
 
 from .critical import PhiClass
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished, PhiOutOfRange
-from .functionals import ConvexityReport, convexity_report, grid_functionals
+from .functionals import ConvexityReport, convexity_report, curvatures, grid_functionals
 from .grid import GridSpec
 from .levelset import (
     DEFAULT_STEP,
@@ -213,12 +213,8 @@ def cmd_curvature_map(args, m: MapSpec) -> int:
     ap = np.abs(vals["p"])
     slack1 = vals["lhs1"]
     slack3 = vals["lhs1"] - vals["rhs3"]
-    om = 1.0 - np.abs(zs) ** 2
-    pbar2 = np.conj(vals["p"]) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = (
-            slack1 - 0.25 * om * np.abs(vals["P"]) ** 2 + 0.5 * om * np.real(pbar2 * vals["S"]) / ap**2
-        ) / (np.abs(vals["f1"]) * ap)
+        _, kappa = curvatures(vals, vals["f1"])
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
         fp.write(CURVATURE_MAP_HEADER + "\n")
         for i in range(zs.size):

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RadiusExceeded
-from .functionals import default_grid, grid_functionals, poincare_density
+from .errors import ConvmapError, RadiusExceeded
+from .functionals import default_grid, grid_functionals, p_field, phi_values, poincare_density
 from .grid import GridSpec
-from .maps import MapSpec, jet_of, phi_values
+from .maps import MapSpec, PhiSpec, jet_of
 
 NEWTON_TOL = 1e-12
 NEWTON_FD_STEP = 1e-6
@@ -41,11 +41,6 @@ class CriticalResult:
     residual_floor: float
 
 
-def _p_scalar(m: MapSpec, z: complex) -> complex:
-    j = jet_of(m, z)
-    return j.z.conjugate() - 0.5 * (1.0 - abs(j.z) ** 2) * (j.f2 / j.f1)
-
-
 def _newton_zero(m: MapSpec, z: complex) -> complex | None:
     """2-d Newton on (Re p, Im p) over (x, y).  p contains conj(z), so it is
     not holomorphic and the Jacobian is a genuine real 2x2, estimated by
@@ -54,11 +49,11 @@ def _newton_zero(m: MapSpec, z: complex) -> complex | None:
     h = NEWTON_FD_STEP
     try:
         for _ in range(NEWTON_MAX_ITER):
-            pv = _p_scalar(m, z)
+            pv = p_field(jet_of(m, z))
             if abs(pv) <= NEWTON_TOL:
                 return z
-            px = (_p_scalar(m, z + h) - _p_scalar(m, z - h)) / (2.0 * h)
-            py = (_p_scalar(m, z + 1j * h) - _p_scalar(m, z - 1j * h)) / (2.0 * h)
+            px = (p_field(jet_of(m, z + h)) - p_field(jet_of(m, z - h))) / (2.0 * h)
+            py = (p_field(jet_of(m, z + 1j * h)) - p_field(jet_of(m, z - 1j * h))) / (2.0 * h)
             jac = np.array([[px.real, py.real], [px.imag, py.imag]])
             rhs = -np.array([pv.real, pv.imag])
             delta, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
@@ -68,7 +63,7 @@ def _newton_zero(m: MapSpec, z: complex) -> complex | None:
             z = z + dz
             if abs(z) >= INTERIOR_CAP:
                 return None
-            if abs(dz) < 1e-15 and abs(_p_scalar(m, z)) > NEWTON_TOL:
+            if abs(dz) < 1e-15 and abs(p_field(jet_of(m, z))) > NEWTON_TOL:
                 return None
     except RadiusExceeded:
         return None
@@ -94,7 +89,7 @@ def find_critical_point(m: MapSpec, grid: GridSpec | None = None) -> CriticalRes
         if root is not None and abs(root) < INTERIOR_CAP:
             roots.append(root)
     reps: list[complex] = []
-    for root in sorted(roots, key=lambda w: abs(_p_scalar(m, w))):
+    for root in sorted(roots, key=lambda w: abs(p_field(jet_of(m, w)))):
         if all(abs(root - r) > DISTINCT_SEP for r in reps):
             reps.append(root)
 
@@ -155,3 +150,18 @@ def classify_phi(m: MapSpec, grid: GridSpec | None = None) -> PhiClass:
     if err <= CLASSIFY_TOL:
         return PhiClass("automorphism", complex(a), theta, err)
     return PhiClass("strict", None, None, err)
+
+
+def fit_phi_polynomial(m: MapSpec, degree: int = 8, radius: float = 0.5, samples: int = 256) -> PhiSpec:
+    """Recover a polynomial phi from a map by FFT on a sampling circle.
+
+    Only sensible when phi really is a polynomial of the given degree; the
+    aliasing error is of order radius**samples and utterly negligible.
+    """
+    zs = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
+    vals = phi_values(m, zs)
+    if not np.all(np.isfinite(vals)):
+        raise ConvmapError("phi is degenerate on the sampling circle; change the radius")
+    c = np.fft.fft(vals) / samples
+    coeffs = c[: degree + 1] / radius ** np.arange(degree + 1)
+    return PhiSpec.polynomial(coeffs)

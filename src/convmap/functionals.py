@@ -1,9 +1,17 @@
-"""Pointwise diagnostics of a disk map: derivative ratios, the convexity
-bounds and their slacks, the level-set normal field, and the density of the
-hyperbolic metric on the image.
+"""Pointwise diagnostics of a disk map, all from one field kernel: ``fields``
+and ``curvatures`` hold every formula once.  They use only arithmetic,
+``abs``, ``.conjugate()`` and ``.real``, so the same lines run on Python
+complex scalars and on NumPy arrays; the scalar functions here are views of
+them at one jet.
 
-Sign conventions used throughout: slackN = lhsN - rhsN, so convexity means
-slack1 >= 0 everywhere and the strengthened bounds mean slack2, slack3 >= 0.
+Sign conventions: slackN = lhsN - rhsN, so convexity means slack1 >= 0 and
+the strengthened bounds mean slack2, slack3 >= 0.  With P = f''/f' and
+p = conj(z) - (1/2)(1 - |z|^2) P, the gradient of g = (1 - |z|^2)|f'| is
+-2 |f'| conj(p).  Level curves of g are oriented by the tangent
+-i conj(p)/|p| (clockwise circles for the identity), and k (in the disk) and
+kappa (in the image) are signed for that orientation, so convex curves have
+positive k.  The generator phi = P / (2 + z P) is defined where
+|2 + z P| >= DEGENERATE_EPS.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from .jet import Jet
 from .maps import MapSpec, certified_rmax, jet_fields
 
 UNIMODULAR_EPS = 1e-10
+DEGENERATE_EPS = 1e-12
 CLOSED_FORM_TOL = 1e-9
 SERIES_TOL = 1e-7
 EQUALITY_POINT_CAP = 32
@@ -40,77 +49,126 @@ def _unimodular_instance():
 UNIMODULAR = _Unimodular()
 
 
+def _level(z, f1):
+    """(1 - |z|^2, g) with the level function g = (1 - |z|^2)|f'|."""
+    om = 1.0 - abs(z) ** 2
+    return om, om * abs(f1)
+
+
+def _normal(z, f1, f2):
+    """(1 - |z|^2, g, P, p) with P = f''/f' and the normal p: all that the
+    scalar hot loops (tracer, critical search) need; ``fields`` starts here."""
+    om, g = _level(z, f1)
+    P = f2 / f1
+    return om, g, P, z.conjugate() - 0.5 * om * P
+
+
+def fields(z, f1, f2, f3) -> dict:
+    """Every pointwise field of the jet (z, f', f'', f''') at a point or an
+    array: a dict keyed om (1 - |z|^2), P, S, p, lhs1, rhs2, rhs3, km,
+    nehari, g and density, each documented at its scalar view below.
+    f' must not vanish."""
+    om, g, P, p = _normal(z, f1, f2)
+    S = f3 / f1 - 1.5 * P * P
+    r2 = 0.25 * om * abs(P) ** 2
+    nehari = om * om * abs(S)
+    return {
+        "om": om,
+        "P": P,
+        "S": S,
+        "p": p,
+        "lhs1": (1.0 + z * P).real,
+        "rhs2": r2,
+        "rhs3": r2 + 0.5 * om * abs(S),
+        "km": nehari + 2.0 * abs(p) ** 2,
+        "nehari": nehari,
+        "g": g,
+        "density": 1.0 / g,
+    }
+
+
+def curvatures(fld: dict, f1):
+    """(k, kappa): signed curvature of the level curve of g through each
+    point, in the disk and of its image under the map, from a ``fields``
+    result and f'.  Divides by |p|, so a scalar call at a zero of p raises
+    ZeroDivisionError; array callers guard |p| themselves."""
+    om, p = fld["om"], fld["p"]
+    ap = abs(p)
+    # (z')^2 = -conj(p)^2 / |p|^2 for the tangent -i conj(p)/|p|
+    re = (p.conjugate() ** 2 * fld["S"]).real
+    k = (1.0 + fld["rhs2"] + om / (2.0 * ap**2) * re) / ap
+    kappa = (fld["lhs1"] - fld["rhs2"] + 0.5 * om * re / ap**2) / (abs(f1) * ap)
+    return k, kappa
+
+
+def _phi_denominator(z, P):
+    """2 + z P, the denominator of phi, and where it is below DEGENERATE_EPS."""
+    den = 2.0 + z * P
+    return den, abs(den) < DEGENERATE_EPS
+
+
 def _regular(j: Jet) -> None:
     if j.f1 == 0:
         raise SingularPoint(f"f' vanishes at z = {j.z}")
 
 
+def fields_at(j: Jet) -> dict:
+    """``fields`` at one jet; raises SingularPoint if f' vanishes."""
+    _regular(j)
+    return fields(j.z, j.f1, j.f2, j.f3)
+
+
 def pre_schwarzian(j: Jet) -> complex:
     """f''/f'."""
-    _regular(j)
-    return j.f2 / j.f1
+    return fields_at(j)["P"]
 
 
 def schwarzian(j: Jet) -> complex:
     """f'''/f' - (3/2)(f''/f')**2."""
-    _regular(j)
-    P = j.f2 / j.f1
-    return j.f3 / j.f1 - 1.5 * P * P
+    return fields_at(j)["S"]
 
 
 def classical_lhs(j: Jet) -> float:
     """Re(1 + z f''/f'); nonnegative on the disk exactly for convex maps."""
-    return (1.0 + j.z * pre_schwarzian(j)).real
+    return fields_at(j)["lhs1"]
 
 
 def rhs2(j: Jet) -> float:
     """(1/4)(1 - |z|^2) |f''/f'|^2."""
-    return 0.25 * (1.0 - abs(j.z) ** 2) * abs(pre_schwarzian(j)) ** 2
+    return fields_at(j)["rhs2"]
 
 
 def rhs3(j: Jet) -> float:
     """(1/4)(1 - |z|^2) (2 |S| + |f''/f'|^2); dominates rhs2 pointwise."""
-    om = 1.0 - abs(j.z) ** 2
-    return 0.25 * om * (2.0 * abs(schwarzian(j)) + abs(pre_schwarzian(j)) ** 2)
+    return fields_at(j)["rhs3"]
 
 
 def p_field(j: Jet) -> complex:
     """conj(z) - (1/2)(1 - |z|^2) f''/f', the level-set normal data."""
-    return j.z.conjugate() - 0.5 * (1.0 - abs(j.z) ** 2) * pre_schwarzian(j)
+    _regular(j)
+    return _normal(j.z, j.f1, j.f2)[3]
 
 
 def kim_minda(j: Jet) -> float:
     """(1 - |z|^2)^2 |S| + 2 |p|^2; at most 2 on convex maps."""
-    om = 1.0 - abs(j.z) ** 2
-    return om * om * abs(schwarzian(j)) + 2.0 * abs(p_field(j)) ** 2
+    return fields_at(j)["km"]
 
 
 def nehari_value(j: Jet) -> float:
     """(1 - |z|^2)^2 |S|; at most 2 whenever the map is univalent."""
-    om = 1.0 - abs(j.z) ** 2
-    return om * om * abs(schwarzian(j))
+    return fields_at(j)["nehari"]
 
 
 def poincare_density(j: Jet) -> float:
     """Density of the hyperbolic metric of the image domain at f(z)."""
-    _regular(j)
-    return 1.0 / ((1.0 - abs(j.z) ** 2) * abs(j.f1))
+    return fields_at(j)["density"]
 
 
 def equivalence_identity(j: Jet) -> float:
     """|(2 - km) - 2 (1 - |z|^2) (lhs1 - rhs3)|; identically zero in exact
     arithmetic, so the result is a pure roundoff gauge."""
-    om = 1.0 - abs(j.z) ** 2
-    return abs((2.0 - kim_minda(j)) - 2.0 * om * (classical_lhs(j) - rhs3(j)))
-
-
-def _phi_and_derivative(j: Jet) -> tuple[complex, complex]:
-    P = pre_schwarzian(j)
-    den = 2.0 + j.z * P
-    if abs(den) < 1e-12:
-        raise DegenerateDenominator(f"2 + z f''/f' vanishes at z = {j.z}")
-    # phi' = 2 S / (2 + z P)^2, from P' = S + P^2/2
-    return P / den, 2.0 * schwarzian(j) / (den * den)
+    fld = fields_at(j)
+    return abs((2.0 - fld["km"]) - 2.0 * fld["om"] * (fld["lhs1"] - fld["rhs3"]))
 
 
 def schwarz_pick_slack(j: Jet):
@@ -120,11 +178,16 @@ def schwarz_pick_slack(j: Jet):
     quotient degenerates and the UNIMODULAR sentinel is returned instead of
     a number.
     """
-    phi, dphi = _phi_and_derivative(j)
+    fld = fields_at(j)
+    den, degenerate = _phi_denominator(j.z, fld["P"])
+    if degenerate:
+        raise DegenerateDenominator(f"2 + z f''/f' vanishes at z = {j.z}")
+    # phi' = 2 S / (2 + z P)^2, from P' = S + P^2/2
+    phi, dphi = fld["P"] / den, 2.0 * fld["S"] / (den * den)
     a2 = abs(phi) ** 2
     if a2 >= (1.0 - UNIMODULAR_EPS) ** 2:
         return UNIMODULAR
-    return 1.0 / (1.0 - abs(j.z) ** 2) - abs(dphi) / (1.0 - a2)
+    return 1.0 / fld["om"] - abs(dphi) / (1.0 - a2)
 
 
 @dataclass(frozen=True)
@@ -146,62 +209,48 @@ class Diagnostics:
 
 
 def diagnostics(j: Jet) -> Diagnostics:
-    return Diagnostics(
-        z=j.z,
-        w=j.f0,
-        P=pre_schwarzian(j),
-        S=schwarzian(j),
-        p=p_field(j),
-        lhs1=classical_lhs(j),
-        rhs2=rhs2(j),
-        rhs3=rhs3(j),
-        km=kim_minda(j),
-        nehari=nehari_value(j),
-        density=poincare_density(j),
-        sp_slack=schwarz_pick_slack(j),
-    )
+    fld = fields_at(j)
+    keys = ("P", "S", "p", "lhs1", "rhs2", "rhs3", "km", "nehari", "density")
+    return Diagnostics(z=j.z, w=j.f0, sp_slack=schwarz_pick_slack(j), **{k: fld[k] for k in keys})
 
 
 def grid_functionals(m: MapSpec, zs) -> dict:
     """Vectorized field values over an array of points.
 
-    Returns a dict with keys z, w, f1, P, S, p, lhs1, rhs2, rhs3, km,
-    nehari, density.  Raises SingularPoint if f' vanishes anywhere.
+    Returns the ``fields`` dict plus the keys z, w and f1.  Raises
+    SingularPoint if f' vanishes anywhere.
     """
     zs = np.asarray(zs, dtype=complex)
     f0, f1, f2, f3 = jet_fields(m, zs)
     if np.any(f1 == 0):
         raise SingularPoint("f' vanishes on the evaluation grid")
-    P = f2 / f1
-    S = f3 / f1 - 1.5 * P * P
-    om = 1.0 - np.abs(zs) ** 2
-    lhs1 = np.real(1.0 + zs * P)
-    r2 = 0.25 * om * np.abs(P) ** 2
-    r3 = r2 + 0.5 * om * np.abs(S)
-    p = np.conj(zs) - 0.5 * om * P
-    km = om * om * np.abs(S) + 2.0 * np.abs(p) ** 2
-    return {
-        "z": zs,
-        "w": f0,
-        "f1": f1,
-        "P": P,
-        "S": S,
-        "p": p,
-        "lhs1": lhs1,
-        "rhs2": r2,
-        "rhs3": r3,
-        "km": km,
-        "nehari": om * om * np.abs(S),
-        "density": 1.0 / (om * np.abs(f1)),
-    }
+    return {"z": zs, "w": f0, "f1": f1, **fields(zs, f1, f2, f3)}
+
+
+def phi_values(m: MapSpec, z):
+    """phi = (f''/f') / (2 + z f''/f') at scalar or array z, NaN where the
+    denominator is (numerically) zero."""
+    z = np.asarray(z, dtype=complex)
+    _, f1, f2, _ = jet_fields(m, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P = _normal(z, f1, f2)[2]
+        den, degenerate = _phi_denominator(z, P)
+        bad = ~np.isfinite(den) | degenerate
+        return np.where(bad, complex(np.nan, np.nan), P / np.where(bad, 1.0, den))
+
+
+def phi_of(m: MapSpec, z: complex) -> complex:
+    val = complex(phi_values(m, complex(z)))
+    if val != val:
+        raise DegenerateDenominator(f"2 + z f''/f' vanishes at z = {complex(z)}")
+    return val
 
 
 def default_grid(m: MapSpec, base: GridSpec = GridSpec()) -> GridSpec:
     """The grid a scan uses when the caller gives none: ``base`` with its
-    rmax clamped to the certified radius of a series map.  A precomposed
-    map's certified set is not a disk about 0, so it keeps ``base``."""
+    rmax clamped to the certified radius of the map."""
     rmax = certified_rmax(m)
-    if m.pre is None and rmax < base.rmax:
+    if rmax < base.rmax:
         return replace(base, rmax=rmax)
     return base
 

@@ -1,13 +1,7 @@
 """Level sets of g(z) = (1 - |z|^2) |f'(z)|: locating a point of a level,
-marching along the curve, and curvature of the curve in the disk and in the
-image plane.
-
-Geometry the tracer relies on: with p = conj(z) - (1/2)(1 - |z|^2) f''/f',
-the gradient of g is -2 |f'| conj(p).  The unit vector q = conj(p)/|p|
-therefore points in the direction of decreasing g, and the tangent is taken
-as -i q, which traces circles around the origin clockwise for the identity.
-Both curvature formulas are signed for exactly this orientation, so convex
-curves come out with positive k.
+marching along the curve (tangent -i conj(p)/|p|, correction along
+conj(p)/|p|, where g decreases), and curvature of the curve in the disk and
+in the image plane, oriented and signed as in ``convmap.functionals``.
 """
 
 from __future__ import annotations
@@ -17,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished
-from .functionals import p_field
+from .functionals import _level, curvatures, fields, fields_at, p_field
 from .jet import Jet
 from .maps import MapSpec, certified_rmax, jet_fields, jet_of
 
@@ -38,7 +32,7 @@ def level_value(m: MapSpec, z):
     """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z."""
     z = np.asarray(z, dtype=complex)
     _, f1, _, _ = jet_fields(m, z)
-    return (1.0 - np.abs(z) ** 2) * np.abs(f1)
+    return _level(z, f1)[1]
 
 
 def find_level_start(
@@ -131,42 +125,21 @@ class LevelCurve:
             fp.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _curvature_arrays(z, f1, f2, f3):
-    P = f2 / f1
-    S = f3 / f1 - 1.5 * P * P
-    om = 1.0 - np.abs(z) ** 2
-    p = np.conj(z) - 0.5 * om * P
-    ap = np.abs(p)
-    pbar2 = np.conj(p) ** 2
-    k = (1.0 + 0.25 * om * np.abs(P) ** 2 + om / (2.0 * ap**2) * np.real(pbar2 * S)) / ap
-    # (z')^2 = -conj(p)^2 / |p|^2 for the tangent -i conj(p)/|p|
-    lhs1 = np.real(1.0 + z * P)
-    kappa = (lhs1 - 0.25 * om * np.abs(P) ** 2 + 0.5 * om * np.real(pbar2 * S) / ap**2) / (
-        np.abs(f1) * ap
-    )
-    return p, k, kappa
+def _curvatures_at(j: Jet):
+    fld = fields_at(j)
+    if abs(fld["p"]) <= P_MIN:
+        raise NormalVanished(f"|p| = {abs(fld['p']):.3e} at z = {j.z}; curvature undefined")
+    return curvatures(fld, j.f1)
 
 
 def disk_curvature(j: Jet) -> float:
     """Signed curvature at j.z of the level curve of g through that point."""
-    p = p_field(j)
-    if abs(p) <= P_MIN:
-        raise NormalVanished(f"|p| = {abs(p):.3e} at z = {j.z}; curvature undefined")
-    _, k, _ = _curvature_arrays(
-        np.asarray(j.z, complex), np.asarray(j.f1), np.asarray(j.f2), np.asarray(j.f3)
-    )
-    return float(k)
+    return _curvatures_at(j)[0]
 
 
 def image_curvature(j: Jet) -> float:
     """Signed curvature of the image of the level curve at f(j.z)."""
-    p = p_field(j)
-    if abs(p) <= P_MIN:
-        raise NormalVanished(f"|p| = {abs(p):.3e} at z = {j.z}; curvature undefined")
-    _, _, kappa = _curvature_arrays(
-        np.asarray(j.z, complex), np.asarray(j.f1), np.asarray(j.f2), np.asarray(j.f3)
-    )
-    return float(kappa)
+    return _curvatures_at(j)[1]
 
 
 def discrete_curvature(curve, image_plane: bool = False, closed: bool | None = None) -> np.ndarray:
@@ -221,7 +194,7 @@ def _correct(m: MapSpec, z: complex, c: float, rmax: float, pts) -> complex | No
         if abs(z) > rmax:
             return None
         j = jet_of(m, z)
-        g = (1.0 - abs(z) ** 2) * abs(j.f1) - c
+        g = _level(z, j.f1)[1] - c
         if abs(g) <= RESIDUAL_TARGET:
             return z
         p = p_field(j)
@@ -230,7 +203,7 @@ def _correct(m: MapSpec, z: complex, c: float, rmax: float, pts) -> complex | No
     if abs(z) > rmax:
         return None
     j = jet_of(m, z)
-    g = (1.0 - abs(z) ** 2) * abs(j.f1) - c
+    g = _level(z, j.f1)[1] - c
     return z if abs(g) <= RESIDUAL_TARGET else None
 
 
@@ -270,18 +243,18 @@ def _march(m: MapSpec, z0: complex, c: float, step: float, budget: int, rmax: fl
 def _finalize(m: MapSpec, pts, c: float, closed: bool, termination: str) -> LevelCurve:
     z = np.asarray(pts, dtype=complex)
     f0, f1, f2, f3 = jet_fields(m, z)
-    p, k, kappa = _curvature_arrays(z, f1, f2, f3)
-    g = (1.0 - np.abs(z) ** 2) * np.abs(f1)
+    fld = fields(z, f1, f2, f3)
+    k, kappa = curvatures(fld, f1)
     ds = np.abs(np.diff(z))
     s = np.concatenate([[0.0], np.cumsum(ds)])
     return LevelCurve(
         c=float(c),
         z=z,
         w=f0,
-        p=p,
+        p=fld["p"],
         k=k,
         kappa=kappa,
-        residual=np.abs(g - c),
+        residual=np.abs(fld["g"] - c),
         s=s,
         closed=closed,
         termination=termination,

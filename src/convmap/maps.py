@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConvmapError, DegenerateDenominator, PhiOutOfRange, SingularPoint
+from .errors import ConvmapError, PhiOutOfRange, RadiusExceeded, SingularPoint
 from .jet import Jet
 from .series import (
     DEFAULT_ORDER,
@@ -27,7 +27,6 @@ from .series import (
     series_mul,
 )
 
-DEGENERATE_EPS = 1e-12
 PHI_SUP_TOL = 1e-12
 PHI_BOUNDARY_SAMPLES = 4096
 
@@ -345,18 +344,20 @@ def jet_fields(m: MapSpec, z):
 
 
 def certified_rmax(m: MapSpec) -> float:
-    """Radius of the series behind a map (1.0 for closed forms), before any
-    precomposition."""
-    return m.series.rmax if m.series is not None else 1.0
+    """Radius of the largest disk about 0 where the map is certified: 1.0 for
+    closed forms, else the series radius R, shrunk by a precomposition with
+    center a to (R - |a|)/(1 - |a| R).  Raises RadiusExceeded if |a| >= R."""
+    R = m.series.rmax if m.series is not None else 1.0
+    a = abs(m.pre[0]) if m.pre is not None else 0.0
+    if a >= R:
+        raise RadiusExceeded(f"precomposition center |a| = {a:.6g} lies outside the certified radius {R:g}")
+    return (R - a) / (1.0 - a * R)
 
 
 def _tail_at(m: MapSpec, z: complex) -> float:
     if m.series is None:
         return 0.0
-    w = z
-    if m.pre is not None:
-        a, theta = m.pre
-        w = np.exp(1j * theta) * (z + a) / (1.0 + a.conjugate() * z)
+    w = z if m.pre is None else _auto_jets(z, *m.pre)[0]
     return m.series.tail_bound(abs(w))
 
 
@@ -372,27 +373,7 @@ def jet_of(m: MapSpec, z: complex) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# the generator function phi and its inverse problem
-
-
-def phi_values(m: MapSpec, z):
-    """phi = (f''/f') / (2 + z f''/f') at scalar or array z, NaN where the
-    denominator is (numerically) zero."""
-    z = np.asarray(z, dtype=complex)
-    _, f1, f2, _ = jet_fields(m, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        P = f2 / f1
-        den = 2.0 + z * P
-        bad = ~np.isfinite(den) | (np.abs(den) < DEGENERATE_EPS)
-        out = np.where(bad, complex(np.nan, np.nan), P / np.where(bad, 1.0, den))
-    return out
-
-
-def phi_of(m: MapSpec, z: complex) -> complex:
-    val = complex(phi_values(m, complex(z)))
-    if val != val:
-        raise DegenerateDenominator(f"2 + z f''/f' vanishes at z = {complex(z)}")
-    return val
+# the generator: integrating phi into a map
 
 
 def _herglotz_series(phi: PhiSpec, order: int, rmax: float) -> PowerSeries:
@@ -429,21 +410,6 @@ def herglotz_map(phi: PhiSpec, order: int = DEFAULT_ORDER, rmax: float = DEFAULT
     """Same as gen_herglotz but tagged with the generator data it came from,
     so JSON round trips rebuild it instead of storing coefficients."""
     return MapSpec("herglotz", phi=phi, order=order, series=_herglotz_series(phi, order, rmax))
-
-
-def fit_phi_polynomial(m: MapSpec, degree: int = 8, radius: float = 0.5, samples: int = 256) -> PhiSpec:
-    """Recover a polynomial phi from a map by FFT on a sampling circle.
-
-    Only sensible when phi really is a polynomial of the given degree; the
-    aliasing error is of order radius**samples and utterly negligible.
-    """
-    zs = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
-    vals = phi_values(m, zs)
-    if not np.all(np.isfinite(vals)):
-        raise ConvmapError("phi is degenerate on the sampling circle; change the radius")
-    c = np.fft.fft(vals) / samples
-    coeffs = c[: degree + 1] / radius ** np.arange(degree + 1)
-    return PhiSpec.polynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------

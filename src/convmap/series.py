@@ -69,13 +69,15 @@ class PowerSeries:
         return float(abs(self.coeffs[-1]) * r ** self.order)
 
     def warn_if_tail_large(self) -> float:
+        """Warn with TruncationTail if the tail at rmax exceeds TAIL_REPORT_BAR;
+        stacklevel 4 skips a map constructor and its helper to name their caller."""
         tail = self.tail_bound()
         if tail > TAIL_REPORT_BAR:
             warnings.warn(
                 f"series tail estimate {tail:.3e} at r = {self.rmax:g} exceeds "
                 f"{TAIL_REPORT_BAR:.0e}; raise the order or shrink rmax",
                 TruncationTail,
-                stacklevel=3,
+                stacklevel=4,
             )
         return tail
 
@@ -174,7 +176,7 @@ def series_jet_fields(s: PowerSeries, z):
 
 
 def series_eval_jet(s: PowerSeries, z: complex) -> Jet:
-    """Jet of the series at z, evaluated and radius-checked by series_jet_fields."""
-    z = complex(z)
-    f0, f1, f2, f3 = series_jet_fields(s, z)
-    return Jet(z, f0, f1, f2, f3, tail=s.tail_bound(abs(z)))
+    """Jet of the series at z: ``jet_of`` on the series map of ``s``."""
+    from .maps import from_series, jet_of  # deferred: maps builds on this module
+
+    return jet_of(from_series(s), z)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,19 @@ class TestCheck:
         assert rc == 2
         assert "radius" in err
 
+    def test_composed_series_on_a_certified_grid(self, capsys, tmp_path):
+        # the phi classification's own default grid must shrink with the
+        # precomposition, as the report grid does
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            m = cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192, rmax=0.85)
+        m = m.precomposed(0.2 + 0.1j).postcomposed(2.0 - 1.0j, 0.5)
+        spec = tmp_path / "composed.json"
+        spec.write_text(json.dumps(cm.map_to_json(m)))
+        rc, out, err = run(capsys, "check", "--map", str(spec), "--rmax", "0.6")
+        assert rc == 0, err
+        assert json.loads(out)["verdict"] == "Convex"
+
 
 class TestTrace:
     def test_identity_circle_csv(self, capsys, tmp_path):
@@ -195,6 +209,21 @@ class TestCurvatureMap:
         assert data[j, 2] == pytest.approx(-0.9735, abs=1e-3)
         i = int(np.argmin(data[:, 2]))
         assert complex(data[i, 0], data[i, 1]) == pytest.approx(-0.9, abs=1e-12)
+
+    def test_kappa_column_matches_image_curvature(self, capsys, tmp_path):
+        out = tmp_path / "polygon.csv"
+        rc, _, _ = run(capsys, "curvature-map", "--map", "polygon", "--n", "5", "--out", str(out))
+        assert rc == 0
+        m = cm.polygon(5)
+        checked = 0
+        for row in out.read_text().splitlines()[1:]:
+            cells = row.split(",")
+            if cells[5] == "":
+                continue
+            j = cm.jet_of(m, complex(float(cells[0]), float(cells[1])))
+            assert float(cells[5]) == pytest.approx(cm.image_curvature(j), rel=1e-13)
+            checked += 1
+        assert checked > 1500
 
     def test_strip_blanks_kappa_on_diameter(self, capsys, tmp_path):
         out = tmp_path / "strip.csv"

@@ -71,6 +71,13 @@ class TestCriticalPoints:
         assert res.kind == "unique"
         assert abs(res.z) < 1e-10
 
+    def test_default_grid_of_a_precomposed_series(self):
+        # the precomposition shrinks the certified disk to (0.9 - 0.3)/(1 - 0.27)
+        m = gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), rmax=0.9).precomposed(0.3)
+        res = cm.find_critical_point(m)
+        assert res.kind == "unique"
+        assert abs(cm.p_field(cm.jet_of(m, res.z))) < 1e-12
+
     def test_halfplane_has_no_critical_point(self):
         # |p| = |1 - z|^2 / ... stays positive inside the grid radius
         res = cm.find_critical_point(cm.halfplane())

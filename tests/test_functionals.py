@@ -100,15 +100,36 @@ class TestSchwarzPick:
 
 class TestGridFunctionals:
     def test_matches_scalar_ops(self):
-        zs = random_disk_points(np.random.default_rng(12), 24, 0.8)
-        vals = cm.grid_functionals(cm.sector(0.6), zs)
-        for i in (0, 7, 23):
-            j = jet(cm.sector(0.6), complex(zs[i]))
-            assert vals["lhs1"][i] == pytest.approx(cm.classical_lhs(j), rel=1e-13)
-            assert vals["rhs3"][i] == pytest.approx(cm.rhs3(j), rel=1e-13)
-            assert vals["km"][i] == pytest.approx(cm.kim_minda(j), rel=1e-13)
-            assert vals["p"][i] == pytest.approx(cm.p_field(j), rel=1e-13)
-            assert vals["density"][i] == pytest.approx(cm.poincare_density(j), rel=1e-13)
+        # every kernel field and both curvatures, array path against the
+        # scalar views, on a closed form, a generated series and a map that
+        # is both precomposed and postcomposed
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            generated = cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192, rmax=0.85)
+        composed = generated.precomposed(0.2 + 0.1j, 0.3).postcomposed(2.0 - 1.0j, 0.5)
+        scalar_ops = {
+            "P": cm.pre_schwarzian,
+            "S": cm.schwarzian,
+            "p": cm.p_field,
+            "lhs1": cm.classical_lhs,
+            "rhs2": cm.rhs2,
+            "rhs3": cm.rhs3,
+            "km": cm.kim_minda,
+            "nehari": cm.nehari_value,
+            "density": cm.poincare_density,
+        }
+        # the composed map is certified out to (0.85 - |a|)/(1 - 0.85 |a|) = 0.77
+        for m, r in ((cm.sector(0.6), 0.8), (generated, 0.8), (composed, 0.75)):
+            zs = random_disk_points(np.random.default_rng(12), 24, r)
+            vals = cm.grid_functionals(m, zs)
+            k, kappa = cm.curvatures(vals, vals["f1"])
+            for i in (0, 7, 23):
+                j = jet(m, complex(zs[i]))
+                for key, op in scalar_ops.items():
+                    assert vals[key][i] == pytest.approx(op(j), rel=1e-13), key
+                assert vals["g"][i] == pytest.approx(float(cm.level_value(m, j.z)), rel=1e-13)
+                assert k[i] == pytest.approx(cm.disk_curvature(j), rel=1e-13)
+                assert kappa[i] == pytest.approx(cm.image_curvature(j), rel=1e-13)
 
     def test_singular_grid_point(self):
         m = cm.from_series([0.0, 1.0, -1.0], rmax=0.9)
@@ -207,3 +228,14 @@ class TestReport:
         assert rep.verdict == "Convex"
         # closed forms keep the full default grid
         assert cm.convexity_report(cm.identity()).grid == cm.GridSpec()
+
+    def test_default_grid_of_a_precomposed_series(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            m = cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192, rmax=0.9)
+        rep = cm.convexity_report(m.precomposed(0.3))
+        # |z| <= r maps into |w| <= (r + 0.3)/(1 + 0.3 r), which is 0.9 here
+        assert rep.grid.rmax == pytest.approx(0.6 / 0.73, rel=1e-15)
+        assert rep.verdict == "Convex"
+        with pytest.raises(cm.RadiusExceeded):
+            cm.convexity_report(m.precomposed(0.95))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,14 @@ class TestLevelStart:
         # g is identically 1 on the strip's real diameter
         with pytest.raises(cm.LevelNotOnRay):
             cm.find_level_start(cm.strip(), 0.5, theta=0.0)
+
+    def test_precomposed_series_stays_inside_the_certified_radius(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            m = cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192, rmax=0.9)
+        m = m.precomposed(0.3)
+        z0 = cm.find_level_start(m, 0.9)
+        assert float(cm.level_value(m, z0)) == pytest.approx(0.9, abs=1e-11)
 
     def test_positive_level_required(self):
         with pytest.raises(ValueError):

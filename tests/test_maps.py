@@ -185,6 +185,12 @@ class TestGenerator:
         with pytest.warns(cm.TruncationTail):
             cm.gen_herglotz(cm.PhiSpec.unimodular_constant(0.0), order=16, rmax=0.9)
 
+    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map])
+    def test_tail_warning_names_the_caller(self, build):
+        with pytest.warns(cm.TruncationTail) as record:
+            build(cm.PhiSpec.unimodular_constant(0.0), order=16, rmax=0.9)
+        assert [w.filename for w in record] == [__file__]
+
     @pytest.mark.parametrize("name,phi,kw", [
         ("halfplane", cm.PhiSpec.unimodular_constant(0.0), {}),
         ("strip", cm.PhiSpec.polynomial([0.0, 1.0]), {}),
