@@ -1,6 +1,7 @@
 """Critical points of the hyperbolic density on the image domain, found as
 zeros of the normal field p, and a fitted classification of a map's
-generator function."""
+generator function.  The zeros are polished by one batched Newton iteration
+whose Jacobian comes exactly from the jet, with no finite differences."""
 
 from __future__ import annotations
 
@@ -8,13 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvmapError, RadiusExceeded
-from .functionals import default_grid, grid_functionals, p_field, phi_values, poincare_density
+from .errors import ConvmapError, SingularPoint
+from .functionals import default_grid, grid_functionals, normal_derivatives, phi_values, poincare_density
 from .grid import GridSpec
-from .maps import MapSpec, PhiSpec, jet_of
+from .maps import MapSpec, PhiSpec, certified_points, jet_fields, jet_of
 
 NEWTON_TOL = 1e-12
-NEWTON_FD_STEP = 1e-6
 NEWTON_MAX_ITER = 60
 SEED_COUNT = 40
 DISTINCT_SEP = 1e-3
@@ -41,55 +41,86 @@ class CriticalResult:
     residual_floor: float
 
 
-def _newton_zero(m: MapSpec, z: complex) -> complex | None:
-    """2-d Newton on (Re p, Im p) over (x, y).  p contains conj(z), so it is
-    not holomorphic and the Jacobian is a genuine real 2x2, estimated by
-    central differences.  A seed fails (None) when an iterate leaves the
-    disk (|z| >= INTERIOR_CAP) or a series map's certified radius."""
-    h = NEWTON_FD_STEP
-    try:
-        for _ in range(NEWTON_MAX_ITER):
-            pv = p_field(jet_of(m, z))
-            if abs(pv) <= NEWTON_TOL:
-                return z
-            px = (p_field(jet_of(m, z + h)) - p_field(jet_of(m, z - h))) / (2.0 * h)
-            py = (p_field(jet_of(m, z + 1j * h)) - p_field(jet_of(m, z - 1j * h))) / (2.0 * h)
-            jac = np.array([[px.real, py.real], [px.imag, py.imag]])
-            rhs = -np.array([pv.real, pv.imag])
-            delta, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-            dz = complex(delta[0], delta[1])
-            if abs(dz) > 0.2:
-                dz *= 0.2 / abs(dz)
-            z = z + dz
-            if abs(z) >= INTERIOR_CAP:
-                return None
-            if abs(dz) < 1e-15 and abs(p_field(jet_of(m, z))) > NEWTON_TOL:
-                return None
-    except RadiusExceeded:
-        return None
-    return None
+def _min_norm_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each real 2x2 system jac[i] x = rhs[i] in the least-squares,
+    minimum-norm sense, with ``lstsq``'s rcond=None rule: singular values at
+    or below 2 eps times the largest count as zero, so a rank-1 Jacobian (on
+    a degenerate locus of zeros) gives the step across the locus."""
+    u, sv, vh = np.linalg.svd(jac)
+    keep = sv > 2.0 * np.finfo(float).eps * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    coef = inv * np.einsum("nji,nj->ni", u, rhs)
+    return np.einsum("nij,ni->nj", vh, coef)
+
+
+def _check_jets(f0, f1, f2, f3) -> None:
+    """The checks ``jet_of`` makes at one point, over a batch of jets."""
+    for name, vals in zip(("f0", "f1", "f2", "f3"), (f0, f1, f2, f3)):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"jet component {name} is not finite")
+    if np.any(f1 == 0):
+        raise SingularPoint("f' vanishes at a Newton iterate")
+
+
+def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """2-d Newton on (Re p, Im p) over (x, y) from every seed at once.
+
+    p contains conj(z), so the Jacobian is a genuine real 2x2, taken exactly
+    from the jet through the Wirtinger derivatives of ``normal_derivatives``.
+    Each iteration evaluates one batch of jets at the seeds still running.
+    A seed fails when an iterate leaves the disk (|z| >= INTERIOR_CAP) or the
+    map's certified points, or when its step stalls below 1e-15 with
+    |p| > NEWTON_TOL.  Returns the final iterates and |p| at convergence,
+    inf for a seed that failed or ran out of iterations.
+    """
+    z = np.array(seeds, dtype=complex)
+    ap_root = np.full(z.shape, np.inf)
+    stalled = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
+    for _ in range(NEWTON_MAX_ITER):
+        live = live[certified_points(m, z[live])]
+        if not live.size:
+            break
+        zl = z[live]
+        jets = jet_fields(m, zl)
+        _check_jets(*jets)
+        p, dp_dz, dp_dzb = normal_derivatives(zl, *jets[1:])
+        ap = np.abs(p)
+        done = ap <= NEWTON_TOL
+        ap_root[live[done]] = ap[done]
+        run = ~done & ~stalled[live]
+        live, zl, p, dp_dz, dp_dzb = live[run], zl[run], p[run], dp_dz[run], dp_dzb[run]
+        px, py = dp_dz + dp_dzb, 1j * (dp_dz - dp_dzb)
+        jac = np.moveaxis(np.array([[px.real, py.real], [px.imag, py.imag]]), -1, 0)
+        delta = _min_norm_solve(jac, -np.stack([p.real, p.imag], -1))
+        dz = delta[:, 0] + 1j * delta[:, 1]
+        dz = dz * (0.2 / np.maximum(np.abs(dz), 0.2))  # steps capped at 0.2
+        z[live] = zl + dz
+        stalled[live] = np.abs(dz) < 1e-15
+        live = live[np.abs(z[live]) < INTERIOR_CAP]
+    return z, ap_root
 
 
 def find_critical_point(m: MapSpec, grid: GridSpec | None = None) -> CriticalResult:
     """Scan |p| on a polar grid, polish the best seeds by Newton, and report
-    the zero set of p."""
+    the zero set of p.
+
+    The SEED_COUNT grid points of least |p| and the origin run one batched
+    Newton with the exact Jacobian; the converged roots, taken in order of
+    their final |p|, are merged when closer than DISTINCT_SEP.
+    """
     grid = grid or default_grid(m)
     zs = grid.points()
     vals = grid_functionals(m, zs)
     ap = np.abs(vals["p"])
     floor = float(ap.min())
     order = np.argsort(ap)
-    seeds = [complex(zs[i]) for i in order[:SEED_COUNT]]
     # the origin is a natural extra seed; grids exclude it
-    seeds.append(0j)
-
-    roots: list[complex] = []
-    for seed in seeds:
-        root = _newton_zero(m, seed)
-        if root is not None and abs(root) < INTERIOR_CAP:
-            roots.append(root)
+    z, ap_root = _newton_zeros(m, np.append(zs[order[:SEED_COUNT]], 0j))
+    found = np.flatnonzero(np.isfinite(ap_root) & (np.abs(z) < INTERIOR_CAP))
     reps: list[complex] = []
-    for root in sorted(roots, key=lambda w: abs(p_field(jet_of(m, w)))):
+    for i in found[np.argsort(ap_root[found], kind="stable")]:
+        root = complex(z[i])
         if all(abs(root - r) > DISTINCT_SEP for r in reps):
             reps.append(root)
 

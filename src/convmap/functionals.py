@@ -63,6 +63,17 @@ def _normal(z, f1, f2):
     return om, g, P, z.conjugate() - 0.5 * om * P
 
 
+def normal_derivatives(z, f1, f2, f3):
+    """(p, dp/dz, dp/dzbar): the normal and its Wirtinger derivatives.  p
+    contains conj(z), so both are needed: dp/dz = (1/2) conj(z) P -
+    (1/2)(1 - |z|^2) P' with P' = f'''/f' - P^2 = S + P^2/2, and
+    dp/dzbar = 1 + (1/2) z P.  Over (x, y), p_x = dp/dz + dp/dzbar and
+    p_y = i (dp/dz - dp/dzbar)."""
+    om, _, P, p = _normal(z, f1, f2)
+    dP = f3 / f1 - P * P
+    return p, 0.5 * (z.conjugate() * P - om * dP), 1.0 + 0.5 * z * P
+
+
 def fields(z, f1, f2, f3) -> dict:
     """Every pointwise field of the jet (z, f', f'', f''') at a point or an
     array: a dict keyed om (1 - |z|^2), P, S, p, lhs1, rhs2, rhs3, km,

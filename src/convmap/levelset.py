@@ -1,11 +1,18 @@
 """Level sets of g(z) = (1 - |z|^2) |f'(z)|: locating a point of a level,
-marching along the curve (tangent -i conj(p)/|p|, correction along
-conj(p)/|p|, where g decreases), and curvature of the curve in the disk and
-in the image plane, oriented and signed as in ``convmap.functionals``.
+marching along the curve, and curvature of the curve in the disk and in the
+image plane, oriented and signed as in ``convmap.functionals``.
+
+The march is a second-order predictor-corrector: each step follows the
+osculating circle of the curve at the last accepted point (tangent
+-i conj(p)/|p| and the exact curvature k, both from that point's jet), and
+Newton along the normal conj(p)/|p|, where g decreases, brings it back to
+the level.  Every accepted point's jet is evaluated once.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +28,9 @@ START_RESIDUAL_BAR = 1e-8
 NEWTON_MAX = 8
 HALVINGS_MAX = 12
 DEFAULT_STEP = 0.005
+# the predictor's arc turns by at most a quarter turn: near a saddle of g,
+# where k h can reach tens, a full osculating arc curls back to its start
+TURN_MAX = 0.5 * math.pi
 DEFAULT_TRACE_RMAX = 0.95
 DEFAULT_MAX_POINTS = 20000
 _START_SAMPLES = 2048
@@ -90,8 +100,9 @@ def find_level_start(
 class LevelCurve:
     """A traced level curve: points, their images, and per-point data.
 
-    ``s`` is cumulative arclength in the disk.  For closed curves the final
-    wraparound segment back to z[0] is implied, not duplicated.
+    ``s`` is cumulative arclength in the disk, and ``residual`` the |g - c|
+    each point was accepted on.  For closed curves the final wraparound
+    segment back to z[0] is implied, not duplicated.
     """
 
     c: float
@@ -187,61 +198,76 @@ def _normal_guard(p: complex, z: complex, pts):
         raise _NormalStop(list(pts))
 
 
-def _correct(m: MapSpec, z: complex, c: float, rmax: float, pts) -> complex | None:
-    """Newton along the normal until |g - c| <= 1e-12; None asks the caller
-    to halve the predictor step."""
-    for _ in range(NEWTON_MAX):
+def _frame(j: Jet, direction: int, pts):
+    """(unit tangent, curvature) of the level curve at j.z for the direction
+    of travel; the curvature sign follows the travel, so a positive value
+    turns the tangent clockwise."""
+    fld = fields_at(j)
+    _normal_guard(fld["p"], j.z, pts)
+    return direction * _tangent(fld["p"]), direction * curvatures(fld, j.f1)[0]
+
+
+def _arc(h: float, k: float) -> complex:
+    """Chord, in the frame of the unit tangent, of an arc of length h on the
+    circle of curvature k turning clockwise: h sinc(k h / 2) e^{-i k h / 2},
+    with the turn k h capped at TURN_MAX."""
+    half = 0.5 * max(-TURN_MAX, min(TURN_MAX, k * h))
+    return h * (math.sin(half) / half if half else 1.0) * cmath.exp(-1j * half)
+
+
+def _correct(m: MapSpec, z: complex, c: float, rmax: float, pts):
+    """Newton along the normal until |g - c| <= RESIDUAL_TARGET, within
+    NEWTON_MAX steps: the jet the point was accepted on and its |g - c|, or
+    None to ask the caller to halve the predictor step."""
+    for i in range(NEWTON_MAX + 1):
         if abs(z) > rmax:
             return None
         j = jet_of(m, z)
         g = _level(z, j.f1)[1] - c
         if abs(g) <= RESIDUAL_TARGET:
-            return z
+            return j, abs(g)
+        if i == NEWTON_MAX:
+            return None
         p = p_field(j)
         _normal_guard(p, z, pts)
         z = z + (g / (2.0 * abs(j.f1) * abs(p))) * (p.conjugate() / abs(p))
-    if abs(z) > rmax:
-        return None
-    j = jet_of(m, z)
-    g = _level(z, j.f1)[1] - c
-    return z if abs(g) <= RESIDUAL_TARGET else None
 
 
-def _march(m: MapSpec, z0: complex, c: float, step: float, budget: int, rmax: float, direction: int):
-    pts = [z0]
-    p = p_field(jet_of(m, z0))
-    t_start = direction * _tangent(p)
-    t_prev = t_start
+def _march(m: MapSpec, j0: Jet, r0: float, c: float, step: float, budget: int, rmax: float, direction: int):
+    """Points (z, |g - c|) from j0 in one direction, and how the march ended."""
+    pts = [(j0.z, r0)]
+    t, k = _frame(j0, direction, pts)
+    t_start = t
     while len(pts) < budget:
-        z = pts[-1]
+        z = pts[-1][0]
         h = step
-        z_new = None
+        accepted = None
         for _ in range(HALVINGS_MAX):
-            z_pred = z + h * t_prev
+            z_pred = z + _arc(h, k) * t
             if abs(z_pred) > rmax:
                 return pts, "radius"
-            z_new = _correct(m, z_pred, c, rmax, pts)
-            if z_new is not None:
+            accepted = _correct(m, z_pred, c, rmax, pts)
+            if accepted is not None:
                 break
             h *= 0.5
-        if z_new is None:
+        if accepted is None:
             raise ConvmapError(f"corrector stalled near z = {z} (c = {c:g})")
-        p = p_field(jet_of(m, z_new))
-        _normal_guard(p, z_new, pts)
-        t_prev = direction * _tangent(p)
+        j, r = accepted
+        t, k = _frame(j, direction, pts)
         if (
             direction == +1
             and len(pts) >= 3
-            and abs(z_new - z0) < 0.5 * step
-            and (t_prev * t_start.conjugate()).real > 0.0
+            and abs(j.z - j0.z) < 0.5 * step
+            and (t * t_start.conjugate()).real > 0.0
         ):
             return pts, "closed"
-        pts.append(z_new)
+        pts.append((j.z, r))
     return pts, "max_points"
 
 
 def _finalize(m: MapSpec, pts, c: float, closed: bool, termination: str) -> LevelCurve:
-    z = np.asarray(pts, dtype=complex)
+    zs, residuals = zip(*pts)
+    z = np.array(zs, dtype=complex)
     f0, f1, f2, f3 = jet_fields(m, z)
     fld = fields(z, f1, f2, f3)
     k, kappa = curvatures(fld, f1)
@@ -254,7 +280,7 @@ def _finalize(m: MapSpec, pts, c: float, closed: bool, termination: str) -> Leve
         p=fld["p"],
         k=k,
         kappa=kappa,
-        residual=np.abs(fld["g"] - c),
+        residual=np.array(residuals),
         s=s,
         closed=closed,
         termination=termination,
@@ -271,12 +297,14 @@ def trace_level_set(
 ) -> LevelCurve:
     """March along the level curve of g through z0.
 
-    Predictor: a step of the given arclength along the tangent -i conj(p)/|p|.
-    Corrector: Newton along the normal to residual 1e-12, with step halving
-    when 8 Newton iterations fail to converge.  A curve that returns within
-    step/2 of z0 with an aligned tangent is closed; otherwise both directions
-    are traced from z0 and concatenated, ends stopping at |z| = rmax or at
-    the point budget.
+    Predictor: an arc of the given arclength along the osculating circle of
+    the curve at the last accepted point, from its tangent -i conj(p)/|p|
+    and its exact curvature k.  Corrector: Newton along the normal to
+    residual 1e-12, with the step halved when 8 Newton steps fail to
+    converge.  A curve that returns within step/2 of z0 with an aligned
+    tangent is closed; otherwise both directions are traced from z0 and
+    concatenated, ends stopping at |z| = rmax or at the point budget.
+    Each point records in ``residual`` the |g - c| it was accepted on.
 
     If c is given, g(z0) must match it to 1e-8; otherwise c is inferred from
     z0.  When |p| falls to 1e-4 the tracer raises NormalVanished carrying the
@@ -291,13 +319,15 @@ def trace_level_set(
     rmax = min(float(rmax), certified_rmax(m))
     if abs(z0) > rmax:
         raise ValueError(f"|z0| = {abs(z0):.6g} is outside the tracing radius {rmax:g}")
-    g0 = float(level_value(m, z0))
+    j0 = jet_of(m, z0)
+    g0 = _level(z0, j0.f1)[1]
     if c is None:
         c = g0
     elif abs(g0 - float(c)) > START_RESIDUAL_BAR:
         raise ValueError(f"g(z0) = {g0:.12g} does not sit on the level c = {float(c):.12g}")
     c = float(c)
-    p0 = p_field(jet_of(m, z0))
+    r0 = abs(g0 - c)
+    p0 = p_field(j0)
     if abs(p0) <= P_MIN:
         raise NormalVanished(f"|p| = {abs(p0):.3e} at the start point {z0}", curve=None)
 
@@ -308,7 +338,7 @@ def trace_level_set(
         ) from None
 
     try:
-        forward, status_f = _march(m, z0, c, step, max_points, rmax, +1)
+        forward, status_f = _march(m, j0, r0, c, step, max_points, rmax, +1)
     except _NormalStop as stop:
         vanish(stop.pts)
     if status_f == "closed":
@@ -316,9 +346,9 @@ def trace_level_set(
     budget = max_points - len(forward) + 1  # z0 is shared by both halves
     try:
         if budget >= 2:
-            backward, status_b = _march(m, z0, c, step, budget, rmax, -1)
+            backward, status_b = _march(m, j0, r0, c, step, budget, rmax, -1)
         else:
-            backward, status_b = [z0], "max_points"
+            backward, status_b = [(z0, r0)], "max_points"
     except _NormalStop as stop:
         vanish(stop.pts[:0:-1] + forward)
     pts = backward[:0:-1] + forward

@@ -7,6 +7,7 @@ in this module differentiates numerically.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .series import (
     DEFAULT_RMAX,
     MIN_ORDER,
     PowerSeries,
+    in_radius,
     series_exp,
     series_integrate,
     series_inv,
@@ -156,9 +158,9 @@ class MapSpec:
             if self.order is None:
                 object.__setattr__(self, "order", DEFAULT_ORDER)
             if self.series is None:
-                object.__setattr__(
-                    self, "series", _herglotz_series(self.phi, self.order, DEFAULT_RMAX)
-                )
+                # stacklevel 4 skips this method and the generated __init__
+                series = _herglotz_series(self.phi, self.order, DEFAULT_RMAX, stacklevel=4)
+                object.__setattr__(self, "series", series)
         if self.pre is not None:
             a, theta = self.pre
             a = complex(a)
@@ -271,9 +273,10 @@ def _jets_koebe(z):
 def _polygon_f0(z, n):
     # f = sum_k C_k z**(n k + 1) / (n k + 1) with C_k = C_{k-1} (2/n + k - 1)/k
     zn = z**n
-    sup = float(np.max(np.abs(zn)))
-    acc = np.zeros_like(zn)
-    power = np.ones_like(zn)
+    if isinstance(zn, complex):
+        sup, acc, power = abs(zn), 0j, 1 + 0j
+    else:
+        sup, acc, power = float(np.max(np.abs(zn))), np.zeros_like(zn), np.ones_like(zn)
     coeff = 1.0
     supk = 1.0
     k = 0
@@ -291,9 +294,14 @@ def _polygon_f0(z, n):
 
 
 def _jets_polygon(z, n):
+    # a single point runs on Python complex and cmath: on a 0-d array each
+    # of the vertex series' hundreds of terms pays NumPy's per-call overhead
+    lib = np
+    if np.ndim(z) == 0:
+        z, lib = complex(z), cmath
     zn = z**n
     w = 1.0 - zn
-    f1 = np.exp(-(2.0 / n) * np.log(w))
+    f1 = lib.exp(-(2.0 / n) * lib.log(w))
     P = 2.0 * z ** (n - 1) / w
     Pp = 2.0 * ((n - 1.0) * z ** (n - 2) + z ** (2 * n - 2)) / w**2
     return _polygon_f0(z, n), f1, f1 * P, f1 * (Pp + P * P)
@@ -354,11 +362,26 @@ def certified_rmax(m: MapSpec) -> float:
     return (R - a) / (1.0 - a * R)
 
 
+def _series_point(m: MapSpec, z):
+    """The point(s) where a series map evaluates its series: z, moved by a
+    precomposition."""
+    return z if m.pre is None else _auto_jets(z, *m.pre)[0]
+
+
+def certified_points(m: MapSpec, z) -> np.ndarray:
+    """Mask of the points of array z where ``jet_fields`` is certified:
+    everywhere for closed forms, and for a series map where its series
+    passes the radius test that ``series_jet_fields`` applies."""
+    z = np.asarray(z, dtype=complex)
+    if m.series is None:
+        return np.ones(z.shape, dtype=bool)
+    return in_radius(m.series, _series_point(m, z))
+
+
 def _tail_at(m: MapSpec, z: complex) -> float:
     if m.series is None:
         return 0.0
-    w = z if m.pre is None else _auto_jets(z, *m.pre)[0]
-    return m.series.tail_bound(abs(w))
+    return m.series.tail_bound(abs(_series_point(m, z)))
 
 
 def jet_of(m: MapSpec, z: complex) -> Jet:
@@ -376,7 +399,9 @@ def jet_of(m: MapSpec, z: complex) -> Jet:
 # the generator: integrating phi into a map
 
 
-def _herglotz_series(phi: PhiSpec, order: int, rmax: float) -> PowerSeries:
+def _herglotz_series(phi: PhiSpec, order: int, rmax: float, stacklevel: int) -> PowerSeries:
+    """The generated series; a TruncationTail warning names the frame
+    ``stacklevel`` counts from here, as in ``warnings.warn``."""
     if order < MIN_ORDER:
         raise ValueError(f"order must be at least {MIN_ORDER}")
     sup = phi.boundary_sup()
@@ -391,7 +416,7 @@ def _herglotz_series(phi: PhiSpec, order: int, rmax: float) -> PowerSeries:
     log_f1 = series_integrate(PowerSeries(2.0 * ratio.coeffs, rmax), 0.0, cap=order)
     f1 = series_exp(log_f1)
     f = series_integrate(f1, 0.0, cap=order)
-    f.warn_if_tail_large()
+    f.warn_if_tail_large(stacklevel + 1)
     return f
 
 
@@ -403,13 +428,13 @@ def gen_herglotz(phi: PhiSpec, order: int = DEFAULT_ORDER, rmax: float = DEFAULT
     lower-triangular recurrences, so the returned coefficients through
     z**order are exact; truncation error lives only in the dropped tail.
     """
-    return MapSpec("series", series=_herglotz_series(phi, order, rmax))
+    return MapSpec("series", series=_herglotz_series(phi, order, rmax, stacklevel=3))
 
 
 def herglotz_map(phi: PhiSpec, order: int = DEFAULT_ORDER, rmax: float = DEFAULT_RMAX) -> MapSpec:
     """Same as gen_herglotz but tagged with the generator data it came from,
     so JSON round trips rebuild it instead of storing coefficients."""
-    return MapSpec("herglotz", phi=phi, order=order, series=_herglotz_series(phi, order, rmax))
+    return MapSpec("herglotz", phi=phi, order=order, series=_herglotz_series(phi, order, rmax, stacklevel=3))
 
 
 # ---------------------------------------------------------------------------

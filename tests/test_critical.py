@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import convmap as cm
+from convmap.critical import NEWTON_TOL, _newton_zeros
+from convmap.functionals import normal_derivatives
 
 SECTOR_FLOOR = 0.4999999999999997  # default-grid minimum, pinned as a regression
 KOEBE_FLOOR = 1.0163944111290606
@@ -83,6 +85,39 @@ class TestCriticalPoints:
         res = cm.find_critical_point(cm.halfplane())
         assert res.kind == "none"
         assert res.residual_floor > 0.0
+
+
+class TestNewton:
+    def test_wirtinger_derivatives_match_central_differences(self):
+        gen = gen_quiet(cm.PhiSpec.polynomial([0.3, 0.2j, -0.25]))
+        maps = [cm.identity(), cm.halfplane(), cm.strip(), cm.sector(0.5), cm.polygon(5), cm.koebe(),
+                cm.polygon(3).precomposed(0.3 + 0.2j, 0.4).postcomposed(2 - 1j, 0.5),
+                gen, gen.precomposed(0.1j, 1.0)]
+        rng = np.random.default_rng(5)
+        h = 1e-5
+        for m in maps:  # 16 points each
+            z = 0.6 * np.sqrt(rng.uniform(size=16)) * np.exp(2j * np.pi * rng.uniform(size=16))
+
+            def p_at(w):
+                return normal_derivatives(w, *cm.jet_fields(m, w)[1:])[0]
+
+            _, dp_dz, dp_dzb = normal_derivatives(z, *cm.jet_fields(m, z)[1:])
+            px = (p_at(z + h) - p_at(z - h)) / (2 * h)
+            py = (p_at(z + 1j * h) - p_at(z - 1j * h)) / (2 * h)
+            scale = 1.0 + np.abs(px) + np.abs(py)
+            assert np.abs(dp_dz + dp_dzb - px).max() <= 1e-8 * scale.max()
+            assert np.abs(1j * (dp_dz - dp_dzb) - py).max() <= 1e-8 * scale.max()
+
+    def test_a_seed_leaving_the_certified_radius_fails_alone(self):
+        m = gen_quiet(cm.PhiSpec.polynomial([0.4 + 0.2j, 0.0, 0.45])).precomposed(0.1)
+        z, ap = _newton_zeros(m, [0.75 + 0.1j, 0.2])
+        # the first seed's last iterate lies outside the certified disk ...
+        assert ap[0] == np.inf
+        with pytest.raises(cm.RadiusExceeded):
+            cm.jet_fields(m, z[:1])
+        # ... and the second still converges to the map's one zero of p
+        assert ap[1] <= NEWTON_TOL
+        assert z[1] == pytest.approx(cm.find_critical_point(m).z, abs=1e-12)
 
 
 class TestPhiClassification:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import convmap as cm
-from convmap.levelset import CSV_HEADER
+import convmap.levelset as levelset
+from convmap.functionals import _level
+from convmap.levelset import CSV_HEADER, RESIDUAL_TARGET
 
 
 def saddle_map() -> cm.MapSpec:
@@ -31,6 +33,48 @@ def saddle_start(r0: float = 5e-4) -> complex:
         else:
             lo, g_lo = mid, g_mid
     return complex(r0 * np.exp(1j * 0.5 * (lo + hi))).conjugate()
+
+
+def gen_quiet(coeffs, order=192, rmax=0.8) -> cm.MapSpec:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cm.TruncationTail)
+        return cm.gen_herglotz(cm.PhiSpec.polynomial(coeffs), order=order, rmax=rmax)
+
+
+def ring_trace(m: cm.MapSpec) -> cm.LevelCurve:
+    # the level halfway between g(0) and the least g on the ring |z| = 0.55,
+    # started on the ray through that least point
+    ring = 0.55 * np.exp(2j * np.pi * np.arange(256) / 256)
+    g = cm.level_value(m, ring)
+    i = int(np.argmin(g))
+    c = 0.5 * (float(cm.level_value(m, 0j)) + float(g[i]))
+    z0 = cm.find_level_start(m, c, theta=float(np.angle(ring[i])), rmax=0.78)
+    return cm.trace_level_set(m, z0, rmax=0.78, max_points=4000)
+
+
+def ring_maps() -> list[cm.MapSpec]:
+    """Zoo, composed and order-192 generated maps: 21 ring traces."""
+    zoo = [cm.identity(), cm.halfplane(), cm.strip()]
+    zoo += [cm.sector(a) for a in (0.25, 0.5, 0.75)] + [cm.polygon(n) for n in (3, 5, 7)]
+    composed = [m.precomposed(0.3 * np.exp(1j * t), t).postcomposed(1.5 - 0.5j, 0.2)
+                for m, t in zip(zoo[:5] + [cm.polygon(5)], (0.4, 1.3, 2.2, 3.1, 4.0, 5.0))]
+    gens = [gen_quiet(c) for c in ([0.3, 0.2j, -0.25], [0.0, 0.4], [0.5j, 0.0, 0.3],
+                                   [0.2 - 0.1j, 0.3, 0.0, 0.2], [0.6], [0.1, 0.0, 0.0, 0.0, 0.5])]
+    return zoo + composed + gens
+
+
+@pytest.fixture
+def jet_count(monkeypatch):
+    """Counts the tracer's scalar jet evaluations."""
+    calls = [0]
+    real = levelset.jet_of
+
+    def counted(m, z):
+        calls[0] += 1
+        return real(m, z)
+
+    monkeypatch.setattr(levelset, "jet_of", counted)
+    return calls
 
 
 def turning(z: np.ndarray) -> float:
@@ -169,6 +213,40 @@ class TestTangency:
             assert np.abs(gap).max() < 1e-8
 
 
+class TestCorrector:
+    def test_residuals_are_the_accepted_ones(self):
+        for m in ring_maps():
+            curve = ring_trace(m)
+            assert len(curve) >= 3
+            assert curve.residual.max() <= RESIDUAL_TARGET
+            # each point records the |g - c| its jet was accepted on
+            want = [abs(_level(z, cm.jet_of(m, z).f1)[1] - curve.c) for z in curve.z.tolist()]
+            assert curve.residual.tolist() == want
+
+    def test_identity_circle_takes_one_jet_per_point(self, jet_count):
+        # the osculating circle is the level curve: every prediction is accepted
+        curve = cm.trace_level_set(cm.identity(), 0.5)
+        assert curve.closed
+        assert jet_count[0] <= 1.05 * len(curve)
+
+    def test_generated_ring_takes_two_jets_per_point(self, jet_count):
+        # one jet at the prediction and one after a Newton step, plus the
+        # start point and the closing point, which is not kept
+        curve = ring_trace(gen_quiet([0.3, 0.2j, -0.25]))
+        assert curve.closed
+        assert jet_count[0] <= 2 * len(curve) + 1
+
+    def test_turn_cap_near_a_saddle(self):
+        # here k * step is about 14 at z0; a full osculating arc winds back
+        # to z0 and the curve would close after three points
+        m = saddle_map()
+        z0 = cm.find_level_start(m, 1.0 + 1e-6, rmax=0.8)
+        curve = cm.trace_level_set(m, z0, rmax=0.8)
+        assert abs(curve.k[np.argmin(np.abs(curve.z - z0))]) * levelset.DEFAULT_STEP > 10.0
+        assert curve.termination == "radius"
+        assert len(curve) > 300
+
+
 class TestNormalVanishes:
     def test_at_start(self):
         with pytest.raises(cm.NormalVanished) as exc_info:
@@ -184,7 +262,7 @@ class TestNormalVanishes:
         assert partial is not None
         assert partial.termination == "normal_vanished"
         assert len(partial) >= 5
-        assert partial.residual.max() < 1e-10
+        assert partial.residual.max() <= RESIDUAL_TARGET
         assert np.abs(partial.p).min() < 5e-4
 
     def test_pointwise_guard(self):

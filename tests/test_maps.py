@@ -30,6 +30,11 @@ def gen_quiet(phi: cm.PhiSpec, order: int, rmax: float = 0.9) -> cm.MapSpec:
         return cm.gen_herglotz(phi, order=order, rmax=rmax)
 
 
+def spec_herglotz(phi, order, rmax):
+    # a regenerated map whose series MapSpec builds itself (at its default rmax)
+    return cm.MapSpec("herglotz", phi=phi, order=order)
+
+
 class TestConstruction:
     def test_builtin_names(self):
         for name, _, kw in ZOO:
@@ -81,6 +86,18 @@ class TestClosedFormJets:
         m = cm.from_series([0.0, 1.0, -1.0], rmax=0.9)
         with pytest.raises(cm.SingularPoint):
             cm.jet_of(m, 0.5)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_polygon_scalar_matches_array(self, n):
+        # a single point takes the Python-complex route, arrays the NumPy one
+        m = cm.polygon(n)
+        rng = np.random.default_rng(n)
+        r = 0.95 * np.sqrt(rng.uniform(size=200))
+        r[:16] = 0.95
+        z = r * np.exp(2j * np.pi * rng.uniform(size=200))
+        want = np.array(cm.jet_fields(m, z))
+        got = np.array([[complex(v) for v in cm.jet_fields(m, complex(w))] for w in z]).T
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_jet_fields_vectorizes(self):
         z = np.array([0.1, 0.2 + 0.3j, -0.4j])
@@ -185,7 +202,7 @@ class TestGenerator:
         with pytest.warns(cm.TruncationTail):
             cm.gen_herglotz(cm.PhiSpec.unimodular_constant(0.0), order=16, rmax=0.9)
 
-    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map])
+    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map, spec_herglotz])
     def test_tail_warning_names_the_caller(self, build):
         with pytest.warns(cm.TruncationTail) as record:
             build(cm.PhiSpec.unimodular_constant(0.0), order=16, rmax=0.9)

@@ -5,6 +5,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import convmap as cm
 from convmap.series import MIN_ORDER, derivative_table, eval_table
@@ -143,10 +144,14 @@ class TestScalarFastPath:
             s = cm.gen_herglotz(cm.PhiSpec.polynomial([0.3 + 0.2j, -0.1 + 0.4j]), order=order).series
         angles = np.exp(2j * np.pi * np.arange(8) / 8 + 0.3j)
         zs = np.concatenate([[0j], 0.5 * s.rmax * angles, s.rmax * angles])
-        cols = np.asarray(eval_table(s.table, zs))  # arrays take Horner
+        cols = npoly.polyval(zs, s.table)  # Horner, the large-array route
         for i, z in enumerate(zs):
             scalar = np.asarray(eval_table(s.table, complex(z)))
             np.testing.assert_allclose(scalar, cols[:, i], rtol=1e-13, atol=0)
+        # a small batch, here in a 2-d shape, takes running products too
+        batch = np.asarray(eval_table(s.table, zs.reshape(1, -1)))
+        assert batch.shape == (4, 1, zs.size)
+        np.testing.assert_allclose(batch[:, 0], cols, rtol=1e-13, atol=0)
 
     def test_table_is_built_once(self):
         s = geometric(30)
