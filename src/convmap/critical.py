@@ -9,8 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvmapError, SingularPoint
-from .functionals import default_grid, grid_functionals, normal_derivatives, phi_values, poincare_density
+from .errors import ConvmapError
+from .functionals import (
+    check_jets,
+    default_grid,
+    grid_functionals,
+    normal_derivatives,
+    phi_values,
+    poincare_density,
+)
 from .grid import GridSpec
 from .maps import MapSpec, PhiSpec, certified_points, jet_fields, jet_of
 
@@ -53,15 +60,6 @@ def _min_norm_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.einsum("nij,ni->nj", vh, coef)
 
 
-def _check_jets(f0, f1, f2, f3) -> None:
-    """The checks ``jet_of`` makes at one point, over a batch of jets."""
-    for name, vals in zip(("f0", "f1", "f2", "f3"), (f0, f1, f2, f3)):
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"jet component {name} is not finite")
-    if np.any(f1 == 0):
-        raise SingularPoint("f' vanishes at a Newton iterate")
-
-
 def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
     """2-d Newton on (Re p, Im p) over (x, y) from every seed at once.
 
@@ -83,7 +81,7 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
             break
         zl = z[live]
         jets = jet_fields(m, zl)
-        _check_jets(*jets)
+        check_jets(*jets, "at a Newton iterate")
         p, dp_dz, dp_dzb = normal_derivatives(zl, *jets[1:])
         ap = np.abs(p)
         done = ap <= NEWTON_TOL

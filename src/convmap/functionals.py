@@ -229,13 +229,24 @@ def grid_functionals(m: MapSpec, zs) -> dict:
     """Vectorized field values over an array of points.
 
     Returns the ``fields`` dict plus the keys z, w and f1.  Raises
-    SingularPoint if f' vanishes anywhere.
+    SingularPoint if f' vanishes anywhere and ValueError if a jet component
+    is not finite.
     """
     zs = np.asarray(zs, dtype=complex)
     f0, f1, f2, f3 = jet_fields(m, zs)
-    if np.any(f1 == 0):
-        raise SingularPoint("f' vanishes on the evaluation grid")
+    check_jets(f0, f1, f2, f3, "on the evaluation grid")
     return {"z": zs, "w": f0, "f1": f1, **fields(zs, f1, f2, f3)}
+
+
+def check_jets(f0, f1, f2, f3, where: str) -> None:
+    """Reject a batch of jets as ``Jet`` and ``jet_of`` reject one:
+    ValueError on a non-finite component, SingularPoint where f' vanishes;
+    ``where`` ends the message."""
+    for name, vals in zip(("f0", "f1", "f2", "f3"), (f0, f1, f2, f3)):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"jet component {name} is not finite {where}")
+    if np.any(f1 == 0):
+        raise SingularPoint(f"f' vanishes {where}")
 
 
 def phi_values(m: MapSpec, z):

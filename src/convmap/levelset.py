@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished
-from .functionals import _level, curvatures, fields, fields_at, p_field
+from .functionals import _level, curvatures, fields_at, p_field
 from .jet import Jet
 from .maps import MapSpec, certified_rmax, jet_fields, jet_of
 
@@ -100,9 +100,10 @@ def find_level_start(
 class LevelCurve:
     """A traced level curve: points, their images, and per-point data.
 
-    ``s`` is cumulative arclength in the disk, and ``residual`` the |g - c|
-    each point was accepted on.  For closed curves the final wraparound
-    segment back to z[0] is implied, not duplicated.
+    ``s`` is cumulative arclength in the disk; ``w``, ``p``, ``k``, ``kappa``
+    and ``residual`` (|g - c|) come from the jet each point was accepted on.
+    For closed curves the final wraparound segment back to z[0] is implied,
+    not duplicated.
     """
 
     c: float
@@ -193,18 +194,17 @@ def _tangent(p: complex) -> complex:
     return -1j * p.conjugate() / abs(p)
 
 
-def _normal_guard(p: complex, z: complex, pts):
+def _normal_guard(p: complex, pts):
     if abs(p) <= P_MIN:
         raise _NormalStop(list(pts))
 
 
-def _frame(j: Jet, direction: int, pts):
-    """(unit tangent, curvature) of the level curve at j.z for the direction
-    of travel; the curvature sign follows the travel, so a positive value
-    turns the tangent clockwise."""
+def _record(j: Jet, r: float, pts):
+    """What the curve keeps of an accepted point: (z, f, p, k, kappa, |g - c|),
+    all from the jet it was accepted on."""
     fld = fields_at(j)
-    _normal_guard(fld["p"], j.z, pts)
-    return direction * _tangent(fld["p"]), direction * curvatures(fld, j.f1)[0]
+    _normal_guard(fld["p"], pts)
+    return (j.z, j.f0, fld["p"], *curvatures(fld, j.f1), r)
 
 
 def _arc(h: float, k: float) -> complex:
@@ -229,17 +229,20 @@ def _correct(m: MapSpec, z: complex, c: float, rmax: float, pts):
         if i == NEWTON_MAX:
             return None
         p = p_field(j)
-        _normal_guard(p, z, pts)
+        _normal_guard(p, pts)
         z = z + (g / (2.0 * abs(j.f1) * abs(p))) * (p.conjugate() / abs(p))
 
 
-def _march(m: MapSpec, j0: Jet, r0: float, c: float, step: float, budget: int, rmax: float, direction: int):
-    """Points (z, |g - c|) from j0 in one direction, and how the march ended."""
-    pts = [(j0.z, r0)]
-    t, k = _frame(j0, direction, pts)
-    t_start = t
+def _march(m: MapSpec, start, c: float, step: float, budget: int, rmax: float, direction: int):
+    """Records (see ``_record``) of the points from the start record on in one
+    direction, and how the march ended.  The tangent of travel is
+    direction * -i conj(p)/|p|, and the curvature sign follows the travel, so
+    a positive direction * k turns the tangent clockwise."""
+    pts = [start]
+    t_start = direction * _tangent(start[2])
     while len(pts) < budget:
-        z = pts[-1][0]
+        z, _, p, k, _, _ = pts[-1]
+        t, k = direction * _tangent(p), direction * k
         h = step
         accepted = None
         for _ in range(HALVINGS_MAX):
@@ -252,35 +255,29 @@ def _march(m: MapSpec, j0: Jet, r0: float, c: float, step: float, budget: int, r
             h *= 0.5
         if accepted is None:
             raise ConvmapError(f"corrector stalled near z = {z} (c = {c:g})")
-        j, r = accepted
-        t, k = _frame(j, direction, pts)
+        point = _record(*accepted, pts)
         if (
             direction == +1
             and len(pts) >= 3
-            and abs(j.z - j0.z) < 0.5 * step
-            and (t * t_start.conjugate()).real > 0.0
+            and abs(point[0] - start[0]) < 0.5 * step
+            and (_tangent(point[2]) * t_start.conjugate()).real > 0.0
         ):
             return pts, "closed"
-        pts.append((j.z, r))
+        pts.append(point)
     return pts, "max_points"
 
 
-def _finalize(m: MapSpec, pts, c: float, closed: bool, termination: str) -> LevelCurve:
-    zs, residuals = zip(*pts)
-    z = np.array(zs, dtype=complex)
-    f0, f1, f2, f3 = jet_fields(m, z)
-    fld = fields(z, f1, f2, f3)
-    k, kappa = curvatures(fld, f1)
-    ds = np.abs(np.diff(z))
-    s = np.concatenate([[0.0], np.cumsum(ds)])
+def _finalize(pts, c: float, closed: bool, termination: str) -> LevelCurve:
+    z, w, p, k, kappa, residual = (np.array(col) for col in zip(*pts))
+    s = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(z)))])
     return LevelCurve(
         c=float(c),
         z=z,
-        w=f0,
-        p=fld["p"],
+        w=w,
+        p=p,
         k=k,
         kappa=kappa,
-        residual=np.array(residuals),
+        residual=residual,
         s=s,
         closed=closed,
         termination=termination,
@@ -326,31 +323,31 @@ def trace_level_set(
     elif abs(g0 - float(c)) > START_RESIDUAL_BAR:
         raise ValueError(f"g(z0) = {g0:.12g} does not sit on the level c = {float(c):.12g}")
     c = float(c)
-    r0 = abs(g0 - c)
     p0 = p_field(j0)
     if abs(p0) <= P_MIN:
         raise NormalVanished(f"|p| = {abs(p0):.3e} at the start point {z0}", curve=None)
+    start = _record(j0, abs(g0 - c), [])
 
     def vanish(pts):
-        partial = _finalize(m, pts, c, False, "normal_vanished") if pts else None
+        partial = _finalize(pts, c, False, "normal_vanished") if pts else None
         raise NormalVanished(
             f"normal field vanished while tracing the level c = {c:g}", curve=partial
         ) from None
 
     try:
-        forward, status_f = _march(m, j0, r0, c, step, max_points, rmax, +1)
+        forward, status_f = _march(m, start, c, step, max_points, rmax, +1)
     except _NormalStop as stop:
         vanish(stop.pts)
     if status_f == "closed":
-        return _finalize(m, forward, c, True, "closed")
+        return _finalize(forward, c, True, "closed")
     budget = max_points - len(forward) + 1  # z0 is shared by both halves
     try:
         if budget >= 2:
-            backward, status_b = _march(m, j0, r0, c, step, budget, rmax, -1)
+            backward, status_b = _march(m, start, c, step, budget, rmax, -1)
         else:
-            backward, status_b = [(z0, r0)], "max_points"
+            backward, status_b = [start], "max_points"
     except _NormalStop as stop:
         vanish(stop.pts[:0:-1] + forward)
     pts = backward[:0:-1] + forward
     termination = status_f if status_f == status_b else f"{status_b}/{status_f}"
-    return _finalize(m, pts, c, False, termination)
+    return _finalize(pts, c, False, termination)

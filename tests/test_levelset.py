@@ -8,7 +8,7 @@ import pytest
 
 import convmap as cm
 import convmap.levelset as levelset
-from convmap.functionals import _level
+from convmap.functionals import _level, curvatures, fields_at
 from convmap.levelset import CSV_HEADER, RESIDUAL_TARGET
 
 
@@ -222,6 +222,19 @@ class TestCorrector:
             # each point records the |g - c| its jet was accepted on
             want = [abs(_level(z, cm.jet_of(m, z).f1)[1] - curve.c) for z in curve.z.tolist()]
             assert curve.residual.tolist() == want
+
+    @pytest.mark.parametrize("m", [cm.halfplane(), cm.polygon(5), gen_quiet([0.3, 0.2j, -0.25])])
+    def test_point_data_come_from_the_accepted_jet(self, m, jet_count):
+        curve = ring_trace(m)
+        traced = jet_count[0]
+        # w, p, k and kappa are the values at each point's own jet, to the
+        # bit, and the curve costs no jets beyond those of the march
+        for i, z in enumerate(curve.z.tolist()):
+            j = cm.jet_of(m, z)
+            fld = fields_at(j)
+            assert (curve.w[i], curve.p[i]) == (j.f0, fld["p"])
+            assert (curve.k[i], curve.kappa[i]) == curvatures(fld, j.f1)
+        assert traced <= 2 * len(curve) + 1
 
     def test_identity_circle_takes_one_jet_per_point(self, jet_count):
         # the osculating circle is the level curve: every prediction is accepted

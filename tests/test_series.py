@@ -148,10 +148,33 @@ class TestScalarFastPath:
         for i, z in enumerate(zs):
             scalar = np.asarray(eval_table(s.table, complex(z)))
             np.testing.assert_allclose(scalar, cols[:, i], rtol=1e-13, atol=0)
-        # a small batch, here in a 2-d shape, takes running products too
+        # a batch, here in a 2-d shape: running products from order 8 up,
+        # Horner at order 3 (17 points are more than twice 4 coefficients)
         batch = np.asarray(eval_table(s.table, zs.reshape(1, -1)))
         assert batch.shape == (4, 1, zs.size)
         np.testing.assert_allclose(batch[:, 0], cols, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "order, size, running",
+        [
+            (192, 41, True),  # the critical search's Newton seeds
+            (192, 256, True),  # a 256-point ring
+            (192, 384, False),  # classify_phi's grid: over the entry cap
+            (64, 256, False),  # more than twice 65 coefficients
+            (16, 41, False),  # more than twice 17 coefficients
+        ],
+    )
+    def test_batch_route(self, order, size, running):
+        s = geometric(order, 0.9)
+        zs = 0.85 * np.exp(2j * np.pi * np.arange(size) / size + 0.1j) * np.linspace(0.2, 1.0, size)
+        got = np.asarray(eval_table(s.table, zs))
+        horner = npoly.polyval(zs, s.table)
+        if running:
+            # the products round differently from Horner, within 1e-13
+            assert not np.array_equal(got, horner)
+            np.testing.assert_allclose(got, horner, rtol=1e-13, atol=0)
+        else:
+            np.testing.assert_array_equal(got, horner)
 
     def test_table_is_built_once(self):
         s = geometric(30)
@@ -172,6 +195,9 @@ class TestScalarFastPath:
         m = cm.from_series([0.0, 1.0, 1e308, 1e308], 0.9)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
             cm.jet_of(m, 0.8)
+        # a batch of jets, as on a grid, is held to the same rule
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite on the"):
+            cm.grid_functionals(m, np.array([0.5j, 0.8]))
 
     def test_jet_of_rejects_boundary_points(self):
         with pytest.raises(ValueError):
