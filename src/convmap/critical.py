@@ -18,8 +18,8 @@ from .functionals import (
     phi_values,
     poincare_density,
 )
-from .grid import GridSpec
-from .maps import MapSpec, PhiSpec, certified_points, jet_fields, jet_of
+from .grid import GridSpec, grid_points
+from .maps import MapSpec, PhiSpec, certified_points, jet_derivatives, jet_of
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
@@ -80,9 +80,9 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
         if not live.size:
             break
         zl = z[live]
-        jets = jet_fields(m, zl)
+        jets = jet_derivatives(m, zl)
         check_jets(*jets, "at a Newton iterate")
-        p, dp_dz, dp_dzb = normal_derivatives(zl, *jets[1:])
+        p, dp_dz, dp_dzb = normal_derivatives(zl, *jets)
         ap = np.abs(p)
         done = ap <= NEWTON_TOL
         ap_root[live[done]] = ap[done]
@@ -99,17 +99,17 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
     return z, ap_root
 
 
-def find_critical_point(m: MapSpec, grid: GridSpec | None = None) -> CriticalResult:
-    """Scan |p| on a polar grid, polish the best seeds by Newton, and report
-    the zero set of p.
+def find_critical_point(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -> CriticalResult:
+    """Scan |p| on a polar grid (a GridSpec, by default ``default_grid``) or
+    an array of points, polish the best seeds by Newton, and report the zero
+    set of p.
 
     The SEED_COUNT grid points of least |p| and the origin run one batched
     Newton with the exact Jacobian; the converged roots, taken in order of
     their final |p|, are merged when closer than DISTINCT_SEP.
     """
-    grid = grid or default_grid(m)
-    zs = grid.points()
-    vals = grid_functionals(m, zs)
+    vals = grid_functionals(m, default_grid(m) if grid is None else grid)
+    zs = vals["z"]
     ap = np.abs(vals["p"])
     floor = float(ap.min())
     order = np.argsort(ap)
@@ -143,17 +143,18 @@ class PhiClass:
     fit_error: float
 
 
-def classify_phi(m: MapSpec, grid: GridSpec | None = None) -> PhiClass:
-    """Classify phi by sampling it on a compact grid and least-squares
-    fitting the automorphism model.
+def classify_phi(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -> PhiClass:
+    """Classify phi by sampling it on a compact polar grid (a GridSpec, by
+    default ``default_grid`` of GridSpec(16, 24, 0.8)) or an array of points,
+    and least-squares fitting the automorphism model.
 
     The fit solves phi = u z + v - w z phi (linear in u, v, w), then reads
     off theta = arg u and a = v/u; a genuine automorphism reproduces the
     samples to machine precision, so the 1e-8 acceptance threshold is loose.
     """
-    grid = grid or default_grid(m, GridSpec(16, 24, 0.8))
-    zs = grid.points()
-    phis = phi_values(m, zs)
+    grid = default_grid(m, GridSpec(16, 24, 0.8)) if grid is None else grid
+    zs = grid_points(grid)
+    phis = phi_values(m, grid)
     keep = np.isfinite(phis)
     zs, phis = zs[keep], phis[keep]
     if zs.size < 8:
@@ -187,8 +188,7 @@ def fit_phi_polynomial(m: MapSpec, degree: int = 8, radius: float = 0.5, samples
     Only sensible when phi really is a polynomial of the given degree; the
     aliasing error is of order radius**samples and utterly negligible.
     """
-    zs = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
-    vals = phi_values(m, zs)
+    vals = phi_values(m, GridSpec(1, samples, radius))
     if not np.all(np.isfinite(vals)):
         raise ConvmapError("phi is degenerate on the sampling circle; change the radius")
     c = np.fft.fft(vals) / samples

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDenominator, SingularPoint
-from .grid import GridSpec
+from .grid import GridSpec, grid_points
 from .jet import Jet
-from .maps import MapSpec, certified_rmax, jet_fields
+from .maps import MapSpec, certified_rmax, jet_derivatives
 
 UNIMODULAR_EPS = 1e-10
 DEGENERATE_EPS = 1e-12
@@ -201,48 +201,25 @@ def schwarz_pick_slack(j: Jet):
     return 1.0 / fld["om"] - abs(dphi) / (1.0 - a2)
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    """Every pointwise quantity at one z, computed from a single jet."""
-
-    z: complex
-    w: complex
-    P: complex
-    S: complex
-    p: complex
-    lhs1: float
-    rhs2: float
-    rhs3: float
-    km: float
-    nehari: float
-    density: float
-    sp_slack: object  # float, or UNIMODULAR when degenerate
-
-
-def diagnostics(j: Jet) -> Diagnostics:
-    fld = fields_at(j)
-    keys = ("P", "S", "p", "lhs1", "rhs2", "rhs3", "km", "nehari", "density")
-    return Diagnostics(z=j.z, w=j.f0, sp_slack=schwarz_pick_slack(j), **{k: fld[k] for k in keys})
-
-
 def grid_functionals(m: MapSpec, zs) -> dict:
-    """Vectorized field values over an array of points.
+    """Vectorized field values over an array of points zs, or over the
+    points of a GridSpec zs (in ``GridSpec.points`` order).
 
-    Returns the ``fields`` dict plus the keys z, w and f1.  Raises
-    SingularPoint if f' vanishes anywhere and ValueError if a jet component
-    is not finite.
+    Returns the ``fields`` dict plus the keys z and f1; f is never computed.
+    Raises SingularPoint if f' vanishes anywhere and ValueError if a jet
+    component is not finite.
     """
-    zs = np.asarray(zs, dtype=complex)
-    f0, f1, f2, f3 = jet_fields(m, zs)
-    check_jets(f0, f1, f2, f3, "on the evaluation grid")
-    return {"z": zs, "w": f0, "f1": f1, **fields(zs, f1, f2, f3)}
+    f1, f2, f3 = jet_derivatives(m, zs)
+    check_jets(f1, f2, f3, "on the evaluation grid")
+    zs = grid_points(zs)
+    return {"z": zs, "f1": f1, **fields(zs, f1, f2, f3)}
 
 
-def check_jets(f0, f1, f2, f3, where: str) -> None:
-    """Reject a batch of jets as ``Jet`` and ``jet_of`` reject one:
-    ValueError on a non-finite component, SingularPoint where f' vanishes;
-    ``where`` ends the message."""
-    for name, vals in zip(("f0", "f1", "f2", "f3"), (f0, f1, f2, f3)):
+def check_jets(f1, f2, f3, where: str) -> None:
+    """Reject a batch of derivative jets as ``Jet`` and ``jet_of`` reject
+    one: ValueError on a non-finite component, SingularPoint where f'
+    vanishes; ``where`` ends the message."""
+    for name, vals in zip(("f1", "f2", "f3"), (f1, f2, f3)):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"jet component {name} is not finite {where}")
     if np.any(f1 == 0):
@@ -250,10 +227,11 @@ def check_jets(f0, f1, f2, f3, where: str) -> None:
 
 
 def phi_values(m: MapSpec, z):
-    """phi = (f''/f') / (2 + z f''/f') at scalar or array z, NaN where the
-    denominator is (numerically) zero."""
-    z = np.asarray(z, dtype=complex)
-    _, f1, f2, _ = jet_fields(m, z)
+    """phi = (f''/f') / (2 + z f''/f') at scalar or array z, or over the
+    points of a GridSpec z, NaN where the denominator is (numerically)
+    zero."""
+    f1, f2, _ = jet_derivatives(m, z)
+    z = grid_points(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         P = _normal(z, f1, f2)[2]
         den, degenerate = _phi_denominator(z, P)
@@ -312,8 +290,8 @@ def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None
 
     grid = grid or default_grid(m)
     tol = slack_tolerance(m) if tol is None else float(tol)
-    zs = grid.points()
-    vals = grid_functionals(m, zs)
+    vals = grid_functionals(m, grid)
+    zs = vals["z"]
     slack1 = vals["lhs1"]  # the classical bound compares against zero
     slack3 = vals["lhs1"] - vals["rhs3"]
     i1 = int(np.argmin(slack1))

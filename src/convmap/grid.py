@@ -23,6 +23,16 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """Complex grid points in radius-major order."""
-        r = self.rmax * np.arange(1, self.nr + 1) / self.nr
         th = 2.0 * np.pi * np.arange(self.ntheta) / self.ntheta
-        return (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+        return (self.radii()[:, None] * np.exp(1j * th)[None, :]).ravel()
+
+    def radii(self) -> np.ndarray:
+        """The ring radii rmax*(i+1)/nr, innermost first."""
+        return self.rmax * np.arange(1, self.nr + 1) / self.nr
+
+
+def grid_points(where) -> np.ndarray:
+    """The points of a GridSpec, or ``where`` itself as a complex array."""
+    if isinstance(where, GridSpec):
+        return where.points()
+    return np.asarray(where, dtype=complex)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished
 from .functionals import _level, curvatures, fields_at, p_field
 from .jet import Jet
-from .maps import MapSpec, certified_rmax, jet_fields, jet_of
+from .maps import MapSpec, certified_rmax, jet_derivatives, jet_of
 
 P_MIN = 1e-4
 RESIDUAL_TARGET = 1e-12
@@ -41,8 +41,7 @@ CSV_HEADER = "s,Re z,Im z,Re w,Im w,|p|,k,kappa,residual"
 def level_value(m: MapSpec, z):
     """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z."""
     z = np.asarray(z, dtype=complex)
-    _, f1, _, _ = jet_fields(m, z)
-    return _level(z, f1)[1]
+    return _level(z, jet_derivatives(m, z)[0])[1]
 
 
 def find_level_start(

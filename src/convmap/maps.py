@@ -15,6 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvmapError, PhiOutOfRange, RadiusExceeded, SingularPoint
+from .grid import GridSpec, grid_points
 from .jet import Jet
 from .series import (
     DEFAULT_ORDER,
@@ -231,43 +232,43 @@ def builtin_map(name: str, alpha: float | None = None, n: int | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# jets
+# jets: each closed form gives (f, f', f'', f''') with f as a callable, so that
+# a caller reading only the derivatives never computes f
 
 
-def _jets_identity(z):
+def _jets_identity(z, m):
     one = np.ones_like(z)
     zero = np.zeros_like(z)
-    return z, one, zero, zero
+    return lambda: z, one, zero, zero
 
 
-def _jets_halfplane(z):
+def _jets_halfplane(z, m):
     u = 1.0 / (1.0 - z)
-    return z * u, u * u, 2.0 * u**3, 6.0 * u**4
+    return lambda: z * u, u * u, 2.0 * u**3, 6.0 * u**4
 
 
-def _jets_strip(z):
+def _jets_strip(z, m):
     w = 1.0 - z * z
-    return np.arctanh(z), 1.0 / w, 2.0 * z / w**2, (2.0 + 6.0 * z * z) / w**3
+    return lambda: np.arctanh(z), 1.0 / w, 2.0 * z / w**2, (2.0 + 6.0 * z * z) / w**3
 
 
-def _jets_sector(z, alpha):
+def _jets_sector(z, m):
     # principal logs; 1 +/- z stays in the right half plane for |z| < 1
-    f0 = np.exp(alpha * (np.log(1.0 + z) - np.log(1.0 - z)))
+    alpha = m.alpha
     f1 = 2.0 * alpha * np.exp((alpha - 1.0) * np.log(1.0 + z) - (alpha + 1.0) * np.log(1.0 - z))
     w = 1.0 - z * z
     P = (2.0 * alpha + 2.0 * z) / w
     Pp = (2.0 + 4.0 * alpha * z + 2.0 * z * z) / w**2
-    return f0, f1, f1 * P, f1 * (Pp + P * P)
+    return lambda: np.exp(alpha * (np.log(1.0 + z) - np.log(1.0 - z))), f1, f1 * P, f1 * (Pp + P * P)
 
 
-def _jets_koebe(z):
+def _jets_koebe(z, m):
     om = 1.0 - z
-    f0 = z / om**2
     f1 = (1.0 + z) / om**3
     w = 1.0 - z * z
     P = (4.0 + 2.0 * z) / w
     Pp = (2.0 + 8.0 * z + 2.0 * z * z) / w**2
-    return f0, f1, f1 * P, f1 * (Pp + P * P)
+    return lambda: z / om**2, f1, f1 * P, f1 * (Pp + P * P)
 
 
 def _polygon_f0(z, n):
@@ -293,7 +294,8 @@ def _polygon_f0(z, n):
     return z * acc
 
 
-def _jets_polygon(z, n):
+def _jets_polygon(z, m):
+    n = m.n
     # a single point runs on Python complex and cmath: on a 0-d array each
     # of the vertex series' hundreds of terms pays NumPy's per-call overhead
     lib = np
@@ -304,7 +306,30 @@ def _jets_polygon(z, n):
     f1 = lib.exp(-(2.0 / n) * lib.log(w))
     P = 2.0 * z ** (n - 1) / w
     Pp = 2.0 * ((n - 1.0) * z ** (n - 2) + z ** (2 * n - 2)) / w**2
-    return _polygon_f0(z, n), f1, f1 * P, f1 * (Pp + P * P)
+    return lambda: _polygon_f0(z, n), f1, f1 * P, f1 * (Pp + P * P)
+
+
+_CLOSED_FORMS = {
+    "identity": _jets_identity,
+    "halfplane": _jets_halfplane,
+    "strip": _jets_strip,
+    "sector": _jets_sector,
+    "polygon": _jets_polygon,
+    "koebe": _jets_koebe,
+}
+
+
+def _raw_jet_fields(m: MapSpec, z):
+    if m.series is not None:
+        return series_jet_fields(m.series, z)  # one pass over the whole table
+    f0, f1, f2, f3 = _CLOSED_FORMS[m.kind](z, m)
+    return f0(), f1, f2, f3
+
+
+def _raw_derivatives(m: MapSpec, z):
+    if m.series is not None:
+        return series_jet_fields(m.series, z, start=1)
+    return _CLOSED_FORMS[m.kind](z, m)[1:]
 
 
 def _auto_jets(z, a, theta):
@@ -316,39 +341,43 @@ def _auto_jets(z, a, theta):
     return e * (z + a) / d, q / d**2, -2.0 * ab * q / d**3, 6.0 * ab * ab * q / d**4
 
 
-def _raw_jet_fields(m: MapSpec, z):
-    if m.kind == "identity":
-        return _jets_identity(z)
-    if m.kind == "halfplane":
-        return _jets_halfplane(z)
-    if m.kind == "strip":
-        return _jets_strip(z)
-    if m.kind == "sector":
-        return _jets_sector(z, m.alpha)
-    if m.kind == "polygon":
-        return _jets_polygon(z, m.n)
-    if m.kind == "koebe":
-        return _jets_koebe(z)
-    return series_jet_fields(m.series, z)
+def _chain(m: MapSpec, t, g1, g2, g3):
+    """(f', f'', f''') of the composed map from (g', g'', g'''), the
+    derivatives of its own kind at the moved points, and t, the jet of the
+    precomposition (None without one)."""
+    if t is not None:
+        _, t1, t2, t3 = t
+        g1, g2, g3 = g1 * t1, g2 * t1 * t1 + g1 * t2, g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3
+    if m.post is not None:
+        s = m.post[0]
+        g1, g2, g3 = s * g1, s * g2, s * g3
+    return g1, g2, g3
 
 
 def jet_fields(m: MapSpec, z):
     """Arrays (f, f', f'', f''') of the composed map at scalar or array z."""
     z = np.asarray(z, dtype=complex)
-    if m.pre is not None:
-        a, theta = m.pre
-        t0, t1, t2, t3 = _auto_jets(z, a, theta)
-        g0, g1, g2, g3 = _raw_jet_fields(m, t0)
-        f0 = g0
-        f1 = g1 * t1
-        f2 = g2 * t1 * t1 + g1 * t2
-        f3 = g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3
-    else:
-        f0, f1, f2, f3 = _raw_jet_fields(m, z)
+    if m.pre is None and m.post is None:  # the tracer's scalar jets: nothing to compose
+        return _raw_jet_fields(m, z)
+    t = None if m.pre is None else _auto_jets(z, *m.pre)
+    f0, g1, g2, g3 = _raw_jet_fields(m, z if t is None else t[0])
     if m.post is not None:
-        s, b = m.post
-        f0, f1, f2, f3 = s * f0 + b, s * f1, s * f2, s * f3
-    return f0, f1, f2, f3
+        f0 = m.post[0] * f0 + m.post[1]
+    return (f0, *_chain(m, t, g1, g2, g3))
+
+
+def jet_derivatives(m: MapSpec, z):
+    """(f', f'', f''') of the composed map at scalar or array z, or over the
+    points of a GridSpec in ``GridSpec.points`` order, without computing f.
+
+    On a grid, a series map without a precomposition takes the spectral
+    route (``series.eval_grid``), and a postcomposition applies after it;
+    every other map evaluates the grid's points.
+    """
+    if not (isinstance(z, GridSpec) and m.series is not None and m.pre is None):
+        z = grid_points(z)
+    t = None if m.pre is None else _auto_jets(z, *m.pre)
+    return _chain(m, t, *_raw_derivatives(m, z if t is None else t[0]))
 
 
 def certified_rmax(m: MapSpec) -> float:

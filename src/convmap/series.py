@@ -17,6 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import RadiusExceeded, TruncationTail
+from .grid import GridSpec
 from .jet import Jet
 
 MIN_ORDER = 3
@@ -32,6 +33,8 @@ RADIUS_SLACK = 1e-12
 # their matrix of powers within 1 MB, so no batch over 362 points and no
 # grid takes them
 RUNNING_PRODUCT_ENTRIES = 1 << 16
+# eval_grid's powers of r below this become zero, clear of the subnormals
+POWER_FLOOR = 1e-290
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -154,28 +157,57 @@ def derivative_table(coeffs: np.ndarray) -> np.ndarray:
     return table
 
 
-def eval_table(table: np.ndarray, z):
-    """Evaluate the four stacked polynomials at scalar or array z.
+def eval_table(table: np.ndarray, z, start: int = 0):
+    """Evaluate columns ``start``.. of the stacked polynomials at scalar or
+    array z.
 
     A scalar z, or a batch of at most twice as many points as the table has
     rows and at most RUNNING_PRODUCT_ENTRIES entries in its matrix of
     powers, takes the powers 1, z, z**2, ... as running products and the jet
-    as one matrix product; other arrays use Horner, which needs no matrix of
-    powers.  A scalar z gives Python complex values.
+    as one matrix product over all columns, which round as when all are
+    kept; other arrays use Horner on the wanted columns.  A scalar z gives
+    Python complex values.
     """
     z = np.asarray(z)
     n = table.shape[0]
     if z.size > 2 * n or z.size * n > RUNNING_PRODUCT_ENTRIES:
-        vals = npoly.polyval(z, table)
-        return vals[0], vals[1], vals[2], vals[3]
+        return tuple(npoly.polyval(z, table[:, start:]))
     powers = np.empty(z.shape + (n,), dtype=complex)
     powers[..., 0] = 1.0
     powers[..., 1:] = z[..., None]
     np.multiply.accumulate(powers, axis=-1, out=powers)  # cumprod without a copy
     jet = powers @ table
     if z.ndim == 0:
-        return tuple(jet.tolist())
-    return tuple(np.moveaxis(jet, -1, 0))
+        return tuple(jet.tolist()[start:])
+    return tuple(np.moveaxis(jet, -1, 0)[start:])
+
+
+def eval_grid(table: np.ndarray, grid: GridSpec):
+    """Evaluate every column of the stacked polynomials over the points of a
+    polar grid, in ``GridSpec.points`` order, with one inverse FFT per ring.
+
+    With N = ntheta, column c at the point r w**j (w = e^{2 pi i/N}) is
+    sum_m r**m a_m w**(j m), where a_m = sum_q table[q N + m, c] (r**N)**q
+    folds the rows mod N.  The folds of all rings are one real matrix
+    product, and no temporary outgrows the result.  Powers of r below
+    POWER_FLOOR become zero: subnormal factors can slow arithmetic down many
+    times over, and they weigh nothing against the terms that are kept.
+    """
+    rows, cols = table.shape
+    N = grid.ntheta
+    Q = -(-rows // N)
+    r = grid.radii()
+    folded = np.zeros((cols, Q * N), dtype=complex)
+    folded[:, :rows] = table.T
+    ring_powers = r[:, None] ** (N * np.arange(Q))
+    angle_powers = r[:, None] ** np.arange(N)
+    ring_powers[ring_powers < POWER_FLOOR] = 0.0
+    angle_powers[angle_powers < POWER_FLOOR] = 0.0
+    # per column a real (nr, Q) @ (Q, 2N) product over (re, im) pairs
+    folds = np.matmul(ring_powers, folded.view(float).reshape(cols, Q, 2 * N)).view(complex)
+    folds *= angle_powers
+    vals = np.fft.ifft(folds, axis=-1, norm="forward")
+    return tuple(v.reshape(-1) for v in vals)
 
 
 def in_radius(s: PowerSeries, z):
@@ -184,19 +216,23 @@ def in_radius(s: PowerSeries, z):
     return abs(z) <= s.rmax + RADIUS_SLACK
 
 
-def series_jet_fields(s: PowerSeries, z):
-    """(f, f', f'', f''') of the series at scalar or array z.
+def series_jet_fields(s: PowerSeries, z, start: int = 0):
+    """Components ``start``.. of (f, f', f'', f''') of the series at scalar
+    or array z, or over the points of a GridSpec through ``eval_grid``.
 
     Points outside ``in_radius`` raise RadiusExceeded.
     """
-    if np.ndim(z) == 0:
-        inside = in_radius(s, complex(z))
+    if isinstance(z, GridSpec):
+        worst = z.rmax
+    elif np.ndim(z) == 0:
+        worst = abs(complex(z))
     else:
-        inside = bool(in_radius(s, z).all())
-    if not inside:
-        worst = float(np.abs(z).max())
+        worst = float(np.abs(z).max(initial=0.0))
+    if not in_radius(s, worst):
         raise RadiusExceeded(f"|z| = {worst:.6g} exceeds the certified radius {s.rmax:g}")
-    return eval_table(s.table, z)
+    if isinstance(z, GridSpec):
+        return eval_grid(s.table[:, start:], z)
+    return eval_table(s.table, z, start)
 
 
 def series_eval_jet(s: PowerSeries, z: complex) -> Jet:

@@ -135,6 +135,25 @@ class TestGridFunctionals:
         m = cm.from_series([0.0, 1.0, -1.0], rmax=0.9)
         with pytest.raises(cm.SingularPoint):
             cm.grid_functionals(m, np.array([0.2, 0.5]))
+        # the spectral route: the ring r = 0.5 passes through the zero at 1/2
+        with pytest.raises(cm.SingularPoint):
+            cm.grid_functionals(m, cm.GridSpec(9, 8, 0.9))
+
+    def test_grid_or_points(self):
+        grid = cm.GridSpec(12, 20, 0.85)
+        generated = cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192)
+        for m in (cm.polygon(5), cm.strip().precomposed(0.3j, 0.2).postcomposed(2.0, 1.0), generated):
+            on_grid = cm.grid_functionals(m, grid)
+            on_points = cm.grid_functionals(m, grid.points())
+            assert set(on_grid) == set(on_points) and "w" not in on_grid
+            np.testing.assert_array_equal(on_grid["z"], grid.points())
+            if m.series is None:  # the same points, the same arithmetic
+                for key in on_points:
+                    np.testing.assert_array_equal(on_grid[key], on_points[key])
+            else:
+                for key in ("f1", "lhs1", "rhs3", "km", "g"):
+                    np.testing.assert_allclose(on_grid[key], on_points[key], rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(cm.phi_values(m, grid), cm.phi_values(m, grid.points()), atol=1e-13)
 
     def test_equivalence_identity_is_tight(self):
         zs = cm.GridSpec(20, 16, 0.9).points()

@@ -109,6 +109,44 @@ class TestClosedFormJets:
             )
 
 
+def _bits(vals) -> np.ndarray:
+    return np.ascontiguousarray(vals, dtype=complex).reshape(-1).view(np.uint64)
+
+
+def _composed_variants(m: cm.MapSpec) -> list[cm.MapSpec]:
+    return [
+        m,
+        m.precomposed(0.2 - 0.1j, 0.7),
+        m.postcomposed(1.5 - 0.5j, 0.25 + 1j),
+        m.precomposed(-0.1 + 0.2j, -1.1).postcomposed(0.5j, -2.0),
+    ]
+
+
+class TestDerivativeJets:
+    """``jet_derivatives`` skips f but keeps every other bit of ``jet_fields``."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [m for _, m, _ in ZOO]
+        + [
+            cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), order=96),
+            cm.herglotz_map(cm.PhiSpec.polynomial([0.1, -0.3, 0.2j]), order=96),
+        ],
+        ids=[name for name, _, _ in ZOO] + ["series", "herglotz"],
+    )
+    def test_equals_jet_fields_bit_for_bit(self, m):
+        rng = np.random.default_rng(21)
+        # 41 points take a series' running products, 500 its Horner route
+        batches = [random_disk_points(rng, n, 0.45) for n in (41, 500)]
+        for variant in _composed_variants(m):
+            for z in [complex(batches[0][3])] + batches:
+                got = cm.jet_derivatives(variant, z)
+                want = cm.jet_fields(variant, z)[1:]
+                assert len(got) == 3
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(_bits(g), _bits(w))
+
+
 class TestComposition:
     def test_precompose_matches_oracle(self):
         a, theta = 0.3 - 0.2j, 0.7

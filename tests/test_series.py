@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import convmap as cm
-from convmap.series import MIN_ORDER, derivative_table, eval_table
+from convmap.series import MIN_ORDER, derivative_table, eval_grid, eval_table
 
 from .oracles import fd_jet
 
@@ -204,3 +204,65 @@ class TestScalarFastPath:
             cm.jet_of(cm.identity(), 1.0)
         with pytest.raises(ValueError):
             cm.Jet(0.6 + 0.8j, 0.0, 1.0, 0.0, 0.0)
+
+
+class TestSpectralGrid:
+    """``eval_grid``, the FFT route over polar grids, against ``eval_table``
+    at the same points."""
+
+    GRIDS = [
+        cm.GridSpec(100, 100, 0.9),
+        cm.GridSpec(7, 1, 0.9),  # ntheta = 1: one row per block
+        cm.GridSpec(1, 40, 0.9),  # nr = 1
+        cm.GridSpec(3, 512, 0.9),  # ntheta above every row count: one block
+        cm.GridSpec(400, 400, 0.9),  # the innermost ring's powers underflow
+    ]
+
+    @pytest.mark.parametrize("order", [3, 24, 192, 384])
+    def test_matches_eval_table(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            s = cm.gen_herglotz(cm.PhiSpec.polynomial([0.3 + 0.2j, -0.1 + 0.4j, 0.2]), order=order).series
+        for grid in self.GRIDS:
+            got = eval_grid(s.table, grid)
+            # Horner at every 8th point of the 400 x 400 grid keeps the test quick
+            some = slice(None, None, 1 + grid.nr * grid.ntheta // 20000)
+            want = eval_table(s.table, grid.points()[some])
+            for col, (g, w) in enumerate(zip(got, want)):
+                assert g.shape == (grid.nr * grid.ntheta,)
+                g = g[some]
+                scale = float(np.abs(w).max())
+                assert float(np.abs(g - w).max()) <= 1e-13 * scale, (grid, col)
+
+    def test_series_jets_take_it_after_any_postcomposition(self, monkeypatch):
+        phi = cm.PhiSpec.polynomial([0.2, 0.3j])
+        maps = [
+            cm.gen_herglotz(phi, order=192).postcomposed(1.5 - 0.5j, 0.25 + 1j),
+            cm.herglotz_map(phi, order=192),
+        ]
+        grid = cm.GridSpec(30, 50, 0.9)
+        want = [cm.jet_fields(m, grid.points())[1:] for m in maps]
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a grid of a series map reached eval_table")
+
+        monkeypatch.setattr("convmap.series.eval_table", no_points)
+        for m, ref in zip(maps, want):
+            for g, w in zip(cm.jet_derivatives(m, grid), ref):
+                assert float(np.abs(g - w).max()) <= 1e-13 * float(np.abs(w).max())
+
+    def test_precomposed_series_takes_the_points(self):
+        m = cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192).precomposed(0.2 - 0.1j, 0.7)
+        grid = cm.GridSpec(20, 30, 0.6)
+        got = cm.jet_derivatives(m, grid)
+        for g, w in zip(got, cm.jet_fields(m, grid.points())[1:]):
+            np.testing.assert_array_equal(g, w)
+
+    def test_radius_check(self):
+        m = cm.from_series(geometric(30, 0.8))
+        cm.grid_functionals(m, cm.GridSpec(10, 16, 0.8))  # exactly rmax is certified
+        with pytest.raises(cm.RadiusExceeded, match=r"^\|z\| = 0\.81 exceeds the certified radius 0\.8$"):
+            cm.grid_functionals(m, cm.GridSpec(10, 16, 0.81))
+        # the same message as the array route gives at those points
+        with pytest.raises(cm.RadiusExceeded, match=r"^\|z\| = 0\.81 exceeds the certified radius 0\.8$"):
+            cm.grid_functionals(m, cm.GridSpec(10, 16, 0.81).points())
