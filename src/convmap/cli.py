@@ -30,7 +30,9 @@ from .errors import ConvmapError, LevelNotOnRay, NormalVanished, PhiOutOfRange
 from .functionals import ConvexityReport, convexity_report, curvatures, grid_functionals
 from .grid import GridSpec
 from .levelset import (
+    DEFAULT_MAX_POINTS,
     DEFAULT_STEP,
+    DEFAULT_TRACE_RMAX,
     P_MIN,
     LevelCurve,
     find_level_start,
@@ -41,6 +43,7 @@ from .maps import (
     MapSpec,
     PhiSpec,
     builtin_map,
+    complex_pair,
     gen_herglotz,
     map_from_json,
     map_to_json,
@@ -66,6 +69,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# the exit code of each error (see the module docstring); the first match wins
+_EXIT_CODES = ((_UsageError, 1), (LevelNotOnRay, 4), (PhiOutOfRange, 5), (ConvmapError, 2), (ValueError, 2))
+
+
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace(" ", "").replace("i", "j"))
@@ -84,28 +91,27 @@ def _add_map_flags(p: _Parser) -> None:
 
 
 def _add_grid_flags(p: _Parser) -> None:
-    p.add_argument("--nr", type=int, default=40, help="radial grid count")
-    p.add_argument("--ntheta", type=int, default=40, help="angular grid count")
-    p.add_argument("--rmax", type=float, default=0.9, help="outer grid radius")
+    p.add_argument("--nr", type=int, default=GridSpec.nr, help="radial grid count")
+    p.add_argument("--ntheta", type=int, default=GridSpec.ntheta, help="angular grid count")
+    p.add_argument("--rmax", type=float, default=GridSpec.rmax, help="outer grid radius")
 
 
 def _resolve_map(args) -> MapSpec:
     name = args.map
-    if name.endswith(".json") or os.path.sep in name or os.path.isfile(name):
-        with open(name, "r", encoding="utf-8") as fp:
-            return map_from_json(json.load(fp))
-    return builtin_map(name, alpha=args.alpha, n=args.n)
-
-
-def _pair(w: complex) -> list[float]:
-    return [float(w.real), float(w.imag)]
+    try:
+        if name.endswith(".json") or os.path.sep in name or os.path.isfile(name):
+            with open(name, "r", encoding="utf-8") as fp:
+                return map_from_json(json.load(fp))
+        return builtin_map(name, alpha=args.alpha, n=args.n)
+    except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+        raise _UsageError(f"malformed map spec: {exc}") from None
 
 
 def _phi_class_json(pc: PhiClass) -> dict:
     fit = pc.fit_error
     return {
         "kind": pc.kind,
-        "a": None if pc.a is None else _pair(pc.a),
+        "a": None if pc.a is None else complex_pair(pc.a),
         "theta": pc.theta,
         "fitError": None if not np.isfinite(fit) else float(fit),
     }
@@ -122,14 +128,14 @@ def report_to_json(rep: ConvexityReport) -> dict:
             "flag": rep.equality_flag,
             "count": rep.equality_count,
             "tolerance": rep.tolerance,
-            "points": [_pair(z) for z in rep.equality_points],
+            "points": [complex_pair(z) for z in rep.equality_points],
         },
         "phiClass": _phi_class_json(rep.phi_class),
         "argmins": {
-            "slack1": _pair(rep.slack1_argmin),
-            "slack3": _pair(rep.slack3_argmin),
-            "km": _pair(rep.km_argmax),
-            "nehari": _pair(rep.nehari_argmax),
+            "slack1": complex_pair(rep.slack1_argmin),
+            "slack3": complex_pair(rep.slack3_argmin),
+            "km": complex_pair(rep.km_argmax),
+            "nehari": complex_pair(rep.nehari_argmax),
         },
     }
 
@@ -231,13 +237,8 @@ def cmd_curvature_map(args, m: MapSpec) -> int:
 
 
 def _phi_from_args(args) -> PhiSpec:
-    chosen = [
-        args.phi_const is not None,
-        args.phi_poly is not None,
-        args.phi_blaschke is not None,
-        args.phi_random is not None,
-    ]
-    if sum(chosen) != 1:
+    chosen = (args.phi_const, args.phi_poly, args.phi_blaschke, args.phi_random)
+    if sum(flag is not None for flag in chosen) != 1:
         raise _UsageError("choose exactly one of --phi-const, --phi-poly, --phi-blaschke, --phi-random")
     if args.phi_const is not None:
         value = _parse_complex(args.phi_const)
@@ -261,7 +262,10 @@ def _phi_from_args(args) -> PhiSpec:
 
 
 def cmd_gen(args, m=None) -> int:
-    phi = _phi_from_args(args)
+    try:
+        phi = _phi_from_args(args)
+    except ValueError as exc:  # a PhiSpec refusing its data
+        raise _UsageError(f"malformed generator spec: {exc}") from None
     generated = gen_herglotz(phi, order=args.order, rmax=args.gen_rmax)
     text = json.dumps(map_to_json(generated), indent=2)
     with open(args.out, "w", encoding="utf-8") as fp:
@@ -285,8 +289,8 @@ def build_parser() -> _Parser:
     p.add_argument("--c", type=float, required=True, help="level constant")
     p.add_argument("--theta", type=float, default=0.0, help="ray angle for the starting point")
     p.add_argument("--step", type=float, default=DEFAULT_STEP, help="arclength step")
-    p.add_argument("--max-points", type=int, default=20000)
-    p.add_argument("--trace-rmax", type=float, default=0.95, help="stop radius")
+    p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
+    p.add_argument("--trace-rmax", type=float, default=DEFAULT_TRACE_RMAX, help="stop radius")
     p.add_argument("--out", default="trace.csv")
     p.add_argument("--svg", default=None, help="write a two-panel SVG here")
     p.set_defaults(func=cmd_trace, needs_map=True)
@@ -314,35 +318,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args, _resolve_map(args) if args.needs_map else None)
+    except (_UsageError, ConvmapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    m = None
-    if getattr(args, "needs_map", False):
-        try:
-            m = _resolve_map(args)
-        except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: malformed map spec: {exc}", file=sys.stderr)
-            return 1
-
-    try:
-        return args.func(args, m)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LevelNotOnRay as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except PhiOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (ConvmapError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def main_entry() -> None:

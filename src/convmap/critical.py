@@ -19,7 +19,7 @@ from .functionals import (
     poincare_density,
 )
 from .grid import GridSpec, grid_points
-from .maps import MapSpec, PhiSpec, certified_points, jet_derivatives, jet_of
+from .maps import MapSpec, PhiSpec, _auto_jets, certified_points, jet_derivatives, jet_of
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
@@ -175,8 +175,7 @@ def classify_phi(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -> PhiCl
     theta = float(np.angle(u))
     if abs(a) >= 1.0:
         return PhiClass("strict", None, None, float("inf"))
-    model = np.exp(1j * theta) * (zs + a) / (1.0 + a.conjugate() * zs)
-    err = float(np.max(np.abs(phis - model)))
+    err = float(np.max(np.abs(phis - _auto_jets(zs, a, theta)[0])))
     if err <= CLASSIFY_TOL:
         return PhiClass("automorphism", complex(a), theta, err)
     return PhiClass("strict", None, None, err)

@@ -257,7 +257,7 @@ def default_grid(m: MapSpec, base: GridSpec = GridSpec()) -> GridSpec:
 
 def slack_tolerance(m: MapSpec) -> float:
     """Equality/verdict tolerance: tighter for closed forms than for series."""
-    return SERIES_TOL if m.kind in ("series", "herglotz") else CLOSED_FORM_TOL
+    return SERIES_TOL if m.series is not None else CLOSED_FORM_TOL
 
 
 @dataclass(frozen=True)

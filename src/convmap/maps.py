@@ -55,6 +55,8 @@ class PhiSpec:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
         object.__setattr__(self, "zeros", tuple(complex(a) for a in self.zeros))
         object.__setattr__(self, "theta", float(self.theta))
+        if not all(map(cmath.isfinite, (*self.coeffs, *self.zeros, self.theta))):
+            raise ValueError("phi coefficients, zeros and theta must be finite")
         if self.kind == "poly" and not self.coeffs:
             raise ValueError("polynomial phi needs at least one coefficient")
         if self.kind == "blaschke":
@@ -99,27 +101,20 @@ class PhiSpec:
     def series(self, order: int, rmax: float = DEFAULT_RMAX) -> PowerSeries:
         """Taylor coefficients through z**order."""
         if self.kind == "poly":
-            c = np.zeros(order + 1, dtype=complex)
-            src = np.asarray(self.coeffs)[: order + 1]
-            c[: src.size] = src
-            return PowerSeries(c, rmax)
-        if self.kind == "const":
-            c = np.zeros(order + 1, dtype=complex)
-            c[0] = np.exp(1j * self.theta)
-            return PowerSeries(c, rmax)
-        start = np.zeros(order + 1, dtype=complex)
-        start[0] = np.exp(1j * self.theta)
-        acc = PowerSeries(start, rmax)
+            return _padded(self.coeffs, order, rmax)
+        acc = _padded([np.exp(1j * self.theta)], order, rmax)  # a constant has no zeros
         for a in self.zeros:
-            num = np.zeros(order + 1, dtype=complex)
-            num[0] = -a
-            num[1] = 1.0
-            den = np.zeros(order + 1, dtype=complex)
-            den[0] = 1.0
-            den[1] = -a.conjugate()
-            factor = series_mul(PowerSeries(num, rmax), series_inv(PowerSeries(den, rmax)))
-            acc = series_mul(acc, factor)
+            den = series_inv(_padded([1.0, -a.conjugate()], order, rmax))
+            acc = series_mul(acc, series_mul(_padded([-a, 1.0], order, rmax), den))
         return acc
+
+
+def _padded(coeffs, order: int, rmax: float) -> PowerSeries:
+    """The series with these leading coefficients, padded with zeros through z**order."""
+    c = np.zeros(order + 1, dtype=complex)
+    lead = np.asarray(coeffs, dtype=complex)[: order + 1]
+    c[: lead.size] = lead
+    return PowerSeries(c, rmax)
 
 
 @dataclass(frozen=True)
@@ -159,9 +154,7 @@ class MapSpec:
             if self.order is None:
                 object.__setattr__(self, "order", DEFAULT_ORDER)
             if self.series is None:
-                # stacklevel 4 skips this method and the generated __init__
-                series = _herglotz_series(self.phi, self.order, DEFAULT_RMAX, stacklevel=4)
-                object.__setattr__(self, "series", series)
+                object.__setattr__(self, "series", _herglotz_series(self.phi, self.order, DEFAULT_RMAX))
         if self.pre is not None:
             a, theta = self.pre
             a = complex(a)
@@ -319,51 +312,46 @@ _CLOSED_FORMS = {
 }
 
 
-def _raw_jet_fields(m: MapSpec, z):
-    if m.series is not None:
-        return series_jet_fields(m.series, z)  # one pass over the whole table
-    f0, f1, f2, f3 = _CLOSED_FORMS[m.kind](z, m)
-    return f0(), f1, f2, f3
-
-
-def _raw_derivatives(m: MapSpec, z):
-    if m.series is not None:
-        return series_jet_fields(m.series, z, start=1)
-    return _CLOSED_FORMS[m.kind](z, m)[1:]
-
-
 def _auto_jets(z, a, theta):
-    """Jet of the automorphism tau(z) = e^{i theta} (z + a) / (1 + conj(a) z)."""
+    """The automorphism tau(z) = e^{i theta} (z + a) / (1 + conj(a) z) at z,
+    and a callable for its derivatives there, as the closed forms give f:
+    a caller reading only tau never computes them."""
     ab = a.conjugate()
     e = np.exp(1j * theta)
     d = 1.0 + ab * z
     q = e * (1.0 - abs(a) ** 2)
-    return e * (z + a) / d, q / d**2, -2.0 * ab * q / d**3, 6.0 * ab * ab * q / d**4
+    return e * (z + a) / d, lambda: (q / d**2, -2.0 * ab * q / d**3, 6.0 * ab * ab * q / d**4)
 
 
-def _chain(m: MapSpec, t, g1, g2, g3):
-    """(f', f'', f''') of the composed map from (g', g'', g'''), the
-    derivatives of its own kind at the moved points, and t, the jet of the
-    precomposition (None without one)."""
+def _jets(m: MapSpec, z, start: int):
+    """(f, f', f'', f''') of the composed map at array z, or over a GridSpec
+    for a series map with no precomposition, without f when ``start`` is 1:
+    the points move through the precomposition, the map's own kind evaluates
+    there, and the chain rule and the postcomposition apply after."""
+    t = None if m.pre is None else _auto_jets(z, *m.pre)
+    w = z if t is None else t[0]
+    if m.series is not None:
+        jet = series_jet_fields(m.series, w, start)  # one pass over the whole table
+    elif start:
+        jet = _CLOSED_FORMS[m.kind](w, m)[1:]
+    else:
+        f0, f1, f2, f3 = _CLOSED_FORMS[m.kind](w, m)
+        jet = f0(), f1, f2, f3
+    if t is None and m.post is None:  # the tracer's scalar jets: nothing to compose
+        return jet
+    *f0, g1, g2, g3 = jet  # f0 is [f], or [] without f
     if t is not None:
-        _, t1, t2, t3 = t
+        t1, t2, t3 = t[1]()
         g1, g2, g3 = g1 * t1, g2 * t1 * t1 + g1 * t2, g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3
     if m.post is not None:
-        s = m.post[0]
-        g1, g2, g3 = s * g1, s * g2, s * g3
-    return g1, g2, g3
+        s, b = m.post
+        f0, g1, g2, g3 = [s * f0[0] + b] if f0 else f0, s * g1, s * g2, s * g3
+    return (*f0, g1, g2, g3)
 
 
 def jet_fields(m: MapSpec, z):
     """Arrays (f, f', f'', f''') of the composed map at scalar or array z."""
-    z = np.asarray(z, dtype=complex)
-    if m.pre is None and m.post is None:  # the tracer's scalar jets: nothing to compose
-        return _raw_jet_fields(m, z)
-    t = None if m.pre is None else _auto_jets(z, *m.pre)
-    f0, g1, g2, g3 = _raw_jet_fields(m, z if t is None else t[0])
-    if m.post is not None:
-        f0 = m.post[0] * f0 + m.post[1]
-    return (f0, *_chain(m, t, g1, g2, g3))
+    return _jets(m, np.asarray(z, dtype=complex), 0)
 
 
 def jet_derivatives(m: MapSpec, z):
@@ -374,10 +362,8 @@ def jet_derivatives(m: MapSpec, z):
     route (``series.eval_grid``), and a postcomposition applies after it;
     every other map evaluates the grid's points.
     """
-    if not (isinstance(z, GridSpec) and m.series is not None and m.pre is None):
-        z = grid_points(z)
-    t = None if m.pre is None else _auto_jets(z, *m.pre)
-    return _chain(m, t, *_raw_derivatives(m, z if t is None else t[0]))
+    spectral = isinstance(z, GridSpec) and m.series is not None and m.pre is None
+    return _jets(m, z if spectral else grid_points(z), 1)
 
 
 def certified_rmax(m: MapSpec) -> float:
@@ -424,55 +410,72 @@ def jet_of(m: MapSpec, z: complex) -> Jet:
     return Jet(z, f0, f1, f2, f3, tail=_tail_at(m, z))
 
 
+def series_eval_jet(s: PowerSeries, z: complex) -> Jet:
+    """Jet of the series at z: ``jet_of`` on the series map of ``s``."""
+    return jet_of(from_series(s), z)
+
+
 # ---------------------------------------------------------------------------
 # the generator: integrating phi into a map
 
 
-def _herglotz_series(phi: PhiSpec, order: int, rmax: float, stacklevel: int) -> PowerSeries:
-    """The generated series; a TruncationTail warning names the frame
-    ``stacklevel`` counts from here, as in ``warnings.warn``."""
+def _herglotz_series(phi: PhiSpec, order: int, rmax: float) -> PowerSeries:
+    """The generated series.  Every entry point builds it two calls below its
+    caller (gen_herglotz and herglotz_map through ``_generated``, MapSpec
+    through its ``__init__`` and ``__post_init__``), so a TruncationTail
+    warning names that caller's line."""
     if order < MIN_ORDER:
         raise ValueError(f"order must be at least {MIN_ORDER}")
     sup = phi.boundary_sup()
     if sup > 1.0 + PHI_SUP_TOL:
         raise PhiOutOfRange(f"sup |phi| = {sup:.6g} on the circle exceeds 1")
     ps = phi.series(order, rmax)
-    zphi = np.concatenate([[0.0], ps.coeffs[:-1]])  # z * phi, truncated to order
-    one_minus = np.zeros(order + 1, dtype=complex)
-    one_minus[0] = 1.0
-    one_minus -= zphi
+    one_minus = np.concatenate([[1.0], 0.0 - ps.coeffs[:-1]])  # 1 - z phi; 0.0 - c, not -c, gives no -0.0
     ratio = series_mul(ps, series_inv(PowerSeries(one_minus, rmax)))
     log_f1 = series_integrate(PowerSeries(2.0 * ratio.coeffs, rmax), 0.0, cap=order)
     f1 = series_exp(log_f1)
     f = series_integrate(f1, 0.0, cap=order)
-    f.warn_if_tail_large(stacklevel + 1)
+    f.warn_if_tail_large(5)
     return f
+
+
+def _generated(kind: str, phi: PhiSpec, order: int, rmax: float) -> MapSpec:
+    return MapSpec(kind, phi=phi, order=order, series=_herglotz_series(phi, order, rmax))
 
 
 def gen_herglotz(phi: PhiSpec, order: int = DEFAULT_ORDER, rmax: float = DEFAULT_RMAX) -> MapSpec:
     """Integrate f''/f' = 2 phi / (1 - z phi) into a series map normalized by
-    f(0) = 0, f'(0) = 1.
+    f(0) = 0, f'(0) = 1.  The map remembers ``phi`` and ``order``, but its
+    JSON stores the coefficients.
 
     The three series stages (reciprocal, exponential, antiderivative) are all
     lower-triangular recurrences, so the returned coefficients through
     z**order are exact; truncation error lives only in the dropped tail.
     """
-    return MapSpec("series", series=_herglotz_series(phi, order, rmax, stacklevel=3))
+    return _generated("series", phi, order, rmax)
 
 
 def herglotz_map(phi: PhiSpec, order: int = DEFAULT_ORDER, rmax: float = DEFAULT_RMAX) -> MapSpec:
     """Same as gen_herglotz but tagged with the generator data it came from,
     so JSON round trips rebuild it instead of storing coefficients."""
-    return MapSpec("herglotz", phi=phi, order=order, series=_herglotz_series(phi, order, rmax, stacklevel=3))
+    return _generated("herglotz", phi, order, rmax)
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 
 
-def _c2pair(w: complex) -> list[float]:
+def complex_pair(w: complex) -> list[float]:
     w = complex(w)
     return [float(w.real), float(w.imag)]
+
+
+def _integral(x) -> int:
+    """x as an int; a value that int() would truncate is malformed."""
+    v = float(x)
+    if not v.is_integer():
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(v)
 
 
 def _pair2c(p) -> complex:
@@ -483,9 +486,9 @@ def _pair2c(p) -> complex:
 
 def phi_to_json(phi: PhiSpec) -> dict:
     if phi.kind == "poly":
-        return {"kind": "poly", "coeffs": [_c2pair(c) for c in phi.coeffs]}
+        return {"kind": "poly", "coeffs": [complex_pair(c) for c in phi.coeffs]}
     if phi.kind == "blaschke":
-        return {"kind": "blaschke", "zeros": [_c2pair(a) for a in phi.zeros], "theta": phi.theta}
+        return {"kind": "blaschke", "zeros": [complex_pair(a) for a in phi.zeros], "theta": phi.theta}
     return {"kind": "const", "theta": phi.theta}
 
 
@@ -509,17 +512,17 @@ def map_to_json(m: MapSpec) -> dict:
     elif m.kind == "polygon":
         params["n"] = m.n
     elif m.kind == "series":
-        params["coeffs"] = [_c2pair(c) for c in m.series.coeffs]
-        params["rmax"] = m.series.rmax
+        params["coeffs"] = [complex_pair(c) for c in m.series.coeffs]
     elif m.kind == "herglotz":
         params["phi"] = phi_to_json(m.phi)
         params["order"] = m.order
+    if m.series is not None:
         params["rmax"] = m.series.rmax
     obj = {"type": m.kind, "params": params}
     if m.pre is not None:
-        obj["pre"] = {"a": _c2pair(m.pre[0]), "theta": m.pre[1]}
+        obj["pre"] = {"a": complex_pair(m.pre[0]), "theta": m.pre[1]}
     if m.post is not None:
-        obj["post"] = {"scale": _c2pair(m.post[0]), "offset": _c2pair(m.post[1])}
+        obj["post"] = {"scale": complex_pair(m.post[0]), "offset": complex_pair(m.post[1])}
     return obj
 
 
@@ -536,7 +539,7 @@ def map_from_json(obj) -> MapSpec:
         if kind == "sector":
             m = sector(float(params["alpha"]))
         elif kind == "polygon":
-            m = polygon(int(params["n"]))
+            m = polygon(_integral(params["n"]))
         elif kind == "series":
             coeffs = [_pair2c(p) for p in params.get("coeffs", [])]
             if not coeffs:
@@ -545,7 +548,7 @@ def map_from_json(obj) -> MapSpec:
         elif kind == "herglotz":
             m = herglotz_map(
                 phi_from_json(params.get("phi")),
-                int(params.get("order", DEFAULT_ORDER)),
+                _integral(params.get("order", DEFAULT_ORDER)),
                 float(params.get("rmax", DEFAULT_RMAX)),
             )
         else:
@@ -556,6 +559,6 @@ def map_from_json(obj) -> MapSpec:
         if "post" in obj:
             post = obj["post"]
             m = m.postcomposed(_pair2c(post.get("scale", [1.0, 0.0])), _pair2c(post.get("offset", [0.0, 0.0])))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed map spec for type {kind!r}: {exc}") from exc
     return m

@@ -18,7 +18,6 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import RadiusExceeded, TruncationTail
 from .grid import GridSpec
-from .jet import Jet
 
 MIN_ORDER = 3
 DEFAULT_ORDER = 64
@@ -144,16 +143,12 @@ def derivative_table(coeffs: np.ndarray) -> np.ndarray:
     Column j holds the coefficients of the j-th derivative, so one Horner
     pass (``numpy.polynomial.polynomial.polyval``) evaluates the whole jet.
     """
-    rows = [np.asarray(coeffs, dtype=complex)]
-    for _ in range(3):
-        c = rows[-1]
-        if c.size > 1:
-            rows.append(c[1:] * np.arange(1, c.size))
-        else:
-            rows.append(np.zeros(1, dtype=complex))
-    table = np.zeros((rows[0].size, 4), dtype=complex)
-    for j, row in enumerate(rows):
-        table[: row.size, j] = row
+    c = np.asarray(coeffs, dtype=complex)
+    table = np.zeros((c.size, 4), dtype=complex)
+    table[:, 0] = c
+    for j in range(1, 4):
+        k = np.arange(1, c.size - j + 1)
+        table[: k.size, j] = table[1 : k.size + 1, j - 1] * k
     return table
 
 
@@ -233,10 +228,3 @@ def series_jet_fields(s: PowerSeries, z, start: int = 0):
     if isinstance(z, GridSpec):
         return eval_grid(s.table[:, start:], z)
     return eval_table(s.table, z, start)
-
-
-def series_eval_jet(s: PowerSeries, z: complex) -> Jet:
-    """Jet of the series at z: ``jet_of`` on the series map of ``s``."""
-    from .maps import from_series, jet_of  # deferred: maps builds on this module
-
-    return jet_of(from_series(s), z)

@@ -103,6 +103,19 @@ class TestCheck:
         bad.write_text(json.dumps({"type": "sector", "params": {}}))
         rc, _, err = run(capsys, "check", "--map", str(bad))
         assert rc == 1
+        # a non-integral vertex count is malformed, not truncated to a triangle
+        bad.write_text(json.dumps({"type": "polygon", "params": {"n": 3.7}}))
+        rc, out, err = run(capsys, "check", "--map", str(bad))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: malformed map spec")
+
+    def test_out_of_range_regenerated_map_exits_five(self, capsys, tmp_path):
+        spec = tmp_path / "h.json"
+        phi = {"kind": "poly", "coeffs": [[1.0, 0.0], [1.0, 0.0]]}
+        spec.write_text(json.dumps({"type": "herglotz", "params": {"phi": phi}}))
+        rc, _, err = run(capsys, "check", "--map", str(spec))
+        assert rc == 5
+        assert err.startswith("error: sup |phi|")
 
     def test_grid_beyond_certified_radius(self, capsys, tmp_path):
         spec = tmp_path / "short.json"
@@ -300,6 +313,20 @@ class TestGen:
         assert rc == 0
         m = cm.map_from_json(json.loads(spec.read_text()))
         assert m.series.rmax == 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ("--phi-blaschke", "1.5"),
+        ("--phi-poly", "nan"),
+        ("--phi-blaschke", "0.2", "--phi-theta", "nan"),
+        ("--phi-poly", "0.2,1e400"),
+    ])
+    def test_malformed_generator_exits_one(self, tmp_path, argv):
+        proc = run_in_tree("-m", "convmap", "gen", *argv, "--out", str(tmp_path / "x.json"), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: malformed generator spec")
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "x.json").exists()
+
 
 
 TREE_ROOT = Path(cm.__file__).resolve().parents[2]

@@ -290,6 +290,27 @@ class TestGenerator:
         assert m.phi is not None
         assert m.kind == "herglotz"
 
+    def test_one_constructor_for_every_entry_point(self):
+        phi = cm.PhiSpec.blaschke([0.4, -0.2j], theta=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            maps = [build(phi, order=64, rmax=0.9) for build in (cm.gen_herglotz, cm.herglotz_map, spec_herglotz)]
+        for m in maps[1:]:
+            np.testing.assert_array_equal(m.series.coeffs, maps[0].series.coeffs)
+        assert all(m.phi == phi and m.order == 64 for m in maps)
+        assert [cm.map_to_json(m)["type"] for m in maps] == ["series", "herglotz", "herglotz"]
+        assert "coeffs" in cm.map_to_json(maps[0])["params"]
+
+    @pytest.mark.parametrize("kw", [
+        {"coeffs": [0.2, float("nan")]},
+        {"coeffs": [0.2, complex(0.0, float("inf"))]},
+        {"zeros": [float("nan")]},
+        {"zeros": [0.2], "theta": float("inf")},
+    ])
+    def test_phi_rejects_non_finite_data(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            cm.PhiSpec("poly" if "coeffs" in kw else "blaschke", **kw)
+
 
 class TestJson:
     @pytest.mark.parametrize("name,m,kw", ZOO, ids=[row[0] for row in ZOO])
@@ -326,3 +347,14 @@ class TestJson:
             cm.map_from_json({"type": "doughnut", "params": {}})
         with pytest.raises(ValueError):
             cm.map_from_json({"type": "sector", "params": {}})
+        phi = {"kind": "poly", "coeffs": [[0.3, 0.0]]}
+        for params in ({"n": 3.7}, {"n": float("inf")}, {"phi": phi, "order": 64.5}):
+            with pytest.raises(ValueError, match="expected an integer"):
+                cm.map_from_json({"type": "polygon" if "n" in params else "herglotz", "params": params})
+        with pytest.raises(ValueError):
+            cm.map_from_json({"type": "polygon", "params": {"n": 10**400}})  # beyond any float
+
+    def test_integral_floats_still_load(self):
+        assert cm.map_from_json({"type": "polygon", "params": {"n": 5.0}}).n == 5
+        phi = {"kind": "poly", "coeffs": [[0.3, 0.0]]}
+        assert cm.map_from_json({"type": "herglotz", "params": {"phi": phi, "order": 64.0, "rmax": 0.5}}).order == 64

@@ -105,6 +105,15 @@ class TestEvaluation:
         table = derivative_table(np.ones(8))
         assert table.shape == (8, 4)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9])
+    def test_derivative_table_columns(self, size):
+        c = (1.0 + 0.5j) * np.arange(1, size + 1)
+        expect = np.zeros((size, 4), dtype=complex)
+        for j in range(4):
+            for k in range(size - j):
+                expect[k, j] = c[k + j] * np.prod(np.arange(k + 1, k + j + 1))
+        np.testing.assert_array_equal(derivative_table(c), expect)
+
     def test_jet_matches_stencil_oracle(self):
         # truncated log(1/(1-z)); the tail at |z| = 0.3 is ~1e-22
         order = 40

@@ -83,6 +83,11 @@ for order in 24 48 96; do
         --out series-curvature-o$order.csv
     run series-trace-o$order trace --map series-gen-o$order.json --c 0.8 --out series-trace-o$order.csv
 done
+# a regenerated map: its spec stores phi, and every call rebuilds the series from it
+echo '{"type": "herglotz", "params": {"phi": {"kind": "blaschke", "zeros": [[0.3, 0.2]], "theta": 0.5},
+ "order": 256, "rmax": 0.85}}' >"$out/series-herglotz.json"
+run series-herglotz-check check --map series-herglotz.json --rmax 0.8
+run series-herglotz-trace trace --map series-herglotz.json --c 0.8 --out series-herglotz-trace.csv
 run series-gen-random32 gen --phi-random 3 --seed 11 --order 32 --out series-gen-random32.json
 run series-check-random32 check --map series-gen-random32.json
 run series-trace-random32 trace --map series-gen-random32.json --c 0.9 --out series-trace-random32.csv
