@@ -6,7 +6,9 @@ The march is a second-order predictor-corrector: each step follows the
 osculating circle of the curve at the last accepted point (tangent
 -i conj(p)/|p| and the exact curvature k, both from that point's jet), and
 Newton along the normal conj(p)/|p|, where g decreases, brings it back to
-the level.  Every accepted point's jet is evaluated once.
+the level.  A Newton iterate evaluates only f', f'' and f''' through the
+jet core of ``convmap.maps``; f, for the image point, is computed once per
+accepted point.  The start search evaluates f' alone.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvmapError, LevelNotOnRay, NormalVanished
-from .functionals import _level, curvatures, fields_at, p_field
+from .errors import ConvmapError, LevelNotOnRay, NormalVanished, SingularPoint
+from .functionals import _level, _normal, curvatures, fields, fields_at
 from .jet import Jet
-from .maps import MapSpec, certified_rmax, jet_derivatives, jet_of
+from .maps import MapSpec, _jets, certified_rmax
 
 P_MIN = 1e-4
 RESIDUAL_TARGET = 1e-12
@@ -39,9 +41,9 @@ CSV_HEADER = "s,Re z,Im z,Re w,Im w,|p|,k,kappa,residual"
 
 
 def level_value(m: MapSpec, z):
-    """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z."""
+    """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z, from f' alone."""
     z = np.asarray(z, dtype=complex)
-    return _level(z, jet_derivatives(m, z)[0])[1]
+    return _level(z, _jets(m, z, 1)[1])[1]
 
 
 def find_level_start(
@@ -198,12 +200,33 @@ def _normal_guard(p: complex, pts):
         raise _NormalStop(list(pts))
 
 
-def _record(j: Jet, r: float, pts):
+def _jet_at(m: MapSpec, z: complex):
+    """(f, f', f'', f''') at a point, the derivatives as Python complex and
+    f as a callable (see ``maps._jets``), held to the rules of ``jet_of``:
+    ValueError at |z| >= 1 or on a non-finite derivative, SingularPoint
+    where f' vanishes."""
+    if abs(z) >= 1.0:
+        raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
+    f, f1, f2, f3 = _jets(m, np.asarray(z, dtype=complex))
+    f1, f2, f3 = complex(f1), complex(f2), complex(f3)
+    if not (cmath.isfinite(f1) and cmath.isfinite(f2) and cmath.isfinite(f3)):
+        name = next(n for n, v in (("f1", f1), ("f2", f2), ("f3", f3)) if not cmath.isfinite(v))
+        raise ValueError(f"jet component {name} is not finite at z = {z}")
+    if f1 == 0:
+        raise SingularPoint(f"f' vanishes at z = {z}")
+    return f, f1, f2, f3
+
+
+def _record(z: complex, f, f1: complex, f2: complex, f3: complex, r: float, pts):
     """What the curve keeps of an accepted point: (z, f, p, k, kappa, |g - c|),
-    all from the jet it was accepted on."""
-    fld = fields_at(j)
+    all from the jet it was accepted on; f is computed here, and checked
+    as ``jet_of`` checks it."""
+    fld = fields(z, f1, f2, f3)
     _normal_guard(fld["p"], pts)
-    return (j.z, j.f0, fld["p"], *curvatures(fld, j.f1), r)
+    w = complex(f())
+    if not cmath.isfinite(w):
+        raise ValueError(f"jet component f0 is not finite at z = {z}")
+    return (z, w, fld["p"], *curvatures(fld, f1), r)
 
 
 def _arc(h: float, k: float) -> complex:
@@ -216,20 +239,21 @@ def _arc(h: float, k: float) -> complex:
 
 def _correct(m: MapSpec, z: complex, c: float, rmax: float, pts):
     """Newton along the normal until |g - c| <= RESIDUAL_TARGET, within
-    NEWTON_MAX steps: the jet the point was accepted on and its |g - c|, or
-    None to ask the caller to halve the predictor step."""
+    NEWTON_MAX steps: the accepted point's (z, f, f', f'', f''', |g - c|)
+    with f still a callable (see ``_jet_at``), or None to ask the caller to
+    halve the predictor step."""
     for i in range(NEWTON_MAX + 1):
         if abs(z) > rmax:
             return None
-        j = jet_of(m, z)
-        g = _level(z, j.f1)[1] - c
+        f, f1, f2, f3 = _jet_at(m, z)
+        g = _level(z, f1)[1] - c
         if abs(g) <= RESIDUAL_TARGET:
-            return j, abs(g)
+            return z, f, f1, f2, f3, abs(g)
         if i == NEWTON_MAX:
             return None
-        p = p_field(j)
+        p = _normal(z, f1, f2)[3]
         _normal_guard(p, pts)
-        z = z + (g / (2.0 * abs(j.f1) * abs(p))) * (p.conjugate() / abs(p))
+        z = z + (g / (2.0 * abs(f1) * abs(p))) * (p.conjugate() / abs(p))
 
 
 def _march(m: MapSpec, start, c: float, step: float, budget: int, rmax: float, direction: int):
@@ -301,6 +325,8 @@ def trace_level_set(
     tangent is closed; otherwise both directions are traced from z0 and
     concatenated, ends stopping at |z| = rmax or at the point budget.
     Each point records in ``residual`` the |g - c| it was accepted on.
+    Newton iterates evaluate only f', f'' and f'''; f, for ``w``, is
+    computed once per accepted point.
 
     If c is given, g(z0) must match it to 1e-8; otherwise c is inferred from
     z0.  When |p| falls to 1e-4 the tracer raises NormalVanished carrying the
@@ -315,17 +341,17 @@ def trace_level_set(
     rmax = min(float(rmax), certified_rmax(m))
     if abs(z0) > rmax:
         raise ValueError(f"|z0| = {abs(z0):.6g} is outside the tracing radius {rmax:g}")
-    j0 = jet_of(m, z0)
-    g0 = _level(z0, j0.f1)[1]
+    f, f1, f2, f3 = _jet_at(m, z0)
+    g0 = _level(z0, f1)[1]
     if c is None:
         c = g0
     elif abs(g0 - float(c)) > START_RESIDUAL_BAR:
         raise ValueError(f"g(z0) = {g0:.12g} does not sit on the level c = {float(c):.12g}")
     c = float(c)
-    p0 = p_field(j0)
+    p0 = _normal(z0, f1, f2)[3]
     if abs(p0) <= P_MIN:
         raise NormalVanished(f"|p| = {abs(p0):.3e} at the start point {z0}", curve=None)
-    start = _record(j0, abs(g0 - c), [])
+    start = _record(z0, f, f1, f2, f3, abs(g0 - c), [])
 
     def vanish(pts):
         partial = _finalize(pts, c, False, "normal_vanished") if pts else None

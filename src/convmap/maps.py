@@ -148,6 +148,8 @@ class MapSpec:
             object.__setattr__(self, "n", int(self.n))
         if self.kind == "series" and self.series is None:
             raise ValueError("series map needs a PowerSeries")
+        if self.order is not None:
+            object.__setattr__(self, "order", _integral(self.order, "order"))
         if self.kind == "herglotz":
             if self.phi is None:
                 raise ValueError("regenerated map needs its phi data")
@@ -323,35 +325,40 @@ def _auto_jets(z, a, theta):
     return e * (z + a) / d, lambda: (q / d**2, -2.0 * ab * q / d**3, 6.0 * ab * ab * q / d**4)
 
 
-def _jets(m: MapSpec, z, start: int):
-    """(f, f', f'', f''') of the composed map at array z, or over a GridSpec
-    for a series map with no precomposition, without f when ``start`` is 1:
-    the points move through the precomposition, the map's own kind evaluates
-    there, and the chain rule and the postcomposition apply after."""
+def _jets(m: MapSpec, z, count: int = 3):
+    """(f, f', ..., f^(count)) of the composed map at array z, or over a
+    GridSpec for a series map with no precomposition, with f as a callable,
+    so that a caller reading only derivatives never computes f: the points
+    move through the precomposition, the map's own kind evaluates there,
+    and the chain rule and the postcomposition apply after.  ``count`` is 1
+    or 3; a closed form with nothing to compose gives all three derivatives
+    whatever the count."""
     t = None if m.pre is None else _auto_jets(z, *m.pre)
     w = z if t is None else t[0]
     if m.series is not None:
-        jet = series_jet_fields(m.series, w, start)  # one pass over the whole table
-    elif start:
-        jet = _CLOSED_FORMS[m.kind](w, m)[1:]
+        jet = series_jet_fields(m.series, w, count)
     else:
-        f0, f1, f2, f3 = _CLOSED_FORMS[m.kind](w, m)
-        jet = f0(), f1, f2, f3
+        jet = _CLOSED_FORMS[m.kind](w, m)
     if t is None and m.post is None:  # the tracer's scalar jets: nothing to compose
         return jet
-    *f0, g1, g2, g3 = jet  # f0 is [f], or [] without f
+    f, g1, *g = jet[: count + 1]
     if t is not None:
         t1, t2, t3 = t[1]()
-        g1, g2, g3 = g1 * t1, g2 * t1 * t1 + g1 * t2, g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3
+        if g:
+            g2, g3 = g
+            g = [g2 * t1 * t1 + g1 * t2, g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3]
+        g1 = g1 * t1
     if m.post is not None:
         s, b = m.post
-        f0, g1, g2, g3 = [s * f0[0] + b] if f0 else f0, s * g1, s * g2, s * g3
-    return (*f0, g1, g2, g3)
+        f0 = f
+        f, g1, g = (lambda: s * f0() + b), s * g1, [s * gi for gi in g]
+    return (f, g1, *g)
 
 
 def jet_fields(m: MapSpec, z):
     """Arrays (f, f', f'', f''') of the composed map at scalar or array z."""
-    return _jets(m, np.asarray(z, dtype=complex), 0)
+    f, f1, f2, f3 = _jets(m, np.asarray(z, dtype=complex))
+    return f(), f1, f2, f3
 
 
 def jet_derivatives(m: MapSpec, z):
@@ -363,7 +370,7 @@ def jet_derivatives(m: MapSpec, z):
     every other map evaluates the grid's points.
     """
     spectral = isinstance(z, GridSpec) and m.series is not None and m.pre is None
-    return _jets(m, z if spectral else grid_points(z), 1)
+    return _jets(m, z if spectral else grid_points(z))[1:]
 
 
 def certified_rmax(m: MapSpec) -> float:
@@ -421,9 +428,10 @@ def series_eval_jet(s: PowerSeries, z: complex) -> Jet:
 
 def _herglotz_series(phi: PhiSpec, order: int, rmax: float) -> PowerSeries:
     """The generated series.  Every entry point builds it two calls below its
-    caller (gen_herglotz and herglotz_map through ``_generated``, MapSpec
-    through its ``__init__`` and ``__post_init__``), so a TruncationTail
-    warning names that caller's line."""
+    caller (gen_herglotz, herglotz_map and map_from_json through
+    ``_generated``, MapSpec through its ``__init__`` and ``__post_init__``),
+    so a TruncationTail warning names that caller's line."""
+    order = _integral(order, "order")
     if order < MIN_ORDER:
         raise ValueError(f"order must be at least {MIN_ORDER}")
     sup = phi.boundary_sup()
@@ -470,11 +478,12 @@ def complex_pair(w: complex) -> list[float]:
     return [float(w.real), float(w.imag)]
 
 
-def _integral(x) -> int:
-    """x as an int; a value that int() would truncate is malformed."""
+def _integral(x, name: str = "") -> int:
+    """x as an int; a value that int() would truncate is malformed, and the
+    error names ``name`` when one is given."""
     v = float(x)
     if not v.is_integer():
-        raise ValueError(f"expected an integer, got {x!r}")
+        raise ValueError(f"expected an integer{' ' + name if name else ''}, got {x!r}")
     return int(v)
 
 
@@ -546,9 +555,10 @@ def map_from_json(obj) -> MapSpec:
                 raise ValueError("series map needs coefficients")
             m = from_series(coeffs, float(params.get("rmax", DEFAULT_RMAX)))
         elif kind == "herglotz":
-            m = herglotz_map(
+            m = _generated(
+                "herglotz",
                 phi_from_json(params.get("phi")),
-                _integral(params.get("order", DEFAULT_ORDER)),
+                _integral(params.get("order", DEFAULT_ORDER), "order"),
                 float(params.get("rmax", DEFAULT_RMAX)),
             )
         else:

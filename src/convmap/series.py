@@ -152,29 +152,36 @@ def derivative_table(coeffs: np.ndarray) -> np.ndarray:
     return table
 
 
-def eval_table(table: np.ndarray, z, start: int = 0):
-    """Evaluate columns ``start``.. of the stacked polynomials at scalar or
-    array z.
+def _takes_products(size: int, rows: int) -> bool:
+    """Whether ``eval_table`` takes running products for a batch of this
+    many points on a table of this many rows (see its docstring)."""
+    return size <= 2 * rows and size * rows <= RUNNING_PRODUCT_ENTRIES
+
+
+def eval_table(table: np.ndarray, z, start: int = 0, stop: int | None = None):
+    """Evaluate columns ``start:stop`` of the stacked polynomials at scalar
+    or array z.
 
     A scalar z, or a batch of at most twice as many points as the table has
     rows and at most RUNNING_PRODUCT_ENTRIES entries in its matrix of
     powers, takes the powers 1, z, z**2, ... as running products and the jet
     as one matrix product over all columns, which round as when all are
-    kept; other arrays use Horner on the wanted columns.  A scalar z gives
-    Python complex values.
+    kept; other arrays use Horner on the wanted columns, each column to the
+    same bits however many are wanted.  A scalar z gives Python complex
+    values.
     """
     z = np.asarray(z)
     n = table.shape[0]
-    if z.size > 2 * n or z.size * n > RUNNING_PRODUCT_ENTRIES:
-        return tuple(npoly.polyval(z, table[:, start:]))
+    if not _takes_products(z.size, n):
+        return tuple(npoly.polyval(z, table[:, start:stop]))
     powers = np.empty(z.shape + (n,), dtype=complex)
     powers[..., 0] = 1.0
     powers[..., 1:] = z[..., None]
     np.multiply.accumulate(powers, axis=-1, out=powers)  # cumprod without a copy
     jet = powers @ table
     if z.ndim == 0:
-        return tuple(jet.tolist()[start:])
-    return tuple(np.moveaxis(jet, -1, 0)[start:])
+        return tuple(jet.tolist()[start:stop])
+    return tuple(np.moveaxis(jet, -1, 0)[start:stop])
 
 
 def eval_grid(table: np.ndarray, grid: GridSpec):
@@ -184,7 +191,8 @@ def eval_grid(table: np.ndarray, grid: GridSpec):
     With N = ntheta, column c at the point r w**j (w = e^{2 pi i/N}) is
     sum_m r**m a_m w**(j m), where a_m = sum_q table[q N + m, c] (r**N)**q
     folds the rows mod N.  The folds of all rings are one real matrix
-    product, and no temporary outgrows the result.  Powers of r below
+    product, and no temporary outgrows the result; a table of at most N
+    rows is one block, whose fold is the table itself.  Powers of r below
     POWER_FLOOR become zero: subnormal factors can slow arithmetic down many
     times over, and they weigh nothing against the terms that are kept.
     """
@@ -194,13 +202,17 @@ def eval_grid(table: np.ndarray, grid: GridSpec):
     r = grid.radii()
     folded = np.zeros((cols, Q * N), dtype=complex)
     folded[:, :rows] = table.T
-    ring_powers = r[:, None] ** (N * np.arange(Q))
     angle_powers = r[:, None] ** np.arange(N)
-    ring_powers[ring_powers < POWER_FLOOR] = 0.0
     angle_powers[angle_powers < POWER_FLOOR] = 0.0
-    # per column a real (nr, Q) @ (Q, 2N) product over (re, im) pairs
-    folds = np.matmul(ring_powers, folded.view(float).reshape(cols, Q, 2 * N)).view(complex)
-    folds *= angle_powers
+    if Q == 1:
+        # the product would scale each row by r**0 = 1, exactly
+        folds = folded[:, None, :] * angle_powers
+    else:
+        ring_powers = r[:, None] ** (N * np.arange(Q))
+        ring_powers[ring_powers < POWER_FLOOR] = 0.0
+        # per column a real (nr, Q) @ (Q, 2N) product over (re, im) pairs
+        folds = np.matmul(ring_powers, folded.view(float).reshape(cols, Q, 2 * N)).view(complex)
+        folds *= angle_powers
     vals = np.fft.ifft(folds, axis=-1, norm="forward")
     return tuple(v.reshape(-1) for v in vals)
 
@@ -211,20 +223,27 @@ def in_radius(s: PowerSeries, z):
     return abs(z) <= s.rmax + RADIUS_SLACK
 
 
-def series_jet_fields(s: PowerSeries, z, start: int = 0):
-    """Components ``start``.. of (f, f', f'', f''') of the series at scalar
-    or array z, or over the points of a GridSpec through ``eval_grid``.
+def series_jet_fields(s: PowerSeries, z, count: int = 3):
+    """(f, f', ..., f^(count)) of the series at scalar or array z, or over
+    the points of a GridSpec through ``eval_grid``, with f as a callable
+    as ``maps._jets`` returns it.  The running products give f with the
+    derivatives; Horner and the grid route evaluate only the derivatives
+    until f is called.
 
     Points outside ``in_radius`` raise RadiusExceeded.
     """
-    if isinstance(z, GridSpec):
+    grid = isinstance(z, GridSpec)
+    if grid:
         worst = z.rmax
-    elif np.ndim(z) == 0:
-        worst = abs(complex(z))
     else:
-        worst = float(np.abs(z).max(initial=0.0))
+        z = np.asarray(z)
+        worst = abs(complex(z)) if z.ndim == 0 else float(np.abs(z).max(initial=0.0))
     if not in_radius(s, worst):
         raise RadiusExceeded(f"|z| = {worst:.6g} exceeds the certified radius {s.rmax:g}")
-    if isinstance(z, GridSpec):
-        return eval_grid(s.table[:, start:], z)
-    return eval_table(s.table, z, start)
+    table = s.table
+    if grid:
+        return (lambda: eval_grid(table[:, :1], z)[0], *eval_grid(table[:, 1 : count + 1], z))
+    if _takes_products(z.size, table.shape[0]):
+        jet = eval_table(table, z)  # one product gives every column
+        return (lambda: jet[0], *jet[1 : count + 1])
+    return (lambda: eval_table(table, z, 0, 1)[0], *eval_table(table, z, 1, count + 1))

@@ -8,6 +8,7 @@ import pytest
 
 import convmap as cm
 import convmap.levelset as levelset
+import convmap.maps as maps
 from convmap.functionals import _level, curvatures, fields_at
 from convmap.levelset import CSV_HEADER, RESIDUAL_TARGET
 
@@ -65,15 +66,21 @@ def ring_maps() -> list[cm.MapSpec]:
 
 @pytest.fixture
 def jet_count(monkeypatch):
-    """Counts the tracer's scalar jet evaluations."""
-    calls = [0]
-    real = levelset.jet_of
+    """Counts what the tracer evaluates: [derivative jets, values of f]."""
+    calls = [0, 0]
+    real = levelset._jet_at
 
     def counted(m, z):
         calls[0] += 1
-        return real(m, z)
+        f, *derivatives = real(m, z)
 
-    monkeypatch.setattr(levelset, "jet_of", counted)
+        def counted_f():
+            calls[1] += 1
+            return f()
+
+        return (counted_f, *derivatives)
+
+    monkeypatch.setattr(levelset, "_jet_at", counted)
     return calls
 
 
@@ -107,6 +114,19 @@ class TestLevelStart:
         m = m.precomposed(0.3)
         z0 = cm.find_level_start(m, 0.9)
         assert float(cm.level_value(m, z0)) == pytest.approx(0.9, abs=1e-11)
+
+    @pytest.mark.parametrize("m", [
+        gen_quiet([0.3, 0.2j, -0.25]),
+        gen_quiet([0.3, 0.2j, -0.25]).precomposed(0.2 - 0.1j, 0.7).postcomposed(1.5 - 0.5j, 0.2),
+        cm.sector(0.5).precomposed(0.3j).postcomposed(2.0),
+    ])
+    def test_level_value_is_the_bits_of_the_full_jet(self, m):
+        # f' alone, on the 2,048-point ray (Horner) and at one point, gives
+        # the bits that the full jet gives
+        rs = min(0.78, maps.certified_rmax(m)) * np.exp(0.4j) * np.linspace(0.0, 1.0, 2048)
+        for z in (rs, rs[1000]):
+            want = _level(z, cm.jet_fields(m, z)[1])[1]
+            assert np.array_equal(cm.level_value(m, z), want)
 
     def test_positive_level_required(self):
         with pytest.raises(ValueError):
@@ -240,14 +260,24 @@ class TestCorrector:
         # the osculating circle is the level curve: every prediction is accepted
         curve = cm.trace_level_set(cm.identity(), 0.5)
         assert curve.closed
-        assert jet_count[0] <= 1.05 * len(curve)
+        assert len(curve) <= jet_count[0] <= 1.05 * len(curve)
 
     def test_generated_ring_takes_two_jets_per_point(self, jet_count):
         # one jet at the prediction and one after a Newton step, plus the
         # start point and the closing point, which is not kept
         curve = ring_trace(gen_quiet([0.3, 0.2j, -0.25]))
         assert curve.closed
-        assert jet_count[0] <= 2 * len(curve) + 1
+        assert len(curve) <= jet_count[0] <= 2 * len(curve) + 1
+
+    @pytest.mark.parametrize("m, closed", [(gen_quiet([0.3, 0.2j, -0.25]), True), (cm.sector(0.5), False)])
+    def test_f_is_computed_once_per_accepted_point(self, m, closed, jet_count):
+        # Newton iterates read only derivatives; f is computed for every
+        # kept point (the start point once, though an open curve marches
+        # from it both ways) and for the closing point, which is not kept
+        curve = ring_trace(m)
+        assert curve.closed == closed
+        assert jet_count[0] > 1.5 * len(curve)  # iterates outnumber points
+        assert jet_count[1] == len(curve) + closed
 
     def test_turn_cap_near_a_saddle(self):
         # here k * step is about 14 at z0; a full osculating arc winds back
@@ -258,6 +288,43 @@ class TestCorrector:
         assert abs(curve.k[np.argmin(np.abs(curve.z - z0))]) * levelset.DEFAULT_STEP > 10.0
         assert curve.termination == "radius"
         assert len(curve) > 300
+
+
+def patch_identity(monkeypatch, component: int, value):
+    """Make the identity's jet component ``component`` (0 for f, a callable)
+    take ``value`` everywhere but at z = 0.5, the start point."""
+    real = maps._CLOSED_FORMS["identity"]
+
+    def patched(z, m):
+        jet = list(real(z, m))
+        if component == 0:
+            f = jet[0]
+            jet[0] = lambda: np.where(z == 0.5, f(), value)
+        else:
+            jet[component] = np.where(z == 0.5, jet[component], value)
+        return tuple(jet)
+
+    monkeypatch.setitem(maps._CLOSED_FORMS, "identity", patched)
+
+
+class TestIterateChecks:
+    """A Newton iterate's derivatives, and the f of an accepted point, are
+    held to the rules of ``jet_of``."""
+
+    def test_nonfinite_second_derivative(self, monkeypatch):
+        patch_identity(monkeypatch, 2, np.nan)
+        with pytest.raises(ValueError, match="jet component f2 is not finite"):
+            cm.trace_level_set(cm.identity(), 0.5)
+
+    def test_vanishing_first_derivative(self, monkeypatch):
+        patch_identity(monkeypatch, 1, 0.0)
+        with pytest.raises(cm.SingularPoint):
+            cm.trace_level_set(cm.identity(), 0.5)
+
+    def test_nonfinite_value_of_an_accepted_point(self, monkeypatch):
+        patch_identity(monkeypatch, 0, np.inf)
+        with pytest.raises(ValueError, match="jet component f0 is not finite"):
+            cm.trace_level_set(cm.identity(), 0.5)
 
 
 class TestNormalVanishes:

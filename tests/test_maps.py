@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import convmap as cm
+from convmap.maps import phi_to_json
 
 from .oracles import closed_form, fd_jet, random_phi_coeffs, random_disk_points
 
@@ -33,6 +34,11 @@ def gen_quiet(phi: cm.PhiSpec, order: int, rmax: float = 0.9) -> cm.MapSpec:
 def spec_herglotz(phi, order, rmax):
     # a regenerated map whose series MapSpec builds itself (at its default rmax)
     return cm.MapSpec("herglotz", phi=phi, order=order)
+
+
+def json_herglotz(phi, order, rmax):
+    # a regenerated map read back from its JSON spec
+    return cm.map_from_json({"type": "herglotz", "params": {"phi": phi_to_json(phi), "order": order, "rmax": rmax}})
 
 
 class TestConstruction:
@@ -240,11 +246,20 @@ class TestGenerator:
         with pytest.warns(cm.TruncationTail):
             cm.gen_herglotz(cm.PhiSpec.unimodular_constant(0.0), order=16, rmax=0.9)
 
-    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map, spec_herglotz])
+    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map, spec_herglotz, json_herglotz])
     def test_tail_warning_names_the_caller(self, build):
         with pytest.warns(cm.TruncationTail) as record:
             build(cm.PhiSpec.unimodular_constant(0.0), order=16, rmax=0.9)
         assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map, spec_herglotz])
+    def test_order_must_be_integral(self, build):
+        phi = cm.PhiSpec.polynomial([0.3])
+        with pytest.raises(ValueError, match="expected an integer order, got 64.5"):
+            build(phi, order=64.5, rmax=0.9)
+        m = build(phi, order=64.0, rmax=0.9)
+        assert type(m.order) is int and m.order == 64
+        assert m.series.order == 64
 
     @pytest.mark.parametrize("name,phi,kw", [
         ("halfplane", cm.PhiSpec.unimodular_constant(0.0), {}),

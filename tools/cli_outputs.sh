@@ -61,6 +61,14 @@ run closed-check-sector-composed check --map closed-sector-composed.json --nr 30
 run closed-curvature-sector-composed curvature-map --map closed-sector-composed.json --nr 30 --ntheta 50 \
     --out closed-curvature-sector-composed.csv
 run closed-trace-sector-composed trace --map closed-sector-composed.json --c 0.5 --out closed-trace-sector-composed.csv
+# traces of the other closed-form kinds, and of a composed polygon
+run closed-trace-sector trace --map sector --alpha 0.5 --c 0.8 --theta 3.14159 --out closed-trace-sector.csv
+run closed-trace-strip trace --map strip --c 0.5 --theta 1.5707963267948966 --out closed-trace-strip.csv
+run closed-trace-koebe trace --map koebe --c 0.5 --theta 3.14159 --out closed-trace-koebe.csv
+echo '{"type": "polygon", "params": {"n": 5}}' >"$out/closed-polygon5.json"
+compose closed-polygon5-composed.json closed-polygon5.json 1
+run closed-trace-polygon5-composed trace --map closed-polygon5-composed.json --c 0.8 \
+    --out closed-trace-polygon5-composed.csv
 
 # series maps
 run series-gen-random gen --phi-random 4 --seed 7 --out series-gen-random.json
