@@ -9,6 +9,9 @@ Exit codes, fixed for scripting:
   4  requested level not attained on the ray
   5  generator function out of range
 
+CSV cells (trace, curvature-map) are exactly '%.17g' of each value; the
+curvature-map kappa cell is empty where |p| <= P_MIN (1e-4).
+
 Map specs are JSON objects {"type": ..., "params": {...}} with optional
 "pre" {"a": [re, im], "theta": t} and "post" {"scale": [re, im],
 "offset": [re, im]} entries.  Series coefficients are stored as
@@ -50,9 +53,6 @@ from .maps import (
 )
 
 CURVATURE_MAP_HEADER = "Re z,Im z,slack1,slack3,km,kappa"
-_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-_ROW_NO_KAPPA = "%.17g,%.17g,%.17g,%.17g,%.17g,\n"
-_ROW_BLOCK = 4096
 
 # default generation order for the CLI: high enough that a check over the
 # default grid (r <= 0.9) sees only ~1e-9 of truncation in the slacks, so
@@ -215,24 +215,27 @@ def cmd_trace(args, m: MapSpec) -> int:
     return 0
 
 
-def cmd_curvature_map(args, m: MapSpec) -> int:
-    vals = grid_functionals(m, GridSpec(args.nr, args.ntheta, args.rmax))
+def _curvature_columns(m: MapSpec, grid: GridSpec):
+    """The curvature-map columns over the grid, and the mask of the cells
+    left empty; the other grid fields are dropped on return."""
+    vals = grid_functionals(m, grid)
     zs = vals["z"]
-    slack3 = vals["lhs1"] - vals["rhs3"]
     with np.errstate(divide="ignore", invalid="ignore"):
         _, kappa = curvatures(vals, vals["f1"])
-    cols = (zs.real, zs.imag, vals["lhs1"], slack3, vals["km"], kappa)
-    keep = np.abs(vals["p"]) > P_MIN  # else the kappa cell stays empty
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
-        fp.write(CURVATURE_MAP_HEADER + "\n")
-        # Python floats for a block of rows at a time: whole columns of them
-        # would take about 200 bytes per row
-        for lo in range(0, zs.size, _ROW_BLOCK):
-            block = slice(lo, lo + _ROW_BLOCK)
-            rows = zip(*(c[block].tolist() for c in cols))
-            for row, full in zip(rows, keep[block].tolist()):
-                fp.write(_ROW % row if full else _ROW_NO_KAPPA % row[:5])
-    print(f"wrote {zs.size} rows -> {args.out}", file=sys.stderr)
+    cols = (zs.real, zs.imag, vals["lhs1"], vals["lhs1"] - vals["rhs3"], vals["km"], kappa)
+    blank = np.zeros((zs.size, len(cols)), dtype=bool)
+    blank[:, -1] = np.abs(vals["p"]) <= P_MIN  # kappa is undefined there
+    return cols, blank
+
+
+def cmd_curvature_map(args, m: MapSpec) -> int:
+    from ._csv import write_rows  # deferred: a process that writes no CSV skips compiling it
+
+    cols, blank = _curvature_columns(m, GridSpec(args.nr, args.ntheta, args.rmax))
+    with open(args.out, "wb") as fp:
+        fp.write(CURVATURE_MAP_HEADER.encode() + b"\n")
+        write_rows(fp, cols, blank)
+    print(f"wrote {blank.shape[0]} rows -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -15,10 +15,11 @@ from .functionals import (
     default_grid,
     grid_functionals,
     normal_derivatives,
+    phi_grid,
     phi_values,
     poincare_density,
 )
-from .grid import GridSpec, grid_points
+from .grid import GridSpec
 from .maps import MapSpec, PhiSpec, _auto_jets, certified_points, jet_derivatives, jet_of
 
 NEWTON_TOL = 1e-12
@@ -27,6 +28,7 @@ SEED_COUNT = 40
 DISTINCT_SEP = 1e-3
 DEGENERATE_COUNT = 5
 CLASSIFY_TOL = 1e-8
+CLASSIFY_GRID = GridSpec(16, 24, 0.8)  # before default_grid clamps it to the map
 INTERIOR_CAP = 0.999
 
 
@@ -145,16 +147,14 @@ class PhiClass:
 
 def classify_phi(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -> PhiClass:
     """Classify phi by sampling it on a compact polar grid (a GridSpec, by
-    default ``default_grid`` of GridSpec(16, 24, 0.8)) or an array of points,
-    and least-squares fitting the automorphism model.
+    default ``default_grid`` of CLASSIFY_GRID) or an array of points, and
+    least-squares fitting the automorphism model.
 
     The fit solves phi = u z + v - w z phi (linear in u, v, w), then reads
     off theta = arg u and a = v/u; a genuine automorphism reproduces the
     samples to machine precision, so the 1e-8 acceptance threshold is loose.
     """
-    grid = default_grid(m, GridSpec(16, 24, 0.8)) if grid is None else grid
-    zs = grid_points(grid)
-    phis = phi_values(m, grid)
+    zs, phis = phi_grid(m, default_grid(m, CLASSIFY_GRID) if grid is None else grid)
     keep = np.isfinite(phis)
     zs, phis = zs[keep], phis[keep]
     if zs.size < 8:

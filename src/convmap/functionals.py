@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDenominator, SingularPoint
-from .grid import GridSpec, grid_points
+from .grid import GridSpec
 from .jet import Jet
-from .maps import MapSpec, certified_rmax, jet_derivatives
+from .maps import MapSpec, _grid_jets, certified_rmax
 
 UNIMODULAR_EPS = 1e-10
 DEGENERATE_EPS = 1e-12
@@ -74,28 +74,33 @@ def normal_derivatives(z, f1, f2, f3):
     return p, 0.5 * (z.conjugate() * P - om * dP), 1.0 + 0.5 * z * P
 
 
-def fields(z, f1, f2, f3) -> dict:
-    """Every pointwise field of the jet (z, f', f'', f''') at a point or an
-    array: a dict keyed om (1 - |z|^2), P, S, p, lhs1, rhs2, rhs3, km,
-    nehari, g and density, each documented at its scalar view below.
-    f' must not vanish."""
+def curvature_fields(z, f1, f2, f3) -> dict:
+    """The fields of the jet (z, f', f'', f''') that ``curvatures`` reads, and
+    g: the part of ``fields`` keyed om, g, P, S, p, lhs1 and rhs2."""
     om, g, P, p = _normal(z, f1, f2)
-    S = f3 / f1 - 1.5 * P * P
-    r2 = 0.25 * om * abs(P) ** 2
-    nehari = om * om * abs(S)
     return {
         "om": om,
+        "g": g,
         "P": P,
-        "S": S,
+        "S": f3 / f1 - 1.5 * P * P,
         "p": p,
         "lhs1": (1.0 + z * P).real,
-        "rhs2": r2,
-        "rhs3": r2 + 0.5 * om * abs(S),
-        "km": nehari + 2.0 * abs(p) ** 2,
-        "nehari": nehari,
-        "g": g,
-        "density": 1.0 / g,
+        "rhs2": 0.25 * om * abs(P) ** 2,
     }
+
+
+def fields(z, f1, f2, f3) -> dict:
+    """Every pointwise field of the jet (z, f', f'', f''') at a point or an
+    array: ``curvature_fields`` and rhs3, km, nehari and density, each
+    documented at its scalar view below.  f' must not vanish."""
+    fld = curvature_fields(z, f1, f2, f3)
+    om, aS = fld["om"], abs(fld["S"])
+    nehari = om * om * aS
+    fld["rhs3"] = fld["rhs2"] + 0.5 * om * aS
+    fld["km"] = nehari + 2.0 * abs(fld["p"]) ** 2
+    fld["nehari"] = nehari
+    fld["density"] = 1.0 / fld["g"]
+    return fld
 
 
 def curvatures(fld: dict, f1):
@@ -209,9 +214,8 @@ def grid_functionals(m: MapSpec, zs) -> dict:
     Raises SingularPoint if f' vanishes anywhere and ValueError if a jet
     component is not finite.
     """
-    f1, f2, f3 = jet_derivatives(m, zs)
+    zs, f1, f2, f3 = _grid_jets(m, zs)
     check_jets(f1, f2, f3, "on the evaluation grid")
-    zs = grid_points(zs)
     return {"z": zs, "f1": f1, **fields(zs, f1, f2, f3)}
 
 
@@ -226,17 +230,22 @@ def check_jets(f1, f2, f3, where: str) -> None:
         raise SingularPoint(f"f' vanishes {where}")
 
 
-def phi_values(m: MapSpec, z):
-    """phi = (f''/f') / (2 + z f''/f') at scalar or array z, or over the
-    points of a GridSpec z, NaN where the denominator is (numerically)
-    zero."""
-    f1, f2, _ = jet_derivatives(m, z)
-    z = grid_points(z)
+def phi_grid(m: MapSpec, where):
+    """(z, phi): the points of a GridSpec or an array, and ``phi_values``
+    there."""
+    z, f1, f2, _ = _grid_jets(m, where)
     with np.errstate(divide="ignore", invalid="ignore"):
         P = _normal(z, f1, f2)[2]
         den, degenerate = _phi_denominator(z, P)
         bad = ~np.isfinite(den) | degenerate
-        return np.where(bad, complex(np.nan, np.nan), P / np.where(bad, 1.0, den))
+        return z, np.where(bad, complex(np.nan, np.nan), P / np.where(bad, 1.0, den))
+
+
+def phi_values(m: MapSpec, z):
+    """phi = (f''/f') / (2 + z f''/f') at scalar or array z, or over the
+    points of a GridSpec z, NaN where the denominator is (numerically)
+    zero."""
+    return phi_grid(m, z)[1]
 
 
 def phi_of(m: MapSpec, z: complex) -> complex:

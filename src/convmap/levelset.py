@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished, SingularPoint
-from .functionals import _level, _normal, curvatures, fields, fields_at
+from .functionals import _level, _normal, curvature_fields, curvatures, fields_at
 from .jet import Jet
 from .maps import MapSpec, _jets, certified_rmax
 
@@ -122,20 +122,15 @@ class LevelCurve:
         return self.z.size
 
     def write_csv(self, fp) -> None:
+        """The header and one row per point, each cell exactly '%.17g'."""
+        from ._csv import write_rows  # deferred: a process that writes no CSV skips compiling it
+
         fp.write(CSV_HEADER + "\n")
-        for i in range(self.z.size):
-            row = (
-                self.s[i],
-                self.z[i].real,
-                self.z[i].imag,
-                self.w[i].real,
-                self.w[i].imag,
-                abs(self.p[i]),
-                self.k[i],
-                self.kappa[i],
-                self.residual[i],
-            )
-            fp.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        z, w, p = self.z, self.w, self.p
+        # |p| through hypot, as abs of a complex scalar takes it: np.abs of a
+        # complex array may differ in the last bit
+        ap = np.hypot(p.real, p.imag)
+        write_rows(fp, (self.s, z.real, z.imag, w.real, w.imag, ap, self.k, self.kappa, self.residual))
 
 
 def _curvatures_at(j: Jet):
@@ -221,7 +216,7 @@ def _record(z: complex, f, f1: complex, f2: complex, f3: complex, r: float, pts)
     """What the curve keeps of an accepted point: (z, f, p, k, kappa, |g - c|),
     all from the jet it was accepted on; f is computed here, and checked
     as ``jet_of`` checks it."""
-    fld = fields(z, f1, f2, f3)
+    fld = curvature_fields(z, f1, f2, f3)
     _normal_guard(fld["p"], pts)
     w = complex(f())
     if not cmath.isfinite(w):

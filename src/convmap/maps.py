@@ -361,16 +361,24 @@ def jet_fields(m: MapSpec, z):
     return f(), f1, f2, f3
 
 
-def jet_derivatives(m: MapSpec, z):
-    """(f', f'', f''') of the composed map at scalar or array z, or over the
-    points of a GridSpec in ``GridSpec.points`` order, without computing f.
+def _grid_jets(m: MapSpec, where):
+    """(z, f', f'', f''') without computing f, at the points z of a GridSpec
+    (in ``GridSpec.points`` order, built once here) or of an array.
 
     On a grid, a series map without a precomposition takes the spectral
     route (``series.eval_grid``), and a postcomposition applies after it;
-    every other map evaluates the grid's points.
+    every other map evaluates at z.
     """
-    spectral = isinstance(z, GridSpec) and m.series is not None and m.pre is None
-    return _jets(m, z if spectral else grid_points(z))[1:]
+    z = grid_points(where)
+    spectral = isinstance(where, GridSpec) and m.series is not None and m.pre is None
+    return (z, *_jets(m, where if spectral else z)[1:])
+
+
+def jet_derivatives(m: MapSpec, z):
+    """(f', f'', f''') of the composed map at scalar or array z, or over the
+    points of a GridSpec in ``GridSpec.points`` order, without computing f
+    (see ``_grid_jets``)."""
+    return _grid_jets(m, z)[1:]
 
 
 def certified_rmax(m: MapSpec) -> float:

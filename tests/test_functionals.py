@@ -155,6 +155,17 @@ class TestGridFunctionals:
                     np.testing.assert_allclose(on_grid[key], on_points[key], rtol=1e-12, atol=1e-13)
             np.testing.assert_allclose(cm.phi_values(m, grid), cm.phi_values(m, grid.points()), atol=1e-13)
 
+    def test_grid_points_are_built_once_per_call(self, monkeypatch):
+        built = []
+        points = cm.GridSpec.points
+        monkeypatch.setattr(cm.GridSpec, "points", lambda grid: built.append(grid) or points(grid))
+        generated = cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192)
+        for m in (cm.polygon(5), cm.strip().precomposed(0.3j, 0.2), generated):
+            for call in (lambda: cm.grid_functionals(m, cm.GridSpec(9, 8, 0.8)), lambda: cm.classify_phi(m)):
+                built.clear()
+                call()
+                assert len(built) == 1
+
     def test_equivalence_identity_is_tight(self):
         zs = cm.GridSpec(20, 16, 0.9).points()
         for m in CONVEX_ZOO + [cm.koebe()]:

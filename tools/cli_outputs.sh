@@ -69,6 +69,12 @@ echo '{"type": "polygon", "params": {"n": 5}}' >"$out/closed-polygon5.json"
 compose closed-polygon5-composed.json closed-polygon5.json 1
 run closed-trace-polygon5-composed trace --map closed-polygon5-composed.json --c 0.8 \
     --out closed-trace-polygon5-composed.csv
+# curvature grids with scientific-notation cells (koebe) and whole-number
+# cells (identity), and the benchmark's 160,000-row call
+run closed-curvature-koebe curvature-map --map koebe --out closed-curvature-koebe.csv
+run closed-curvature-identity curvature-map --map identity --out closed-curvature-identity.csv
+run closed-curvature-polygon5-400 curvature-map --map polygon --n 5 --nr 400 --ntheta 400 \
+    --out closed-curvature-polygon5-400.csv
 
 # series maps
 run series-gen-random gen --phi-random 4 --seed 7 --out series-gen-random.json
