@@ -20,10 +20,11 @@ from .functionals import (
     poincare_density,
 )
 from .grid import GridSpec
-from .maps import MapSpec, PhiSpec, _auto_jets, certified_points, jet_derivatives, jet_of
+from .maps import MapSpec, PhiSpec, certified_points, identity, jet_derivatives, jet_fields, jet_of
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
+NEWTON_WINDOW = 8  # iterations without a new least |p| fail a seed (it cycles)
 SEED_COUNT = 40
 DISTINCT_SEP = 1e-3
 DEGENERATE_COUNT = 5
@@ -69,15 +70,18 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
     from the jet through the Wirtinger derivatives of ``normal_derivatives``.
     Each iteration evaluates one batch of jets at the seeds still running.
     A seed fails when an iterate leaves the disk (|z| >= INTERIOR_CAP) or the
-    map's certified points, or when its step stalls below 1e-15 with
-    |p| > NEWTON_TOL.  Returns the final iterates and |p| at convergence,
-    inf for a seed that failed or ran out of iterations.
+    map's certified points, when its step stalls below 1e-15 with |p| >
+    NEWTON_TOL, or when NEWTON_WINDOW iterations bring no new least |p|.
+    Returns the final iterates and |p| at convergence, inf for a seed that
+    failed or ran out of iterations.
     """
     z = np.array(seeds, dtype=complex)
     ap_root = np.full(z.shape, np.inf)
     stalled = np.zeros(z.shape, dtype=bool)
+    best = np.full(z.shape, np.inf)
+    best_at = np.zeros(z.shape, dtype=int)
     live = np.arange(z.size)
-    for _ in range(NEWTON_MAX_ITER):
+    for it in range(NEWTON_MAX_ITER):
         live = live[certified_points(m, z[live])]
         if not live.size:
             break
@@ -88,7 +92,9 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
         ap = np.abs(p)
         done = ap <= NEWTON_TOL
         ap_root[live[done]] = ap[done]
-        run = ~done & ~stalled[live]
+        gain = ap < best[live]
+        best[live[gain]], best_at[live[gain]] = ap[gain], it
+        run = ~done & ~stalled[live] & (it - best_at[live] < NEWTON_WINDOW)
         live, zl, p, dp_dz, dp_dzb = live[run], zl[run], p[run], dp_dz[run], dp_dzb[run]
         px, py = dp_dz + dp_dzb, 1j * (dp_dz - dp_dzb)
         jac = np.moveaxis(np.array([[px.real, py.real], [px.imag, py.imag]]), -1, 0)
@@ -175,7 +181,7 @@ def classify_phi(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -> PhiCl
     theta = float(np.angle(u))
     if abs(a) >= 1.0:
         return PhiClass("strict", None, None, float("inf"))
-    err = float(np.max(np.abs(phis - _auto_jets(zs, a, theta)[0])))
+    err = float(np.max(np.abs(phis - jet_fields(identity().precomposed(a, theta), zs)[0])))
     if err <= CLASSIFY_TOL:
         return PhiClass("automorphism", complex(a), theta, err)
     return PhiClass("strict", None, None, err)

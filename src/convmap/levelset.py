@@ -8,7 +8,9 @@ osculating circle of the curve at the last accepted point (tangent
 Newton along the normal conj(p)/|p|, where g decreases, brings it back to
 the level.  A Newton iterate evaluates only f', f'' and f''' through the
 jet core of ``convmap.maps``; f, for the image point, is computed once per
-accepted point.  The start search evaluates f' alone.
+accepted point.  The start search evaluates f' alone.  Every jet here is
+one point of ``maps._point_jets``: on a series map with nothing composed,
+one running product of the powers of z against the derivative table.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished, SingularPoint
 from .functionals import _level, _normal, curvature_fields, curvatures, fields_at
 from .jet import Jet
-from .maps import MapSpec, _jets, certified_rmax
+from .maps import MapSpec, _jets, _point_jets, certified_rmax
 
 P_MIN = 1e-4
 RESIDUAL_TARGET = 1e-12
@@ -43,7 +45,8 @@ CSV_HEADER = "s,Re z,Im z,Re w,Im w,|p|,k,kappa,residual"
 def level_value(m: MapSpec, z):
     """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z, from f' alone."""
     z = np.asarray(z, dtype=complex)
-    return _level(z, _jets(m, z, 1)[1])[1]
+    jet = _point_jets(m, complex(z), 1) if z.ndim == 0 else _jets(m, z, 1)
+    return _level(z, jet[1])[1]
 
 
 def find_level_start(
@@ -196,13 +199,13 @@ def _normal_guard(p: complex, pts):
 
 
 def _jet_at(m: MapSpec, z: complex):
-    """(f, f', f'', f''') at a point, the derivatives as Python complex and
-    f as a callable (see ``maps._jets``), held to the rules of ``jet_of``:
-    ValueError at |z| >= 1 or on a non-finite derivative, SingularPoint
-    where f' vanishes."""
+    """(f, f', f'', f''') at a point from ``maps._point_jets``, the
+    derivatives as Python complex and f as a callable, held to the rules
+    of ``jet_of``: ValueError at |z| >= 1 or on a non-finite derivative,
+    SingularPoint where f' vanishes."""
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
-    f, f1, f2, f3 = _jets(m, np.asarray(z, dtype=complex))
+    f, f1, f2, f3 = _point_jets(m, z)
     f1, f2, f3 = complex(f1), complex(f2), complex(f3)
     if not (cmath.isfinite(f1) and cmath.isfinite(f2) and cmath.isfinite(f3)):
         name = next(n for n, v in (("f1", f1), ("f2", f2), ("f3", f3)) if not cmath.isfinite(v))

@@ -22,7 +22,9 @@ from .series import (
     DEFAULT_RMAX,
     MIN_ORDER,
     PowerSeries,
+    certify,
     in_radius,
+    point_columns,
     series_exp,
     series_integrate,
     series_inv,
@@ -158,11 +160,14 @@ class MapSpec:
             if self.series is None:
                 object.__setattr__(self, "series", _herglotz_series(self.phi, self.order, DEFAULT_RMAX))
         if self.pre is not None:
-            a, theta = self.pre
-            a = complex(a)
+            a, theta = complex(self.pre[0]), float(self.pre[1])
             if abs(a) >= 1.0:
                 raise ValueError(f"precomposition center must satisfy |a| < 1, got {a}")
-            object.__setattr__(self, "pre", (a, float(theta)))
+            object.__setattr__(self, "pre", (a, theta))
+            # what _auto_jets reads at every z, computed once per map
+            ab, e = a.conjugate(), np.exp(1j * theta)
+            q = e * (1.0 - abs(a) ** 2)
+            object.__setattr__(self, "_pre_constants", (a, e, ab, q, -2.0 * ab * q, 6.0 * ab * ab * q))
         if self.post is not None:
             s, b = self.post
             s = complex(s)
@@ -232,9 +237,10 @@ def builtin_map(name: str, alpha: float | None = None, n: int | None = None) -> 
 
 
 def _jets_identity(z, m):
-    one = np.ones_like(z)
+    if np.ndim(z) == 0:
+        return lambda: z, 1 + 0j, 0j, 0j
     zero = np.zeros_like(z)
-    return lambda: z, one, zero, zero
+    return lambda: z, np.ones_like(z), zero, zero
 
 
 def _jets_halfplane(z, m):
@@ -250,11 +256,12 @@ def _jets_strip(z, m):
 def _jets_sector(z, m):
     # principal logs; 1 +/- z stays in the right half plane for |z| < 1
     alpha = m.alpha
-    f1 = 2.0 * alpha * np.exp((alpha - 1.0) * np.log(1.0 + z) - (alpha + 1.0) * np.log(1.0 - z))
+    lp, lm = np.log(1.0 + z), np.log(1.0 - z)
+    f1 = 2.0 * alpha * np.exp((alpha - 1.0) * lp - (alpha + 1.0) * lm)
     w = 1.0 - z * z
     P = (2.0 * alpha + 2.0 * z) / w
     Pp = (2.0 + 4.0 * alpha * z + 2.0 * z * z) / w**2
-    return lambda: np.exp(alpha * (np.log(1.0 + z) - np.log(1.0 - z))), f1, f1 * P, f1 * (Pp + P * P)
+    return lambda: np.exp(alpha * (lp - lm)), f1, f1 * P, f1 * (Pp + P * P)
 
 
 def _jets_koebe(z, m):
@@ -314,15 +321,14 @@ _CLOSED_FORMS = {
 }
 
 
-def _auto_jets(z, a, theta):
-    """The automorphism tau(z) = e^{i theta} (z + a) / (1 + conj(a) z) at z,
-    and a callable for its derivatives there, as the closed forms give f:
-    a caller reading only tau never computes them."""
-    ab = a.conjugate()
-    e = np.exp(1j * theta)
+def _auto_jets(z, a, e, ab, q, q2, q3):
+    """The automorphism tau(z) = e (z + a) / (1 + conj(a) z) at z, and a
+    callable for its derivatives there, as the closed forms give f: a caller
+    reading only tau never computes them.  The constants are a map's
+    ``_pre_constants``: e = e^{i theta}, ab = conj(a), q = e (1 - |a|^2),
+    q2 = -2 ab q and q3 = 6 ab ab q, associated as written."""
     d = 1.0 + ab * z
-    q = e * (1.0 - abs(a) ** 2)
-    return e * (z + a) / d, lambda: (q / d**2, -2.0 * ab * q / d**3, 6.0 * ab * ab * q / d**4)
+    return e * (z + a) / d, lambda: (q / d**2, q2 / d**3, q3 / d**4)
 
 
 def _jets(m: MapSpec, z, count: int = 3):
@@ -332,14 +338,14 @@ def _jets(m: MapSpec, z, count: int = 3):
     move through the precomposition, the map's own kind evaluates there,
     and the chain rule and the postcomposition apply after.  ``count`` is 1
     or 3; a closed form with nothing to compose gives all three derivatives
-    whatever the count."""
-    t = None if m.pre is None else _auto_jets(z, *m.pre)
+    whatever the count.  Single points come through ``_point_jets``."""
+    t = None if m.pre is None else _auto_jets(z, *m._pre_constants)
     w = z if t is None else t[0]
     if m.series is not None:
         jet = series_jet_fields(m.series, w, count)
     else:
         jet = _CLOSED_FORMS[m.kind](w, m)
-    if t is None and m.post is None:  # the tracer's scalar jets: nothing to compose
+    if t is None and m.post is None:  # nothing to compose
         return jet
     f, g1, *g = jet[: count + 1]
     if t is not None:
@@ -353,6 +359,16 @@ def _jets(m: MapSpec, z, count: int = 3):
         f0 = f
         f, g1, g = (lambda: s * f0() + b), s * g1, [s * gi for gi in g]
     return (f, g1, *g)
+
+
+def _point_jets(m: MapSpec, z: complex, count: int = 3):
+    """``_jets`` at one point z: a series map with nothing to compose takes
+    one running product (Python complex values), any other map a 0-d array."""
+    if m.series is not None and m.pre is None and m.post is None:
+        certify(m.series, abs(z))
+        f0, *jet = point_columns(m.series.table, z)
+        return (lambda: f0, *jet)
+    return _jets(m, np.asarray(z, dtype=complex), count)
 
 
 def jet_fields(m: MapSpec, z):
@@ -395,7 +411,7 @@ def certified_rmax(m: MapSpec) -> float:
 def _series_point(m: MapSpec, z):
     """The point(s) where a series map evaluates its series: z, moved by a
     precomposition."""
-    return z if m.pre is None else _auto_jets(z, *m.pre)[0]
+    return z if m.pre is None else _auto_jets(z, *m._pre_constants)[0]
 
 
 def certified_points(m: MapSpec, z) -> np.ndarray:
@@ -419,10 +435,10 @@ def jet_of(m: MapSpec, z: complex) -> Jet:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
-    f0, f1, f2, f3 = jet_fields(m, z)
+    f, f1, f2, f3 = _point_jets(m, z)
     if f1 == 0:
         raise SingularPoint(f"f' vanishes at z = {z}")
-    return Jet(z, f0, f1, f2, f3, tail=_tail_at(m, z))
+    return Jet(z, f(), f1, f2, f3, tail=_tail_at(m, z))
 
 
 def series_eval_jet(s: PowerSeries, z: complex) -> Jet:

@@ -162,15 +162,17 @@ def eval_table(table: np.ndarray, z, start: int = 0, stop: int | None = None):
     """Evaluate columns ``start:stop`` of the stacked polynomials at scalar
     or array z.
 
-    A scalar z, or a batch of at most twice as many points as the table has
-    rows and at most RUNNING_PRODUCT_ENTRIES entries in its matrix of
-    powers, takes the powers 1, z, z**2, ... as running products and the jet
-    as one matrix product over all columns, which round as when all are
-    kept; other arrays use Horner on the wanted columns, each column to the
-    same bits however many are wanted.  A scalar z gives Python complex
-    values.
+    A scalar z takes ``point_columns`` and gives Python complex values.  A
+    batch of at most twice as many points as the table has rows and at most
+    RUNNING_PRODUCT_ENTRIES entries in its matrix of powers takes the same
+    running products of 1, z, z**2, ... and one matrix product over all
+    columns, which round as when all are kept; other arrays use Horner on
+    the wanted columns, each column to the same bits however many are
+    wanted.
     """
     z = np.asarray(z)
+    if z.ndim == 0:
+        return tuple(point_columns(table, z)[start:stop])
     n = table.shape[0]
     if not _takes_products(z.size, n):
         return tuple(npoly.polyval(z, table[:, start:stop]))
@@ -178,10 +180,17 @@ def eval_table(table: np.ndarray, z, start: int = 0, stop: int | None = None):
     powers[..., 0] = 1.0
     powers[..., 1:] = z[..., None]
     np.multiply.accumulate(powers, axis=-1, out=powers)  # cumprod without a copy
-    jet = powers @ table
-    if z.ndim == 0:
-        return tuple(jet.tolist()[start:stop])
-    return tuple(np.moveaxis(jet, -1, 0)[start:stop])
+    return tuple(np.moveaxis(powers @ table, -1, 0)[start:stop])
+
+
+def point_columns(table: np.ndarray, z) -> list:
+    """Every column of the stacked polynomials at one point z as Python complex:
+    running products in a fresh (so reentrant) buffer, one product with the table."""
+    powers = np.empty(table.shape[0], dtype=complex)
+    powers.fill(z)
+    powers[0] = 1.0
+    np.multiply.accumulate(powers, out=powers)  # cumprod without a copy
+    return (powers @ table).tolist()
 
 
 def eval_grid(table: np.ndarray, grid: GridSpec):
@@ -223,12 +232,19 @@ def in_radius(s: PowerSeries, z):
     return abs(z) <= s.rmax + RADIUS_SLACK
 
 
+def certify(s: PowerSeries, worst: float) -> None:
+    """Raise RadiusExceeded unless ``in_radius`` holds at |z| = worst."""
+    if not in_radius(s, worst):
+        raise RadiusExceeded(f"|z| = {worst:.6g} exceeds the certified radius {s.rmax:g}")
+
+
 def series_jet_fields(s: PowerSeries, z, count: int = 3):
     """(f, f', ..., f^(count)) of the series at scalar or array z, or over
     the points of a GridSpec through ``eval_grid``, with f as a callable
     as ``maps._jets`` returns it.  The running products give f with the
     derivatives; Horner and the grid route evaluate only the derivatives
-    until f is called.
+    until f is called.  A scalar z (a point that a precomposition moved)
+    takes ``point_columns`` through ``eval_table``.
 
     Points outside ``in_radius`` raise RadiusExceeded.
     """
@@ -238,8 +254,7 @@ def series_jet_fields(s: PowerSeries, z, count: int = 3):
     else:
         z = np.asarray(z)
         worst = abs(complex(z)) if z.ndim == 0 else float(np.abs(z).max(initial=0.0))
-    if not in_radius(s, worst):
-        raise RadiusExceeded(f"|z| = {worst:.6g} exceeds the certified radius {s.rmax:g}")
+    certify(s, worst)
     table = s.table
     if grid:
         return (lambda: eval_grid(table[:, :1], z)[0], *eval_grid(table[:, 1 : count + 1], z))

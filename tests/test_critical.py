@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import convmap as cm
+import convmap.critical as critical
 from convmap.critical import NEWTON_TOL, _newton_zeros
 from convmap.functionals import normal_derivatives
 
@@ -118,6 +119,21 @@ class TestNewton:
         # ... and the second still converges to the map's one zero of p
         assert ap[1] <= NEWTON_TOL
         assert z[1] == pytest.approx(cm.find_critical_point(m).z, abs=1e-12)
+
+    def test_a_cycling_seed_fails_within_the_window(self, monkeypatch):
+        # |p| = 1 on the whole half plane; a seed here settles into a cycle
+        # of iterates at |p| = 1 +- 2e-14, which ran all 60 iterations before
+        # the window
+        real, calls = critical.jet_derivatives, [0]
+
+        def counted(m, z):
+            calls[0] += 1
+            return real(m, z)
+
+        monkeypatch.setattr(critical, "jet_derivatives", counted)
+        res = cm.find_critical_point(cm.halfplane().precomposed(-0.25 + 0.16j, 3.45))
+        assert res.kind == "none"
+        assert calls[0] <= 2 * critical.NEWTON_WINDOW < critical.NEWTON_MAX_ITER
 
 
 class TestPhiClassification:

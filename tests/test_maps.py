@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import convmap as cm
+import convmap.levelset as levelset
+import convmap.maps as maps
 from convmap.maps import phi_to_json
 
 from .oracles import closed_form, fd_jet, random_phi_coeffs, random_disk_points
@@ -151,6 +153,52 @@ class TestDerivativeJets:
                 assert len(got) == 3
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(_bits(g), _bits(w))
+
+
+def per_jet_automorphism(z, a, theta):
+    """The automorphism as computed afresh at every jet, every constant
+    inline: the oracle for the constants a map computes once."""
+    ab = a.conjugate()
+    e = np.exp(1j * theta)
+    d = 1.0 + ab * z
+    q = e * (1.0 - abs(a) ** 2)
+    return e * (z + a) / d, lambda: (q / d**2, -2.0 * ab * q / d**3, 6.0 * ab * ab * q / d**4)
+
+
+class TestPointJets:
+    """What the tracer and ``jet_of`` read at one point keeps every bit."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [m for _, m, _ in ZOO] + [gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192, rmax=0.8)],
+        ids=[name for name, _, _ in ZOO] + ["series"],
+    )
+    def test_composed_jets_equal_the_per_jet_automorphism(self, m, monkeypatch):
+        zs = [complex(z) for z in random_disk_points(np.random.default_rng(8), 20, 0.45)]
+
+        def point_values(variant):
+            out = []
+            for z in zs:
+                f, *derivatives = levelset._jet_at(variant, z)
+                jet = cm.jet_of(variant, z)
+                out += [complex(f()), *derivatives, jet.f0, jet.f1, jet.f2, jet.f3]
+                out.append(complex(cm.level_value(variant, z)))
+            return out
+
+        for variant in _composed_variants(m)[1::2]:  # the precomposed ones
+            got = point_values(variant)
+            with monkeypatch.context() as patch:
+                patch.setattr(maps, "_auto_jets", lambda z, *_, pre=variant.pre: per_jet_automorphism(z, *pre))
+                want = point_values(variant)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_identity_point_jets_are_python_complex(self):
+        for m in _composed_variants(cm.identity()):
+            f, *derivatives = levelset._jet_at(m, 0.3 - 0.2j)
+            assert all(type(v) is complex for v in derivatives)
+        _, *derivatives = maps._jets(cm.identity(), np.asarray(0.3 - 0.2j))
+        assert _bits(derivatives).tolist() == _bits([1.0, 0.0, 0.0]).tolist()
+        assert [type(v) for v in derivatives] == [complex] * 3
 
 
 class TestComposition:

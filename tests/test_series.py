@@ -8,7 +8,9 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import convmap as cm
-from convmap.series import MIN_ORDER, derivative_table, eval_grid, eval_table
+import convmap.levelset as levelset
+from convmap.functionals import _level
+from convmap.series import MIN_ORDER, RADIUS_SLACK, derivative_table, eval_grid, eval_table
 
 from .oracles import fd_jet
 
@@ -213,6 +215,38 @@ class TestScalarFastPath:
             cm.jet_of(cm.identity(), 1.0)
         with pytest.raises(ValueError):
             cm.Jet(0.6 + 0.8j, 0.0, 1.0, 0.0, 0.0)
+
+
+class TestPointJets:
+    """A point of a series map with nothing to compose takes one running
+    product: the tracer's jets, ``jet_of`` and the scalar ``level_value``
+    equal eval_table's running products on a one-point batch bit for bit."""
+
+    @staticmethod
+    def bits(vals) -> list:
+        return np.array(vals, dtype=complex).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("order", [3, 40, 192, 384])
+    def test_equals_the_batch_products_bit_for_bit(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            m = cm.gen_herglotz(cm.PhiSpec.polynomial([0.3 + 0.2j, -0.1 + 0.4j]), order=order, rmax=0.8)
+        s = m.series
+        u = np.exp(0.7j)
+        # |z| = rmax + RADIUS_SLACK exactly on the imaginary axis
+        for z in (0j, complex(0.5 * s.rmax * u), complex(s.rmax * u), 1j * (s.rmax + RADIUS_SLACK)):
+            want = [col[0] for col in eval_table(s.table, np.array([z]))]
+            f, *derivatives = levelset._jet_at(m, z)
+            jet = cm.jet_of(m, z)
+            for got in ([f(), *derivatives], [jet.f0, jet.f1, jet.f2, jet.f3]):
+                assert all(type(v) is complex for v in got)
+                assert self.bits(got) == self.bits(want)
+            g = cm.level_value(m, z)
+            assert np.float64(g).view(np.uint64) == np.float64(_level(np.asarray(z), want[1])[1]).view(np.uint64)
+        beyond = 1j * (s.rmax + 2.0 * RADIUS_SLACK)
+        for call in (levelset._jet_at, cm.jet_of, cm.level_value):
+            with pytest.raises(cm.RadiusExceeded):
+                call(m, beyond)
 
 
 class TestSpectralGrid:

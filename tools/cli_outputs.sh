@@ -69,6 +69,11 @@ echo '{"type": "polygon", "params": {"n": 5}}' >"$out/closed-polygon5.json"
 compose closed-polygon5-composed.json closed-polygon5.json 1
 run closed-trace-polygon5-composed trace --map closed-polygon5-composed.json --c 0.8 \
     --out closed-trace-polygon5-composed.csv
+# the identity's constant jets under a precomposition and a postcomposition
+echo '{"type": "identity"}' >"$out/closed-identity.json"
+compose closed-identity-composed.json closed-identity.json 1
+run closed-trace-identity-composed trace --map closed-identity-composed.json --c 0.75 \
+    --out closed-trace-identity-composed.csv
 # curvature grids with scientific-notation cells (koebe) and whole-number
 # cells (identity), and the benchmark's 160,000-row call
 run closed-curvature-koebe curvature-map --map koebe --out closed-curvature-koebe.csv
@@ -90,6 +95,11 @@ compose series-poly192-post.json series-gen-poly192.json 0
 run series-check-poly192-post check --map series-poly192-post.json --rmax 0.8
 run series-curvature-poly192-post curvature-map --map series-poly192-post.json --rmax 0.8 \
     --out series-curvature-poly192-post.csv
+# traces of the composed series maps: the chain rule at every Newton iterate
+run series-trace-poly192-composed trace --map series-poly192-composed.json --c 0.8 \
+    --out series-trace-poly192-composed.csv
+run series-trace-poly192-post trace --map series-poly192-post.json --c 1.2 \
+    --out series-trace-poly192-post.csv
 for order in 24 48 96; do
     run series-gen-o$order gen --phi-poly 0.3,0.2j,-0.25 --gen-rmax 0.85 --order $order --out series-gen-o$order.json
     run series-check-o$order check --map series-gen-o$order.json --rmax 0.8
