@@ -123,14 +123,10 @@ def _phi_denominator(z, P):
     return den, abs(den) < DEGENERATE_EPS
 
 
-def _regular(j: Jet) -> None:
-    if j.f1 == 0:
-        raise SingularPoint(f"f' vanishes at z = {j.z}")
-
-
 def fields_at(j: Jet) -> dict:
     """``fields`` at one jet; raises SingularPoint if f' vanishes."""
-    _regular(j)
+    if j.f1 == 0:
+        raise SingularPoint(f"f' vanishes at z = {j.z}")
     return fields(j.z, j.f1, j.f2, j.f3)
 
 
@@ -161,8 +157,7 @@ def rhs3(j: Jet) -> float:
 
 def p_field(j: Jet) -> complex:
     """conj(z) - (1/2)(1 - |z|^2) f''/f', the level-set normal data."""
-    _regular(j)
-    return _normal(j.z, j.f1, j.f2)[3]
+    return fields_at(j)["p"]
 
 
 def kim_minda(j: Jet) -> float:
@@ -220,9 +215,10 @@ def grid_functionals(m: MapSpec, zs) -> dict:
 
 
 def check_jets(f1, f2, f3, where: str) -> None:
-    """Reject a batch of derivative jets as ``Jet`` and ``jet_of`` reject
-    one: ValueError on a non-finite component, SingularPoint where f'
-    vanishes; ``where`` ends the message."""
+    """Reject a batch of derivative jets as ``maps._jet_at``, the checked
+    point route of ``jet_of`` and the tracer, rejects one: ValueError on a
+    non-finite component, then SingularPoint where f' vanishes; ``where``
+    ends the message."""
     for name, vals in zip(("f1", "f2", "f3"), (f1, f2, f3)):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"jet component {name} is not finite {where}")

@@ -8,8 +8,9 @@ osculating circle of the curve at the last accepted point (tangent
 Newton along the normal conj(p)/|p|, where g decreases, brings it back to
 the level.  A Newton iterate evaluates only f', f'' and f''' through the
 jet core of ``convmap.maps``; f, for the image point, is computed once per
-accepted point.  The start search evaluates f' alone.  Every jet here is
-one point of ``maps._point_jets``: on a series map with nothing composed,
+accepted point.  The start search evaluates f' alone.  Every jet of the
+march comes from ``maps._jet_at``, the one checked single-point route,
+which ``jet_of`` takes too; on a series map with nothing composed it is
 one running product of the powers of z against the derivative table.
 """
 
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvmapError, LevelNotOnRay, NormalVanished, SingularPoint
+from .errors import ConvmapError, LevelNotOnRay, NormalVanished
 from .functionals import _level, _normal, curvature_fields, curvatures, fields_at
 from .jet import Jet
-from .maps import MapSpec, _jets, _point_jets, certified_rmax
+from .maps import MapSpec, _jet_at, _jets, _point_jets, certified_rmax
 
 P_MIN = 1e-4
 RESIDUAL_TARGET = 1e-12
@@ -49,25 +50,22 @@ def level_value(m: MapSpec, z):
     return _level(z, jet[1])[1]
 
 
-def find_level_start(
-    m: MapSpec,
-    c: float,
-    theta: float = 0.0,
-    rmax: float = DEFAULT_TRACE_RMAX,
-    samples: int = _START_SAMPLES,
-) -> complex:
-    """First point on the ray arg z = theta (r increasing from 0) where
-    g(z) = c, located by scan plus bisection to residual <= 1e-12.
+def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEFAULT_TRACE_RMAX) -> complex:
+    """First point on the ray arg z = theta (r increasing from 0 to rmax)
+    where g(z) = c, located by scan plus bisection to residual <= 1e-12.
 
-    Raises LevelNotOnRay when no sign change of g - c shows up among the
-    ray samples.
+    Raises ValueError unless rmax > 0, and LevelNotOnRay when no sign
+    change of g - c shows up among the ray samples.
     """
     c = float(c)
     if c <= 0.0:
         raise ValueError("level constant must be positive")
-    rmax = min(float(rmax), certified_rmax(m))
+    rmax = float(rmax)
+    if not rmax > 0.0:  # a NaN too: a reversed bracket ends on the opposite ray
+        raise ValueError(f"the search radius rmax must be positive, got {rmax:g}")
+    rmax = min(rmax, certified_rmax(m))
     u = np.exp(1j * float(theta))
-    rs = np.linspace(0.0, rmax, samples)
+    rs = np.linspace(0.0, rmax, _START_SAMPLES)
     err = level_value(m, rs * u) - c
 
     def g_err(r: float) -> float:
@@ -136,10 +134,16 @@ class LevelCurve:
         write_rows(fp, (self.s, z.real, z.imag, w.real, w.imag, ap, self.k, self.kappa, self.residual))
 
 
+def _vanished(p: complex, z: complex) -> None:
+    """NormalVanished where |p| <= P_MIN, the floor of the pointwise
+    curvatures and of the tracer."""
+    if abs(p) <= P_MIN:
+        raise NormalVanished(f"|p| = {abs(p):.3e} at z = {z}; curvature undefined")
+
+
 def _curvatures_at(j: Jet):
     fld = fields_at(j)
-    if abs(fld["p"]) <= P_MIN:
-        raise NormalVanished(f"|p| = {abs(fld['p']):.3e} at z = {j.z}; curvature undefined")
+    _vanished(fld["p"], j.z)
     return curvatures(fld, j.f1)
 
 
@@ -183,44 +187,16 @@ def discrete_curvature(curve, image_plane: bool = False, closed: bool | None = N
     return -2.0 * np.imag(np.conj(d1) * d2) / denom
 
 
-class _NormalStop(Exception):
-    def __init__(self, pts):
-        super().__init__("normal field vanished")
-        self.pts = pts
-
-
 def _tangent(p: complex) -> complex:
     return -1j * p.conjugate() / abs(p)
 
 
-def _normal_guard(p: complex, pts):
-    if abs(p) <= P_MIN:
-        raise _NormalStop(list(pts))
-
-
-def _jet_at(m: MapSpec, z: complex):
-    """(f, f', f'', f''') at a point from ``maps._point_jets``, the
-    derivatives as Python complex and f as a callable, held to the rules
-    of ``jet_of``: ValueError at |z| >= 1 or on a non-finite derivative,
-    SingularPoint where f' vanishes."""
-    if abs(z) >= 1.0:
-        raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
-    f, f1, f2, f3 = _point_jets(m, z)
-    f1, f2, f3 = complex(f1), complex(f2), complex(f3)
-    if not (cmath.isfinite(f1) and cmath.isfinite(f2) and cmath.isfinite(f3)):
-        name = next(n for n, v in (("f1", f1), ("f2", f2), ("f3", f3)) if not cmath.isfinite(v))
-        raise ValueError(f"jet component {name} is not finite at z = {z}")
-    if f1 == 0:
-        raise SingularPoint(f"f' vanishes at z = {z}")
-    return f, f1, f2, f3
-
-
-def _record(z: complex, f, f1: complex, f2: complex, f3: complex, r: float, pts):
+def _record(z: complex, f, f1: complex, f2: complex, f3: complex, r: float):
     """What the curve keeps of an accepted point: (z, f, p, k, kappa, |g - c|),
     all from the jet it was accepted on; f is computed here, and checked
     as ``jet_of`` checks it."""
     fld = curvature_fields(z, f1, f2, f3)
-    _normal_guard(fld["p"], pts)
+    _vanished(fld["p"], z)
     w = complex(f())
     if not cmath.isfinite(w):
         raise ValueError(f"jet component f0 is not finite at z = {z}")
@@ -235,7 +211,7 @@ def _arc(h: float, k: float) -> complex:
     return h * (math.sin(half) / half if half else 1.0) * cmath.exp(-1j * half)
 
 
-def _correct(m: MapSpec, z: complex, c: float, rmax: float, pts):
+def _correct(m: MapSpec, z: complex, c: float, rmax: float):
     """Newton along the normal until |g - c| <= RESIDUAL_TARGET, within
     NEWTON_MAX steps: the accepted point's (z, f, f', f'', f''', |g - c|)
     with f still a callable (see ``_jet_at``), or None to ask the caller to
@@ -250,16 +226,17 @@ def _correct(m: MapSpec, z: complex, c: float, rmax: float, pts):
         if i == NEWTON_MAX:
             return None
         p = _normal(z, f1, f2)[3]
-        _normal_guard(p, pts)
+        _vanished(p, z)
         z = z + (g / (2.0 * abs(f1) * abs(p))) * (p.conjugate() / abs(p))
 
 
-def _march(m: MapSpec, start, c: float, step: float, budget: int, rmax: float, direction: int):
-    """Records (see ``_record``) of the points from the start record on in one
-    direction, and how the march ended.  The tangent of travel is
-    direction * -i conj(p)/|p|, and the curvature sign follows the travel, so
-    a positive direction * k turns the tangent clockwise."""
-    pts = [start]
+def _march(m: MapSpec, pts: list, c: float, step: float, budget: int, rmax: float, direction: int) -> str:
+    """Append to ``pts`` (the start record) the records (see ``_record``) of
+    the points in one direction and return how the march ended; the points
+    accepted before a NormalVanished stay in ``pts``.  The tangent of travel
+    is direction * -i conj(p)/|p|, and the curvature sign follows the
+    travel, so a positive direction * k turns the tangent clockwise."""
+    start = pts[0]
     t_start = direction * _tangent(start[2])
     while len(pts) < budget:
         z, _, p, k, _, _ = pts[-1]
@@ -269,23 +246,23 @@ def _march(m: MapSpec, start, c: float, step: float, budget: int, rmax: float, d
         for _ in range(HALVINGS_MAX):
             z_pred = z + _arc(h, k) * t
             if abs(z_pred) > rmax:
-                return pts, "radius"
-            accepted = _correct(m, z_pred, c, rmax, pts)
+                return "radius"
+            accepted = _correct(m, z_pred, c, rmax)
             if accepted is not None:
                 break
             h *= 0.5
         if accepted is None:
             raise ConvmapError(f"corrector stalled near z = {z} (c = {c:g})")
-        point = _record(*accepted, pts)
+        point = _record(*accepted)
         if (
             direction == +1
             and len(pts) >= 3
             and abs(point[0] - start[0]) < 0.5 * step
             and (_tangent(point[2]) * t_start.conjugate()).real > 0.0
         ):
-            return pts, "closed"
+            return "closed"
         pts.append(point)
-    return pts, "max_points"
+    return "max_points"
 
 
 def _finalize(pts, c: float, closed: bool, termination: str) -> LevelCurve:
@@ -337,7 +314,7 @@ def trace_level_set(
     if max_points < 2:
         raise ValueError("max_points must be at least 2")
     rmax = min(float(rmax), certified_rmax(m))
-    if abs(z0) > rmax:
+    if not abs(z0) <= rmax:  # a NaN rmax too
         raise ValueError(f"|z0| = {abs(z0):.6g} is outside the tracing radius {rmax:g}")
     f, f1, f2, f3 = _jet_at(m, z0)
     g0 = _level(z0, f1)[1]
@@ -349,28 +326,19 @@ def trace_level_set(
     p0 = _normal(z0, f1, f2)[3]
     if abs(p0) <= P_MIN:
         raise NormalVanished(f"|p| = {abs(p0):.3e} at the start point {z0}", curve=None)
-    start = _record(z0, f, f1, f2, f3, abs(g0 - c), [])
-
-    def vanish(pts):
-        partial = _finalize(pts, c, False, "normal_vanished") if pts else None
+    forward = [_record(z0, f, f1, f2, f3, abs(g0 - c))]
+    backward = forward[:]  # z0 is shared by both halves
+    try:
+        status_f = _march(m, forward, c, step, max_points, rmax, +1)
+        if status_f == "closed":
+            return _finalize(forward, c, True, "closed")
+        budget = max_points - len(forward) + 1
+        status_b = _march(m, backward, c, step, budget, rmax, -1) if budget >= 2 else "max_points"
+    except NormalVanished:
+        partial = _finalize(backward[:0:-1] + forward, c, False, "normal_vanished")
         raise NormalVanished(
             f"normal field vanished while tracing the level c = {c:g}", curve=partial
         ) from None
-
-    try:
-        forward, status_f = _march(m, start, c, step, max_points, rmax, +1)
-    except _NormalStop as stop:
-        vanish(stop.pts)
-    if status_f == "closed":
-        return _finalize(forward, c, True, "closed")
-    budget = max_points - len(forward) + 1  # z0 is shared by both halves
-    try:
-        if budget >= 2:
-            backward, status_b = _march(m, start, c, step, budget, rmax, -1)
-        else:
-            backward, status_b = [start], "max_points"
-    except _NormalStop as stop:
-        vanish(stop.pts[:0:-1] + forward)
     pts = backward[:0:-1] + forward
     termination = status_f if status_f == status_b else f"{status_b}/{status_f}"
     return _finalize(pts, c, False, termination)

@@ -92,12 +92,12 @@ class PhiSpec:
             out = out * (z - a) / (1.0 - a.conjugate() * z)
         return out
 
-    def boundary_sup(self, samples: int = PHI_BOUNDARY_SAMPLES) -> float:
+    def boundary_sup(self) -> float:
         """sup |phi| over the unit circle: exactly 1 for the bounded shapes,
-        sampled for polynomials."""
+        sampled at PHI_BOUNDARY_SAMPLES points for polynomials."""
         if self.kind in ("blaschke", "const"):
             return 1.0
-        circle = np.exp(2j * np.pi * np.arange(samples) / samples)
+        circle = np.exp(2j * np.pi * np.arange(PHI_BOUNDARY_SAMPLES) / PHI_BOUNDARY_SAMPLES)
         return float(np.max(np.abs(self.values(circle))))
 
     def series(self, order: int, rmax: float = DEFAULT_RMAX) -> PowerSeries:
@@ -408,12 +408,6 @@ def certified_rmax(m: MapSpec) -> float:
     return (R - a) / (1.0 - a * R)
 
 
-def _series_point(m: MapSpec, z):
-    """The point(s) where a series map evaluates its series: z, moved by a
-    precomposition."""
-    return z if m.pre is None else _auto_jets(z, *m._pre_constants)[0]
-
-
 def certified_points(m: MapSpec, z) -> np.ndarray:
     """Mask of the points of array z where ``jet_fields`` is certified:
     everywhere for closed forms, and for a series map where its series
@@ -421,24 +415,31 @@ def certified_points(m: MapSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if m.series is None:
         return np.ones(z.shape, dtype=bool)
-    return in_radius(m.series, _series_point(m, z))
+    return in_radius(m.series, z if m.pre is None else _auto_jets(z, *m._pre_constants)[0])
 
 
-def _tail_at(m: MapSpec, z: complex) -> float:
-    if m.series is None:
-        return 0.0
-    return m.series.tail_bound(abs(_series_point(m, z)))
-
-
-def jet_of(m: MapSpec, z: complex) -> Jet:
-    """Third-order jet at one point; raises SingularPoint if f' vanishes."""
-    z = complex(z)
+def _jet_at(m: MapSpec, z: complex):
+    """(f, f', f'', f''') at one point from ``_point_jets``, the derivatives
+    as Python complex and f as a callable.  The single-point rules live
+    here, for ``jet_of`` and the tracer alike: ValueError at |z| >= 1 or on
+    a non-finite derivative, then SingularPoint where f' vanishes."""
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
     f, f1, f2, f3 = _point_jets(m, z)
+    f1, f2, f3 = complex(f1), complex(f2), complex(f3)
+    if not (cmath.isfinite(f1) and cmath.isfinite(f2) and cmath.isfinite(f3)):
+        name = next(n for n, v in (("f1", f1), ("f2", f2), ("f3", f3)) if not cmath.isfinite(v))
+        raise ValueError(f"jet component {name} is not finite at z = {z}")
     if f1 == 0:
         raise SingularPoint(f"f' vanishes at z = {z}")
-    return Jet(z, f(), f1, f2, f3, tail=_tail_at(m, z))
+    return f, f1, f2, f3
+
+
+def jet_of(m: MapSpec, z: complex) -> Jet:
+    """Third-order jet at one point, held to the rules of ``_jet_at``."""
+    z = complex(z)
+    f, f1, f2, f3 = _jet_at(m, z)
+    return Jet(z, f(), f1, f2, f3)
 
 
 def series_eval_jet(s: PowerSeries, z: complex) -> Jet:

@@ -72,10 +72,9 @@ class PowerSeries:
         intermediate series of a recurrence never build it."""
         return derivative_table(self.coeffs)
 
-    def tail_bound(self, r: float | None = None) -> float:
-        """One-term geometric tail estimate |c_M| r**M (default r = rmax)."""
-        r = self.rmax if r is None else float(r)
-        return float(abs(self.coeffs[-1]) * r ** self.order)
+    def tail_bound(self) -> float:
+        """One-term geometric tail estimate |c_M| rmax**M."""
+        return float(abs(self.coeffs[-1]) * self.rmax ** self.order)
 
     def warn_if_tail_large(self, stacklevel: int = 2) -> float:
         """Warn with TruncationTail if the tail at rmax exceeds TAIL_REPORT_BAR,

@@ -182,6 +182,16 @@ class TestTrace:
         assert rc == 4
         assert "not crossed" in err
 
+    @pytest.mark.parametrize("rmax", ["-0.9", "0"])
+    def test_nonpositive_trace_radius(self, capsys, tmp_path, rmax):
+        out = tmp_path / "x.csv"
+        rc, _, err = run(
+            capsys, "trace", "--map", "identity", "--c", "0.75", "--trace-rmax", rmax, "--out", str(out)
+        )
+        assert rc == 2
+        assert "rmax must be positive" in err
+        assert not out.exists()
+
     def test_vanishing_normal_at_start(self, capsys, tmp_path):
         out = tmp_path / "none.csv"
         rc, _, err = run(

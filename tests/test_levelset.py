@@ -132,6 +132,14 @@ class TestLevelStart:
         with pytest.raises(ValueError):
             cm.find_level_start(cm.identity(), -0.2)
 
+    @pytest.mark.parametrize("rmax", [-0.9, 0.0, float("nan")])
+    def test_positive_search_radius_required(self, rmax):
+        # with rmax = -0.9 the scan runs over the opposite ray, and its
+        # reversed bracket ends the bisection at once, near -0.5 with a
+        # residual of 1.2e-5
+        with pytest.raises(ValueError, match="rmax must be positive"):
+            cm.find_level_start(cm.identity(), 0.75, theta=0.0, rmax=rmax)
+
 
 class TestIdentityTrace:
     def test_circle(self):
@@ -309,17 +317,21 @@ def patch_identity(monkeypatch, component: int, value):
 
 class TestIterateChecks:
     """A Newton iterate's derivatives, and the f of an accepted point, are
-    held to the rules of ``jet_of``."""
+    held to the rules of ``jet_of``: both take the one checked point route."""
+
+    CALLS = (lambda: cm.trace_level_set(cm.identity(), 0.5), lambda: cm.jet_of(cm.identity(), 0.3))
 
     def test_nonfinite_second_derivative(self, monkeypatch):
         patch_identity(monkeypatch, 2, np.nan)
-        with pytest.raises(ValueError, match="jet component f2 is not finite"):
-            cm.trace_level_set(cm.identity(), 0.5)
+        for call in self.CALLS:
+            with pytest.raises(ValueError, match="jet component f2 is not finite at z = "):
+                call()
 
     def test_vanishing_first_derivative(self, monkeypatch):
         patch_identity(monkeypatch, 1, 0.0)
-        with pytest.raises(cm.SingularPoint):
-            cm.trace_level_set(cm.identity(), 0.5)
+        for call in self.CALLS:
+            with pytest.raises(cm.SingularPoint):
+                call()
 
     def test_nonfinite_value_of_an_accepted_point(self, monkeypatch):
         patch_identity(monkeypatch, 0, np.inf)
@@ -344,6 +356,20 @@ class TestNormalVanishes:
         assert len(partial) >= 5
         assert partial.residual.max() <= RESIDUAL_TARGET
         assert np.abs(partial.p).min() < 5e-4
+
+    def test_backward_march_partial_curve(self):
+        # the forward march reaches rmax; the backward one runs into the
+        # saddle, so the partial curve is the reversed backward points, then
+        # z0, then the forward ones
+        m = saddle_map()
+        z0 = saddle_start().conjugate()
+        with pytest.raises(cm.NormalVanished) as exc_info:
+            cm.trace_level_set(m, z0, step=2e-5, max_points=4000, rmax=0.002)
+        partial = exc_info.value.curve
+        assert partial.termination == "normal_vanished"
+        assert len(partial) == 99
+        assert partial.z[23] == z0
+        assert np.abs(np.diff(partial.z)).max() <= 2e-5 * (1.0 + 1e-9)
 
     def test_pointwise_guard(self):
         with pytest.raises(cm.NormalVanished):
@@ -370,6 +396,8 @@ class TestValidation:
     def test_start_outside_radius(self):
         with pytest.raises(ValueError):
             cm.trace_level_set(cm.identity(), 0.97)
+        with pytest.raises(ValueError, match="outside the tracing radius nan"):
+            cm.trace_level_set(cm.halfplane(), 0.3, rmax=float("nan"))
 
     def test_trace_respects_series_radius(self):
         # certified radius 0.6 clips the default 0.95 tracing disk; the
