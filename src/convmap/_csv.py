@@ -107,142 +107,61 @@ def _layout_tables():
 _SHIFT_B, _KEEP_A, _KEEP_B, _CONST = _layout_tables()
 
 
-class _BlockFormatter:
-    """Formats blocks of rows x ncols cells.  The work arrays are allocated
-    once and reused for every block: fresh temporaries of a block's size
-    would be paged in again for each one."""
+def _fast(v: np.ndarray, last: np.ndarray):
+    """(cells, ok): each cell of v in its fixed-point layout, a row of three
+    words (last is 1 where a cell ends its row), and where that is exact
+    (elsewhere the words are meaningless)."""
+    a = np.abs(v)
+    ok = (a >= 9e-5) & (a < 1e17)
+    a[~ok] = 3.0  # any value off a power of ten
+    lg = np.log10(a)
+    X = np.floor(lg).astype(np.int64)
+    edge = np.flatnonzero(np.abs(np.rint(lg) - lg) < 1e-9)
+    y = a.astype(np.longdouble)
+    if edge.size:  # log10 may have rounded across a power of ten
+        Xe = np.clip(X[edge], -5, 16)  # 17 where log10 rounded up to it
+        ye = y[edge] * _P10_128[16 - Xe]
+        X[edge] = Xe + (ye >= 128e17) - (ye < 128e16)
+    y *= _P10_128.take(16 - X, mode="clip")  # y 2^7
+    Y = y.astype(np.uint64)  # truncated
+    half = np.flatnonzero(Y & np.uint64(127) == 64)
+    ok[half[y[half] == Y[half]]] = False  # y on a half-integer
+    # below 10^17: no carry (see the module docstring)
+    D = ((Y + np.uint64(64)) >> np.uint64(7)).view(np.int64)
+    ok &= X >= _X_MIN
+    X[~ok] = 0
 
-    def __init__(self, rows: int, ncols: int):
-        n = rows * ncols
-        last = np.zeros(ncols, dtype=np.intp)
-        last[-1] = 1
-        self.last = np.tile(last, rows)
-        # layout index of a positive cell with X = 0 and 17 digits
-        self.lay_base = self.last * (2 * _NX * 17) + (-_X_MIN * 17 + 16)
-        self.a, self.lg, self.f = np.empty((3, n))
-        self.y, self.p = np.empty((2, n), dtype=np.longdouble)
-        self.X, self.D, self.hi, self.g1, self.lay, self.i = np.empty((6, n), dtype=np.int64)
-        self.Y, self.u, self.t = np.empty((3, n), dtype=np.uint64)
-        self.eight, self.g_hi, self.g_lo = np.empty((3, 2, n), dtype=np.int64)
-        self.digits, self.A, self.B, self.K = np.empty((4, _WORDS, n), dtype=np.uint64)
-        self.ok, self.b = np.empty((2, n), dtype=bool)
-        self.cells = np.empty((n, _WORDS), dtype=np.uint64)
+    hi = D // 10**8
+    g1 = hi // 10**8
+    e = np.stack([hi - g1 * 10**8, D - hi * 10**8])  # digits 1-8 and 9-16
+    g_hi = e // 10**4
+    g_lo = e - g_hi * 10**4
+    d0 = (g1 + ord("0")).view(np.uint64) << np.uint64(56) | np.uint64(_ZEROS7)
+    d = np.concatenate([d0[None], _ASCII4.take(g_hi, mode="clip") | _ASCII4_HI.take(g_lo, mode="clip")])
 
-    def _fast(self, v: np.ndarray) -> np.ndarray:
-        """Writes the fixed-point layout of each cell of v into self.cells;
-        returns where it is exact (elsewhere the words are meaningless)."""
-        a, lg, f, X, ok, b = self.a, self.lg, self.f, self.X, self.ok, self.b
-        np.abs(v, out=a)
-        np.greater_equal(a, 9e-5, out=ok)
-        np.less(a, 1e17, out=b)
-        ok &= b
-        np.copyto(a, 3.0, where=~ok)  # any value off a power of ten
-        np.log10(a, out=lg)
-        np.floor(lg, out=f)
-        np.copyto(X, f, casting="unsafe")
-        np.rint(lg, out=f)
-        f -= lg
-        np.abs(f, out=f)
-        np.less(f, 1e-9, out=b)
-        edge = np.flatnonzero(b)
-        y, Y, u, D = self.y, self.Y, self.u, self.D.view(np.uint64)
-        np.copyto(y, a)
-        if edge.size:  # log10 may have rounded across a power of ten
-            Xe = np.clip(X[edge], -5, 16)  # 17 where log10 rounded up to it
-            ye = y[edge] * _P10_128[16 - Xe]
-            X[edge] = Xe + (ye >= 128e17) - (ye < 128e16)
-        np.subtract(16, X, out=self.i)
-        np.take(_P10_128, self.i, out=self.p, mode="clip")
-        y *= self.p  # y 2^7
-        np.copyto(Y, y, casting="unsafe")  # truncated
-        np.bitwise_and(Y, np.uint64(127), out=u)
-        np.equal(u, 64, out=b)
-        half = np.flatnonzero(b)
-        ok[half[y[half] == Y[half]]] = False  # y on a half-integer
-        np.add(Y, 64, out=D)
-        D >>= np.uint64(7)  # below 10^17: no carry (see the module docstring)
-        D = self.D
-        np.greater_equal(X, _X_MIN, out=b)
-        ok &= b
-        np.copyto(X, 0, where=~ok)
+    # layout index: a positive cell with X = 0 and 17 digits, then the
+    # separator, the sign and X
+    lay = (-_X_MIN * 17 + 16) + last * (2 * _NX * 17) + np.signbit(v) * (_NX * 17) + X * 17
+    # one layout per trailing zero digit (g1 >= 1, so at most 16)
+    rest = np.flatnonzero(d[2] >> np.uint64(56) == ord("0"))
+    for g in (g_lo[1], g_hi[1], g_lo[0], g_hi[0]):
+        if not rest.size:
+            break
+        gr = g[rest]
+        lay[rest] -= _TZ4[gr]
+        rest = rest[gr == 0]
 
-        hi, g1, e, g_hi, g_lo, d = self.hi, self.g1, self.eight, self.g_hi, self.g_lo, self.digits
-        np.floor_divide(D, 10**8, out=hi)
-        np.floor_divide(hi, 10**8, out=g1)
-        np.multiply(g1, 10**8, out=e[0])
-        np.subtract(hi, e[0], out=e[0])  # digits 1-8
-        np.multiply(hi, 10**8, out=e[1])
-        np.subtract(D, e[1], out=e[1])  # digits 9-16
-        np.floor_divide(e, 10**4, out=g_hi)
-        np.multiply(g_hi, 10**4, out=g_lo)
-        np.subtract(e, g_lo, out=g_lo)
-        np.take(_ASCII4, g_hi, out=d[1:], mode="clip")
-        np.take(_ASCII4_HI, g_lo, out=self.K[1:], mode="clip")
-        d[1:] |= self.K[1:]
-        np.add(g1, ord("0"), out=d[0], casting="unsafe")
-        d[0] <<= np.uint64(56)
-        d[0] |= np.uint64(_ZEROS7)
-
-        lay = self.lay
-        np.signbit(v, out=b)
-        np.multiply(b, _NX * 17, out=lay)
-        lay += self.lay_base
-        np.multiply(X, 17, out=self.i)
-        lay += self.i
-        # one layout per trailing zero digit (g1 >= 1, so at most 16)
-        np.right_shift(d[2], np.uint64(56), out=u)
-        np.equal(u, ord("0"), out=b)
-        rest = np.flatnonzero(b)
-        for g in (g_lo[1], g_hi[1], g_lo[0], g_hi[0]):
-            if not rest.size:
-                break
-            gr = g[rest]
-            lay[rest] -= _TZ4[gr]
-            rest = rest[gr == 0]
-
-        # the three words of a cell shift as one little-endian integer, so
-        # the characters move t/8 bytes down (8 <= t <= 48)
-        A, B, K, t = self.A, self.B, self.K, self.t
-        np.take(_SHIFT_B, lay, out=t, mode="clip")
-        np.right_shift(d, t, out=B)
-        np.subtract(64, t, out=t)
-        np.left_shift(d[1:], t, out=K[1:])
-        B[:-1] |= K[1:]
-        np.right_shift(B, np.uint64(8), out=A)
-        np.left_shift(B[1:], np.uint64(56), out=K[1:])
-        A[:-1] |= K[1:]
-        np.take(_KEEP_A, lay, axis=1, out=K, mode="clip")
-        A &= K
-        np.take(_KEEP_B, lay, axis=1, out=K, mode="clip")
-        B &= K
-        A |= B
-        np.take(_CONST, lay, axis=1, out=K, mode="clip")
-        np.bitwise_or(A, K, out=self.cells.T)
-        return ok
-
-    def format(self, block: np.ndarray, blank: np.ndarray | None) -> bytes:
-        """The CSV bytes of the rows of a float64 block; the cells where the
-        flat mask blank is True stay empty."""
-        v, last, cells = block.ravel(), self.last, self.cells
-        if _FAST:
-            with np.errstate(all="ignore"):
-                ok = self._fast(v)
-        else:
-            ok = np.zeros(v.size, dtype=bool)
-        empty = np.flatnonzero(blank) if blank is not None else np.zeros(0, dtype=np.intp)
-        ok[empty] = True
-        slow = np.flatnonzero(~ok)
-        if slow.size:
-            fmts = (b"%.17g,", b"%.17g\n")
-            text = [fmts[e] % x for x, e in zip(v[slow].tolist(), last[slow].tolist())]
-            width = -(-max(map(len, text)) // 8)
-            if width > _WORDS:  # a 24-byte '-d.dddddddddddddddde-ddd' and its separator
-                cells = np.hstack([cells, np.zeros((v.size, width - _WORDS), dtype=np.uint64)])
-            cells[slow] = np.array(text, dtype=f"S{8 * cells.shape[1]}").view("<u8").reshape(slow.size, -1)
-        if empty.size:
-            cells[empty] = 0
-            cells[empty, 0] = np.frombuffer(_SEPS, dtype=np.uint8)[last[empty]]
-        return cells.tobytes().translate(None, b"\0")
+    # the three words of a cell shift as one little-endian integer, so
+    # the characters move t/8 bytes down (8 <= t <= 48)
+    t = _SHIFT_B.take(lay, mode="clip")
+    B = d >> t
+    B[:-1] |= d[1:] << (np.uint64(64) - t)
+    A = B >> np.uint64(8)
+    A[:-1] |= B[1:] << np.uint64(56)
+    cells = A & _KEEP_A.take(lay, axis=1, mode="clip")
+    cells |= B & _KEEP_B.take(lay, axis=1, mode="clip")
+    cells |= _CONST.take(lay, axis=1, mode="clip")
+    return np.stack(cells, axis=1), ok  # a cell's words side by side: cheaper than a strided tobytes
 
 
 def write_rows(fp, cols, blank=None) -> None:
@@ -252,15 +171,31 @@ def write_rows(fp, cols, blank=None) -> None:
     fp may be a binary or a text stream.  Rows go out BLOCK_ROWS at a time,
     so only one block is ever held as text."""
     cols = [np.asarray(c, dtype=np.float64) for c in cols]
-    nrows = cols[0].size
+    nrows, ncols = cols[0].size, len(cols)
     if blank is not None:
-        blank = np.broadcast_to(blank, (nrows, len(cols)))
-    text = isinstance(fp, io.TextIOBase)
-    formatter = None
+        blank = np.broadcast_to(blank, (nrows, ncols))
+    as_text = isinstance(fp, io.TextIOBase)
+    fmts = (b"%.17g,", b"%.17g\n")
+    last = np.tile(np.arange(ncols) == ncols - 1, min(nrows, BLOCK_ROWS)).astype(np.intp)  # ends a row
     for lo in range(0, nrows, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, nrows)
-        if formatter is None or hi - lo != BLOCK_ROWS:
-            formatter = _BlockFormatter(hi - lo, len(cols))
-        block = np.stack([c[lo:hi] for c in cols], axis=1)
-        data = formatter.format(block, None if blank is None else blank[lo:hi].ravel())
-        fp.write(data.decode("ascii") if text else data)
+        v = np.stack([c[lo:hi] for c in cols], axis=1).ravel()
+        if _FAST:
+            with np.errstate(all="ignore"):
+                cells, ok = _fast(v, last[: v.size])
+        else:
+            cells, ok = np.zeros((v.size, _WORDS), dtype="<u8"), np.zeros(v.size, dtype=bool)
+        empty = np.flatnonzero(blank[lo:hi]) if blank is not None else np.zeros(0, dtype=np.intp)
+        ok[empty] = True
+        slow = np.flatnonzero(~ok)
+        if slow.size:
+            text = [fmts[e] % x for x, e in zip(v[slow].tolist(), last[slow].tolist())]
+            width = -(-max(map(len, text)) // 8)
+            if width > _WORDS:  # a 24-byte '-d.dddddddddddddddde-ddd' and its separator
+                cells = np.hstack([cells, np.zeros((v.size, width - _WORDS), dtype=cells.dtype)])
+            cells[slow] = np.array(text, dtype=f"S{8 * cells.shape[1]}").view("<u8").reshape(slow.size, -1)
+        if empty.size:
+            cells[empty] = 0
+            cells[empty, 0] = np.frombuffer(_SEPS, dtype=np.uint8)[last[empty]]
+        data = cells.tobytes().translate(None, b"\0")
+        fp.write(data.decode("ascii") if as_text else data)

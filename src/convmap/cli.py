@@ -217,12 +217,12 @@ def cmd_trace(args, m: MapSpec) -> int:
 
 def _curvature_columns(m: MapSpec, grid: GridSpec):
     """The curvature-map columns over the grid, and the mask of the cells
-    left empty; the other grid fields are dropped on return."""
-    vals = grid_functionals(m, grid)
+    left empty; grid fields that neither they nor curvatures read go first."""
+    vals = {k: v for k, v in grid_functionals(m, grid).items() if k not in ("g", "P", "rhs3", "nehari", "density")}
     zs = vals["z"]
     with np.errstate(divide="ignore", invalid="ignore"):
         _, kappa = curvatures(vals, vals["f1"])
-    cols = (zs.real, zs.imag, vals["lhs1"], vals["lhs1"] - vals["rhs3"], vals["km"], kappa)
+    cols = (zs.real, zs.imag, vals["lhs1"], vals["slack3"], vals["km"], kappa)
     blank = np.zeros((zs.size, len(cols)), dtype=bool)
     blank[:, -1] = np.abs(vals["p"]) <= P_MIN  # kappa is undefined there
     return cols, blank

@@ -91,12 +91,14 @@ def curvature_fields(z, f1, f2, f3) -> dict:
 
 def fields(z, f1, f2, f3) -> dict:
     """Every pointwise field of the jet (z, f', f'', f''') at a point or an
-    array: ``curvature_fields`` and rhs3, km, nehari and density, each
-    documented at its scalar view below.  f' must not vanish."""
+    array: ``curvature_fields`` and rhs3, slack3 = lhs1 - rhs3, km, nehari
+    and density, each documented at its scalar view below.  f' must not
+    vanish."""
     fld = curvature_fields(z, f1, f2, f3)
     om, aS = fld["om"], abs(fld["S"])
     nehari = om * om * aS
     fld["rhs3"] = fld["rhs2"] + 0.5 * om * aS
+    fld["slack3"] = fld["lhs1"] - fld["rhs3"]
     fld["km"] = nehari + 2.0 * abs(fld["p"]) ** 2
     fld["nehari"] = nehari
     fld["density"] = 1.0 / fld["g"]
@@ -179,7 +181,7 @@ def equivalence_identity(j: Jet) -> float:
     """|(2 - km) - 2 (1 - |z|^2) (lhs1 - rhs3)|; identically zero in exact
     arithmetic, so the result is a pure roundoff gauge."""
     fld = fields_at(j)
-    return abs((2.0 - fld["km"]) - 2.0 * fld["om"] * (fld["lhs1"] - fld["rhs3"]))
+    return abs((2.0 - fld["km"]) - 2.0 * fld["om"] * fld["slack3"])
 
 
 def schwarz_pick_slack(j: Jet):
@@ -298,7 +300,7 @@ def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None
     vals = grid_functionals(m, grid)
     zs = vals["z"]
     slack1 = vals["lhs1"]  # the classical bound compares against zero
-    slack3 = vals["lhs1"] - vals["rhs3"]
+    slack3 = vals["slack3"]
     i1 = int(np.argmin(slack1))
     i3 = int(np.argmin(slack3))
     ik = int(np.argmax(vals["km"]))

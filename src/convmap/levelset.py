@@ -54,17 +54,19 @@ def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEF
     """First point on the ray arg z = theta (r increasing from 0 to rmax)
     where g(z) = c, located by scan plus bisection to residual <= 1e-12.
 
-    Raises ValueError unless rmax > 0, and LevelNotOnRay when no sign
-    change of g - c shows up among the ray samples.
+    Raises ValueError unless c is positive and finite, theta is finite and
+    rmax > 0, and LevelNotOnRay when no sign change of g - c shows up among
+    the ray samples.
     """
-    c = float(c)
-    if c <= 0.0:
-        raise ValueError("level constant must be positive")
-    rmax = float(rmax)
+    c, theta, rmax = float(c), float(theta), float(rmax)
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"level constant must be positive and finite, got {c:g}")
+    if not math.isfinite(theta):
+        raise ValueError(f"the ray angle theta must be finite, got {theta:g}")
     if not rmax > 0.0:  # a NaN too: a reversed bracket ends on the opposite ray
         raise ValueError(f"the search radius rmax must be positive, got {rmax:g}")
     rmax = min(rmax, certified_rmax(m))
-    u = np.exp(1j * float(theta))
+    u = np.exp(1j * theta)
     rs = np.linspace(0.0, rmax, _START_SAMPLES)
     err = level_value(m, rs * u) - c
 
@@ -77,7 +79,7 @@ def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEF
     if hits.size == 0:
         raise LevelNotOnRay(
             f"g ranges over [{float(err.min() + c):.6g}, {float(err.max() + c):.6g}] "
-            f"on the ray arg z = {float(theta):.6g}; level c = {c:g} is not crossed"
+            f"on the ray arg z = {theta:.6g}; level c = {c:g} is not crossed"
         )
     i = int(hits[0])
     lo, hi = float(rs[i]), float(rs[i + 1])
@@ -309,18 +311,20 @@ def trace_level_set(
     """
     z0 = complex(z0)
     step = float(step)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step:g}")
     if max_points < 2:
         raise ValueError("max_points must be at least 2")
     rmax = min(float(rmax), certified_rmax(m))
     if not abs(z0) <= rmax:  # a NaN rmax too
         raise ValueError(f"|z0| = {abs(z0):.6g} is outside the tracing radius {rmax:g}")
+    if not rmax > 0.0:
+        raise ValueError(f"the tracing radius rmax must be positive, got {rmax:g}")
     f, f1, f2, f3 = _jet_at(m, z0)
     g0 = _level(z0, f1)[1]
     if c is None:
         c = g0
-    elif abs(g0 - float(c)) > START_RESIDUAL_BAR:
+    elif not abs(g0 - float(c)) <= START_RESIDUAL_BAR:  # a NaN c too
         raise ValueError(f"g(z0) = {g0:.12g} does not sit on the level c = {float(c):.12g}")
     c = float(c)
     p0 = _normal(z0, f1, f2)[3]

@@ -159,6 +159,9 @@ class MapSpec:
                 object.__setattr__(self, "order", DEFAULT_ORDER)
             if self.series is None:
                 object.__setattr__(self, "series", _herglotz_series(self.phi, self.order, DEFAULT_RMAX))
+        for name, entries in (("pre", self.pre), ("post", self.post)):
+            if entries is not None and not all(map(cmath.isfinite, map(complex, entries))):
+                raise ValueError(f"{name}composition entries must be finite, got {entries}")
         if self.pre is not None:
             a, theta = complex(self.pre[0]), float(self.pre[1])
             if abs(a) >= 1.0:

@@ -98,6 +98,23 @@ class TestCheck:
         rc, _, err = run(capsys, "check", "--map", str(bad))
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "composition",
+        [{"pre": {"a": [float("nan"), 0.0]}}, {"pre": {"a": [0.2, 0.0], "theta": float("inf")}},
+         {"post": {"offset": [float("inf"), 0.0]}}],
+        ids=["pre-a-nan", "pre-theta-inf", "post-offset-inf"],
+    )
+    def test_nonfinite_composition(self, capsys, tmp_path, composition):
+        # json writes and reads these as the literals NaN and Infinity
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"type": "polygon", "params": {"n": 5}, **composition}))
+        out = tmp_path / "x.csv"
+        for argv in (["check"], ["trace", "--c", "0.8", "--out", str(out)]):
+            rc, _, err = run(capsys, *argv, "--map", str(spec))
+            assert rc == 1
+            assert "must be finite" in err
+        assert not out.exists()
+
     def test_missing_params_json(self, capsys, tmp_path):
         bad = tmp_path / "sector.json"
         bad.write_text(json.dumps({"type": "sector", "params": {}}))
@@ -182,14 +199,24 @@ class TestTrace:
         assert rc == 4
         assert "not crossed" in err
 
-    @pytest.mark.parametrize("rmax", ["-0.9", "0"])
-    def test_nonpositive_trace_radius(self, capsys, tmp_path, rmax):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trace-rmax", "-0.9", "rmax must be positive"),
+            ("--trace-rmax", "0", "rmax must be positive"),
+            ("--c", "nan", "level constant must be positive and finite"),
+            ("--theta", "nan", "theta must be finite"),
+        ],
+        ids=["-0.9", "0", "c-nan", "theta-nan"],
+    )
+    def test_nonpositive_trace_radius(self, capsys, tmp_path, flag, value, message):
+        # a start that admits no trace is an evaluation error, not an unmet level
         out = tmp_path / "x.csv"
-        rc, _, err = run(
-            capsys, "trace", "--map", "identity", "--c", "0.75", "--trace-rmax", rmax, "--out", str(out)
-        )
+        args = {"--c": "0.75", flag: value}
+        argv = [token for pair in args.items() for token in pair]
+        rc, _, err = run(capsys, "trace", "--map", "identity", *argv, "--out", str(out))
         assert rc == 2
-        assert "rmax must be positive" in err
+        assert message in err
         assert not out.exists()
 
     def test_vanishing_normal_at_start(self, capsys, tmp_path):

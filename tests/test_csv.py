@@ -114,8 +114,9 @@ def test_the_fast_path_takes_most_cells():
         pytest.skip("long double has no 64-bit mantissa here: every cell takes Python's '%'")
     rng = np.random.default_rng(23)
     v = rng.standard_normal(6 * 1000) * 10.0 ** rng.integers(-3, 10, 6 * 1000)
+    last = np.tile(np.arange(6) == 5, 1000).astype(np.intp)
     with np.errstate(all="ignore"):
-        ok = _csv._BlockFormatter(1000, 6)._fast(v)
+        _, ok = _csv._fast(v, last)
     # left to Python: values whose y lands on a half-integer, and |v| < 9e-5
     assert ok.mean() > 0.97
 

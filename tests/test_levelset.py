@@ -131,6 +131,12 @@ class TestLevelStart:
     def test_positive_level_required(self):
         with pytest.raises(ValueError):
             cm.find_level_start(cm.identity(), -0.2)
+        for c in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                cm.find_level_start(cm.identity(), c)
+        for theta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                cm.find_level_start(cm.identity(), 0.75, theta=theta)
 
     @pytest.mark.parametrize("rmax", [-0.9, 0.0, float("nan")])
     def test_positive_search_radius_required(self, rmax):
@@ -386,8 +392,9 @@ class TestValidation:
         assert curve.c == pytest.approx(0.75)
 
     def test_bad_step(self):
-        with pytest.raises(ValueError):
-            cm.trace_level_set(cm.identity(), 0.5, step=0.0)
+        for step in (0.0, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                cm.trace_level_set(cm.identity(), 0.5, step=step)
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
@@ -398,6 +405,11 @@ class TestValidation:
             cm.trace_level_set(cm.identity(), 0.97)
         with pytest.raises(ValueError, match="outside the tracing radius nan"):
             cm.trace_level_set(cm.halfplane(), 0.3, rmax=float("nan"))
+        # no step fits in a zero radius: once a one-point curve ending in "radius"
+        with pytest.raises(ValueError, match="tracing radius rmax must be positive"):
+            cm.trace_level_set(cm.halfplane(), 0j, rmax=0.0)
+        with pytest.raises(ValueError, match="does not sit on the level c = nan"):
+            cm.trace_level_set(cm.identity(), 0.5, c=float("nan"))
 
     def test_trace_respects_series_radius(self):
         # certified radius 0.6 clips the default 0.95 tracing disk; the

@@ -416,6 +416,15 @@ class TestJson:
                 cm.map_from_json({"type": "polygon" if "n" in params else "herglotz", "params": params})
         with pytest.raises(ValueError):
             cm.map_from_json({"type": "polygon", "params": {"n": 10**400}})  # beyond any float
+        nan, inf = float("nan"), float("inf")  # json reads NaN and Infinity literals as these
+        for composition in (
+            {"pre": {"a": [nan, 0.0]}},
+            {"pre": {"a": [0.2, 0.0], "theta": inf}},
+            {"post": {"offset": [inf, 0.0]}},
+            {"post": {"scale": [1.0, nan]}},
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                cm.map_from_json({"type": "polygon", "params": {"n": 5}, **composition})
 
     def test_integral_floats_still_load(self):
         assert cm.map_from_json({"type": "polygon", "params": {"n": 5.0}}).n == 5

@@ -80,6 +80,8 @@ run closed-curvature-koebe curvature-map --map koebe --out closed-curvature-koeb
 run closed-curvature-identity curvature-map --map identity --out closed-curvature-identity.csv
 run closed-curvature-polygon5-400 curvature-map --map polygon --n 5 --nr 400 --ntheta 400 \
     --out closed-curvature-polygon5-400.csv
+# three blocks of rows with empty kappa cells (the strip's real axis)
+run closed-curvature-strip-100 curvature-map --map strip --nr 100 --ntheta 100 --out closed-curvature-strip-100.csv
 
 # series maps
 run series-gen-random gen --phi-random 4 --seed 7 --out series-gen-random.json
