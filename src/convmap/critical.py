@@ -18,6 +18,7 @@ from .functionals import (
     phi_grid,
     phi_values,
     poincare_density,
+    slack_tolerance,
 )
 from .grid import GridSpec
 from .maps import MapSpec, PhiSpec, certified_points, identity, jet_derivatives, jet_fields, jet_of
@@ -28,6 +29,14 @@ NEWTON_WINDOW = 8  # iterations without a new least |p| fail a seed (it cycles)
 SEED_COUNT = 40
 DISTINCT_SEP = 1e-3
 DEGENERATE_COUNT = 5
+# a root whose Jacobian's smallest over largest singular value is at most
+# this is taken as rank 1, on a possible degenerate locus
+RANK_TOL = 1e-6
+# at a rank-1 root, this many kernel-line points within LOCUS_SPAN of it
+# are polished; so close, the line stays near a curved locus (a composed
+# strip's) and their Newton steps are short
+LOCUS_SAMPLES = 9
+LOCUS_SPAN = 0.1
 CLASSIFY_TOL = 1e-8
 CLASSIFY_GRID = GridSpec(16, 24, 0.8)  # before default_grid clamps it to the map
 INTERIOR_CAP = 0.999
@@ -37,9 +46,11 @@ INTERIOR_CAP = 0.999
 class CriticalResult:
     """Outcome of the search for zeros of p.
 
-    kind is "unique" (one zero, the density minimum sits there),
-    "degenerate" (five or more pairwise-distinct zeros; ``locus`` samples
-    them), or "none" (no zero found inside the search radius).
+    kind is "unique" (one zero, the density minimum sits there; ``locus``
+    holds the zeros found, (z,) on the theorem path), "degenerate" (five or
+    more pairwise-distinct zeros; ``locus`` samples them), or "none" (no
+    zero found inside the search radius; a zero beyond it, up to
+    INTERIOR_CAP, is reported only when a Newton seed reaches it).
     residual_floor is min |p| over the scan grid, a useful scale even when
     no zero exists.
     """
@@ -63,7 +74,7 @@ def _min_norm_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.einsum("nij,ni->nj", vh, coef)
 
 
-def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """2-d Newton on (Re p, Im p) over (x, y) from every seed at once.
 
     p contains conj(z), so the Jacobian is a genuine real 2x2, taken exactly
@@ -72,11 +83,13 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
     A seed fails when an iterate leaves the disk (|z| >= INTERIOR_CAP) or the
     map's certified points, when its step stalls below 1e-15 with |p| >
     NEWTON_TOL, or when NEWTON_WINDOW iterations bring no new least |p|.
-    Returns the final iterates and |p| at convergence, inf for a seed that
-    failed or ran out of iterations.
+    Returns the final iterates, |p| at convergence (inf for a seed that
+    failed or ran out of iterations) and the Jacobian at convergence (NaN
+    for a seed that did not converge).
     """
     z = np.array(seeds, dtype=complex)
     ap_root = np.full(z.shape, np.inf)
+    jac_root = np.full(z.shape + (2, 2), np.nan)
     stalled = np.zeros(z.shape, dtype=bool)
     best = np.full(z.shape, np.inf)
     best_at = np.zeros(z.shape, dtype=int)
@@ -89,47 +102,38 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
         jets = jet_derivatives(m, zl)
         check_jets(*jets, "at a Newton iterate")
         p, dp_dz, dp_dzb = normal_derivatives(zl, *jets)
+        px, py = dp_dz + dp_dzb, 1j * (dp_dz - dp_dzb)
+        jac = np.moveaxis(np.array([[px.real, py.real], [px.imag, py.imag]]), -1, 0)
         ap = np.abs(p)
         done = ap <= NEWTON_TOL
-        ap_root[live[done]] = ap[done]
+        ap_root[live[done]], jac_root[live[done]] = ap[done], jac[done]
         gain = ap < best[live]
         best[live[gain]], best_at[live[gain]] = ap[gain], it
         run = ~done & ~stalled[live] & (it - best_at[live] < NEWTON_WINDOW)
-        live, zl, p, dp_dz, dp_dzb = live[run], zl[run], p[run], dp_dz[run], dp_dzb[run]
-        px, py = dp_dz + dp_dzb, 1j * (dp_dz - dp_dzb)
-        jac = np.moveaxis(np.array([[px.real, py.real], [px.imag, py.imag]]), -1, 0)
+        live, zl, p, jac = live[run], zl[run], p[run], jac[run]
         delta = _min_norm_solve(jac, -np.stack([p.real, p.imag], -1))
         dz = delta[:, 0] + 1j * delta[:, 1]
         dz = dz * (0.2 / np.maximum(np.abs(dz), 0.2))  # steps capped at 0.2
         z[live] = zl + dz
         stalled[live] = np.abs(dz) < 1e-15
         live = live[np.abs(z[live]) < INTERIOR_CAP]
-    return z, ap_root
+    return z, ap_root, jac_root
 
 
-def find_critical_point(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -> CriticalResult:
-    """Scan |p| on a polar grid (a GridSpec, by default ``default_grid``) or
-    an array of points, polish the best seeds by Newton, and report the zero
-    set of p.
-
-    The SEED_COUNT grid points of least |p| and the origin run one batched
-    Newton with the exact Jacobian; the converged roots, taken in order of
-    their final |p|, are merged when closer than DISTINCT_SEP.
-    """
-    vals = grid_functionals(m, default_grid(m) if grid is None else grid)
-    zs = vals["z"]
-    ap = np.abs(vals["p"])
-    floor = float(ap.min())
-    order = np.argsort(ap)
-    # the origin is a natural extra seed; grids exclude it
-    z, ap_root = _newton_zeros(m, np.append(zs[order[:SEED_COUNT]], 0j))
+def _distinct_roots(z: np.ndarray, ap_root: np.ndarray) -> list[complex]:
+    """The converged Newton roots inside INTERIOR_CAP in order of their final
+    |p|, each kept unless it lies within DISTINCT_SEP of one kept before."""
     found = np.flatnonzero(np.isfinite(ap_root) & (np.abs(z) < INTERIOR_CAP))
     reps: list[complex] = []
     for i in found[np.argsort(ap_root[found], kind="stable")]:
         root = complex(z[i])
         if all(abs(root - r) > DISTINCT_SEP for r in reps):
             reps.append(root)
+    return reps
 
+
+def _result(m: MapSpec, reps: list[complex], floor: float) -> CriticalResult:
+    """The result for the distinct zeros ``reps``, least |p| first."""
     if len(reps) >= DEGENERATE_COUNT:
         return CriticalResult("degenerate", None, None, tuple(reps), floor)
     if reps:
@@ -137,6 +141,77 @@ def find_critical_point(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -
         best = reps[0]
         return CriticalResult("unique", best, poincare_density(jet_of(m, best)), tuple(reps), floor)
     return CriticalResult("none", None, None, (), floor)
+
+
+def _theorem_search(m: MapSpec, vals: dict, floor: float) -> CriticalResult | None:
+    """The search on a map whose scan reads convex, where the paper's theorem
+    leaves p at most one zero (the density minimum) unless the image is a
+    half-plane or a strip; None when it cannot decide.
+
+    One Newton seed runs from the grid argmax of g.  A root whose Jacobian
+    has full rank (smallest over largest singular value above RANK_TOL) is
+    the zero.  At a rank-1 root, LOCUS_SAMPLES points along the kernel
+    direction, inside the scan radius, are polished too, and at least
+    DEGENERATE_COUNT distinct zeros make the locus.  A failed seed means
+    "none" when the argmax lies on the scan's outermost ring and g still
+    grows outward there (dg/dr = -2 |f'| Re(p e^{i theta}) > 0, that is
+    Re(p z) < 0): each superlevel set of g is the preimage of a convex
+    sublevel set of the density, so it is connected, and a maximum of g
+    inside the scan would have to reach that rim point through values above
+    every grid value.  A zero past the rim counts when the seed converges to
+    it (polygon(5) precomposed with 0.92); one that the seed overshoots, out
+    of the disk, is not looked for further.
+    """
+    zs, p = vals["z"], vals["p"]
+    i = int(np.argmax(vals["g"]))
+    z, ap_root, jac = _newton_zeros(m, zs[i : i + 1])
+    radius = float(np.abs(zs).max())
+    if not _distinct_roots(z, ap_root):
+        # one ring's points share |z| up to rounding
+        on_rim = abs(zs[i]) >= radius * (1.0 - 1e-9)
+        if on_rim and (p[i] * zs[i]).real < 0.0:
+            return CriticalResult("none", None, None, (), floor)
+        return None
+    root = complex(z[0])
+    _, sv, vh = np.linalg.svd(jac[0])
+    if sv[1] > RANK_TOL * sv[0]:
+        return _result(m, [root], floor)
+    # the kernel line root + t v meets the disk |z| < radius (or the circle
+    # through the root, should Newton have left the scan) for t in b +- h
+    v = complex(vh[1, 0], vh[1, 1])
+    b = -(root * v.conjugate()).real
+    h = np.sqrt(b * b + max(radius, abs(root)) ** 2 - abs(root) ** 2)
+    t = np.linspace(max(b - h, -LOCUS_SPAN), min(b + h, LOCUS_SPAN), LOCUS_SAMPLES + 2)[1:-1]
+    reps = _distinct_roots(*_newton_zeros(m, root + t * v)[:2])
+    return _result(m, reps, floor) if len(reps) >= DEGENERATE_COUNT else None
+
+
+def find_critical_point(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -> CriticalResult:
+    """Scan |p| on a polar grid (a GridSpec, by default ``default_grid``) or
+    a nonempty array of points, polish seeds by Newton, and report the zero
+    set of p.
+
+    When the scan reads convex (min lhs1 >= -``slack_tolerance``, the rule
+    of ``convexity_report``'s verdict), ``_theorem_search`` decides from one
+    seed.  Otherwise, or when it cannot decide, the SEED_COUNT grid points
+    of least |p| and the origin run one batched Newton, and the converged
+    roots, taken in order of their final |p|, are merged when closer than
+    DISTINCT_SEP.  Raises ValueError on an empty scan.
+    """
+    vals = grid_functionals(m, default_grid(m) if grid is None else grid)
+    zs = vals["z"]
+    if not zs.size:
+        raise ValueError("find_critical_point needs a nonempty scan; the array of points is empty")
+    ap = np.abs(vals["p"])
+    floor = float(ap.min())
+    if vals["lhs1"].min() >= -slack_tolerance(m):
+        res = _theorem_search(m, vals, floor)
+        if res is not None:
+            return res
+    order = np.argsort(ap)
+    # the origin is a natural extra seed; grids exclude it
+    z, ap_root, _ = _newton_zeros(m, np.append(zs[order[:SEED_COUNT]], 0j))
+    return _result(m, _distinct_roots(z, ap_root), floor)
 
 
 @dataclass(frozen=True)

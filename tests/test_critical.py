@@ -7,7 +7,7 @@ import pytest
 
 import convmap as cm
 import convmap.critical as critical
-from convmap.critical import NEWTON_TOL, _newton_zeros
+from convmap.critical import DEGENERATE_COUNT, NEWTON_TOL, _newton_zeros
 from convmap.functionals import normal_derivatives
 
 SECTOR_FLOOR = 0.4999999999999997  # default-grid minimum, pinned as a regression
@@ -18,6 +18,22 @@ def gen_quiet(phi, order=192, rmax=0.8):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cm.TruncationTail)
         return cm.gen_herglotz(phi, order=order, rmax=rmax)
+
+
+def counting_batches(monkeypatch) -> list:
+    """Count the Newton jet batches of the search: ``jet_derivatives`` calls."""
+    real, calls = critical.jet_derivatives, [0]
+
+    def counted(m, z):
+        calls[0] += 1
+        return real(m, z)
+
+    monkeypatch.setattr(critical, "jet_derivatives", counted)
+    return calls
+
+
+def composed(m):
+    return m.precomposed(0.25 - 0.15j, 0.7).postcomposed(1.5 - 0.5j, 1 + 1j)
 
 
 class TestCriticalPoints:
@@ -111,7 +127,7 @@ class TestNewton:
 
     def test_a_seed_leaving_the_certified_radius_fails_alone(self):
         m = gen_quiet(cm.PhiSpec.polynomial([0.4 + 0.2j, 0.0, 0.45])).precomposed(0.1)
-        z, ap = _newton_zeros(m, [0.75 + 0.1j, 0.2])
+        z, ap, _ = _newton_zeros(m, [0.75 + 0.1j, 0.2])
         # the first seed's last iterate lies outside the certified disk ...
         assert ap[0] == np.inf
         with pytest.raises(cm.RadiusExceeded):
@@ -124,16 +140,70 @@ class TestNewton:
         # |p| = 1 on the whole half plane; a seed here settles into a cycle
         # of iterates at |p| = 1 +- 2e-14, which ran all 60 iterations before
         # the window
-        real, calls = critical.jet_derivatives, [0]
-
-        def counted(m, z):
-            calls[0] += 1
-            return real(m, z)
-
-        monkeypatch.setattr(critical, "jet_derivatives", counted)
+        calls = counting_batches(monkeypatch)
         res = cm.find_critical_point(cm.halfplane().precomposed(-0.25 + 0.16j, 3.45))
         assert res.kind == "none"
         assert calls[0] <= 2 * critical.NEWTON_WINDOW < critical.NEWTON_MAX_ITER
+
+
+class TestTheoremPath:
+    def test_a_composed_sector_reads_none_within_two_batches(self, monkeypatch):
+        # its 41 seeds creep for 22 batches
+        calls = counting_batches(monkeypatch)
+        m = cm.sector(0.5).precomposed(-0.023 + 0.299j, 4.715).postcomposed(-0.92 + 0.09j, 1.0 - 2.7j)
+        res = cm.find_critical_point(m)
+        assert res.kind == "none" and res.locus == ()
+        assert calls[0] <= 2
+
+    def test_a_composed_strip_reads_degenerate(self):
+        m = cm.strip().precomposed(0.07 - 0.29j, 1.9).postcomposed(0.8 + 0.9j, -0.3 - 0.8j)
+        res = cm.find_critical_point(m)
+        assert res.kind == "degenerate" and res.z is None
+        assert len(res.locus) >= DEGENERATE_COUNT
+        gaps = [abs(a - b) for i, a in enumerate(res.locus) for b in res.locus[:i]]
+        assert min(gaps) > critical.DISTINCT_SEP
+        assert max(abs(cm.p_field(cm.jet_of(m, z))) for z in res.locus) <= NEWTON_TOL
+
+    def test_a_minimum_past_the_scan_radius_is_still_found(self):
+        # the grid argmax of g lies on the outer ring (0.9), with g growing
+        # outward: the outward seed finds the zero at -0.92
+        res = cm.find_critical_point(cm.polygon(5).precomposed(0.92))
+        assert res.kind == "unique"
+        assert res.z == pytest.approx(-0.92, abs=1e-9)
+        assert res.locus == (res.z,)
+
+    def test_an_empty_scan_is_refused(self):
+        with pytest.raises(ValueError, match="empty"):
+            cm.find_critical_point(cm.polygon(5), np.array([], dtype=complex))
+
+    def test_agrees_with_the_seed_scan(self, monkeypatch):
+        zoo = [cm.identity(), cm.halfplane(), cm.strip(), *(cm.sector(a) for a in (0.25, 0.5, 0.75)),
+               *(cm.polygon(n) for n in (3, 5, 7))]
+        # phi = 0.95 z: the Jacobian's singular values at the zero are 2.6e-2
+        # apart in ratio, yet it must read unique
+        gens = [gen_quiet(cm.PhiSpec.polynomial(c)) for c in ([0.0, 0.95], [0.2, 0.3j], [0.3, 0.2j, -0.25])]
+        maps = zoo + [composed(m) for m in zoo] + gens
+        real, decided = critical._theorem_search, []
+
+        def recorded(*args):
+            res = real(*args)
+            decided.append(res is not None)
+            return res
+
+        monkeypatch.setattr(critical, "_theorem_search", recorded)
+        fast = [cm.find_critical_point(m) for m in maps]
+        assert decided == [True] * len(maps)
+        monkeypatch.setattr(critical, "_theorem_search", lambda *args: None)
+        for m, a in zip(maps, fast):
+            b = cm.find_critical_point(m)
+            assert a.kind == b.kind
+            assert a.residual_floor == b.residual_floor
+            if a.kind == "unique":
+                assert abs(a.z - b.z) <= 1e-9
+                assert a.density_min == pytest.approx(b.density_min, rel=1e-9)
+        assert [r.kind for r in fast[:9]] == ["unique", "none", "degenerate", "none", "none", "none",
+                                              "unique", "unique", "unique"]
+        assert fast[-3].kind == "unique"
 
 
 class TestPhiClassification:
