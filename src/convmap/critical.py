@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvmapError
+from .errors import ConvmapError, RadiusExceeded
 from .functionals import (
+    _normal,
     check_jets,
     default_grid,
     grid_functionals,
@@ -21,7 +22,16 @@ from .functionals import (
     slack_tolerance,
 )
 from .grid import GridSpec
-from .maps import MapSpec, PhiSpec, certified_points, identity, jet_derivatives, jet_fields, jet_of
+from .maps import (
+    MapSpec,
+    PhiSpec,
+    certified_points,
+    certified_rmax,
+    identity,
+    jet_derivatives,
+    jet_fields,
+    jet_of,
+)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
@@ -32,11 +42,15 @@ DEGENERATE_COUNT = 5
 # a root whose Jacobian's smallest over largest singular value is at most
 # this is taken as rank 1, on a possible degenerate locus
 RANK_TOL = 1e-6
-# at a rank-1 root, this many kernel-line points within LOCUS_SPAN of it
-# are polished; so close, the line stays near a curved locus (a composed
-# strip's) and their Newton steps are short
-LOCUS_SAMPLES = 9
-LOCUS_SPAN = 0.1
+# the ascent of g from a maximum near the rim: points per geodesic, evenly
+# spaced in hyperbolic length out to the edge of the search disk, and
+# geodesics at most
+ASCENT_SAMPLES = 8
+ASCENT_STEPS = 8
+# hyperbolic distances from a rank-1 root, both ways along its kernel
+# direction, of the points that sample a strip's locus (a geodesic); near
+# the circle, p is too inexact for them to polish below NEWTON_TOL
+LOCUS_STEPS = np.array([0.25, 0.5, 0.75, 1.0, -0.25, -0.5, -0.75, -1.0])
 CLASSIFY_TOL = 1e-8
 CLASSIFY_GRID = GridSpec(16, 24, 0.8)  # before default_grid clamps it to the map
 INTERIOR_CAP = 0.999
@@ -46,11 +60,12 @@ INTERIOR_CAP = 0.999
 class CriticalResult:
     """Outcome of the search for zeros of p.
 
-    kind is "unique" (one zero, the density minimum sits there; ``locus``
-    holds the zeros found, (z,) on the theorem path), "degenerate" (five or
-    more pairwise-distinct zeros; ``locus`` samples them), or "none" (no
-    zero found inside the search radius; a zero beyond it, up to
-    INTERIOR_CAP, is reported only when a Newton seed reaches it).
+    kind is "unique" (one zero, the density minimum sits there),
+    "degenerate" (five or more pairwise-distinct zeros), or "none" (no zero
+    found inside the search radius).  ``locus`` holds the distinct zeros
+    found, least |p| first, on either search path: for "unique" the zero z
+    and any others short of DEGENERATE_COUNT, for "degenerate" a sample of
+    the locus, for "none" nothing.
     residual_floor is min |p| over the scan grid, a useful scale even when
     no zero exists.
     """
@@ -143,6 +158,22 @@ def _result(m: MapSpec, reps: list[complex], floor: float) -> CriticalResult:
     return CriticalResult("none", None, None, (), floor)
 
 
+def _geodesic(w: complex, u: complex, t) -> np.ndarray:
+    """The points at hyperbolic distances t (in the metric 2|dz|/(1-|z|^2))
+    along the geodesic that leaves w in the unit direction u: the image of
+    the diameter through u under the disk automorphism taking 0 to w."""
+    s = np.tanh(np.asarray(t) / 2.0)
+    return (s * u + w) / (1.0 + w.conjugate() * s * u)
+
+
+def _distance_to(w: complex, u: complex, edge: float) -> float:
+    """The hyperbolic distance from w along that geodesic to |z| = edge."""
+    # |z| = edge is a quadratic in s = tanh(t / 2)
+    b, w2, e2 = (w.conjugate() * u).real, abs(w) ** 2, edge * edge
+    c = 1.0 - e2 * w2
+    return 2.0 * np.arctanh((np.sqrt((b * (1.0 - e2)) ** 2 + c * (e2 - w2)) - b * (1.0 - e2)) / c)
+
+
 def _theorem_search(m: MapSpec, vals: dict, floor: float) -> CriticalResult | None:
     """The search on a map whose scan reads convex, where the paper's theorem
     leaves p at most one zero (the density minimum) unless the image is a
@@ -150,39 +181,65 @@ def _theorem_search(m: MapSpec, vals: dict, floor: float) -> CriticalResult | No
 
     One Newton seed runs from the grid argmax of g.  A root whose Jacobian
     has full rank (smallest over largest singular value above RANK_TOL) is
-    the zero.  At a rank-1 root, LOCUS_SAMPLES points along the kernel
-    direction, inside the scan radius, are polished too, and at least
-    DEGENERATE_COUNT distinct zeros make the locus.  A failed seed means
-    "none" when the argmax lies on the scan's outermost ring and g still
-    grows outward there (dg/dr = -2 |f'| Re(p e^{i theta}) > 0, that is
-    Re(p z) < 0): each superlevel set of g is the preimage of a convex
-    sublevel set of the density, so it is connected, and a maximum of g
-    inside the scan would have to reach that rim point through values above
-    every grid value.  A zero past the rim counts when the seed converges to
-    it (polygon(5) precomposed with 0.92); one that the seed overshoots, out
-    of the disk, is not looked for further.
+    the zero.  A rank-1 root lies on a strip's locus, the preimage of the
+    strip's center line; the reflection in that line pulls back to a
+    reflection of the disk, so the locus is the geodesic along the kernel
+    direction.  The points LOCUS_STEPS away on it are polished in one batch,
+    and DEGENERATE_COUNT distinct zeros among them make the locus.
+
+    When the argmax lies on the scan's two outermost rings, a seed from it
+    can start far from a zero near the rim and overshoot it, so g is climbed
+    first: from the current point w, ASCENT_SAMPLES points on the geodesic
+    along the steepest ascent -conj(p(w)), out to the edge of the search
+    disk (INTERIOR_CAP, or the certified radius if smaller), are evaluated
+    in one jet batch, and w moves to the best of them.  The seed starts
+    where no point beats w.  When the best point is the one on the edge, the
+    result is "none": a convex image other than a strip has a zero of p
+    exactly when it is bounded (on an unbounded one the density falls along
+    every recession direction), and then g -> 0 at the circle, so an ascent
+    that reaches the edge would have to be climbing to a zero beside it.
+    A failed seed, too few locus points, or a climb of ASCENT_STEPS
+    geodesics is left to the seed scan.
     """
-    zs, p = vals["z"], vals["p"]
-    i = int(np.argmax(vals["g"]))
-    z, ap_root, jac = _newton_zeros(m, zs[i : i + 1])
-    radius = float(np.abs(zs).max())
-    if not _distinct_roots(z, ap_root):
-        # one ring's points share |z| up to rounding
-        on_rim = abs(zs[i]) >= radius * (1.0 - 1e-9)
-        if on_rim and (p[i] * zs[i]).real < 0.0:
-            return CriticalResult("none", None, None, (), floor)
+    zs, p, g = vals["z"], vals["p"], vals["g"]
+    i = int(np.argmax(g))
+    w, pw, gw = zs[i], p[i], g[i]
+    # the radius of the second outermost ring; one ring's points share |z|
+    # up to rounding (np.unique here would cost a megabyte of peak memory)
+    radii = np.abs(zs)
+    inner = radii[radii < radii.max() * (1.0 - 1e-9)]
+    if abs(w) >= (inner.max() if inner.size else radii.max()) * (1.0 - 1e-9):
+        try:
+            edge = min(INTERIOR_CAP, certified_rmax(m))
+        except RadiusExceeded:  # no disk about 0 is certified
+            return None
+        if abs(w) >= edge:  # no room past the rim
+            return None
+        for _ in range(ASCENT_STEPS):
+            if abs(pw) <= NEWTON_TOL:
+                break
+            u = -pw.conjugate() / abs(pw)
+            pts = _geodesic(w, u, _distance_to(w, u, edge) * np.arange(1, ASCENT_SAMPLES + 1) / ASCENT_SAMPLES)
+            jets = jet_derivatives(m, pts)
+            check_jets(*jets, "on an ascent of g")
+            _, gs, _, ps = _normal(pts, *jets[:2])
+            j = int(np.argmax(gs))
+            if gs[j] <= gw:
+                break
+            if j == ASCENT_SAMPLES - 1:
+                return CriticalResult("none", None, None, (), floor)
+            w, pw, gw = pts[j], ps[j], gs[j]
+        else:
+            return None
+    z, ap_root, jac = _newton_zeros(m, [w])
+    reps = _distinct_roots(z, ap_root)
+    if not reps:
         return None
-    root = complex(z[0])
     _, sv, vh = np.linalg.svd(jac[0])
     if sv[1] > RANK_TOL * sv[0]:
-        return _result(m, [root], floor)
-    # the kernel line root + t v meets the disk |z| < radius (or the circle
-    # through the root, should Newton have left the scan) for t in b +- h
-    v = complex(vh[1, 0], vh[1, 1])
-    b = -(root * v.conjugate()).real
-    h = np.sqrt(b * b + max(radius, abs(root)) ** 2 - abs(root) ** 2)
-    t = np.linspace(max(b - h, -LOCUS_SPAN), min(b + h, LOCUS_SPAN), LOCUS_SAMPLES + 2)[1:-1]
-    reps = _distinct_roots(*_newton_zeros(m, root + t * v)[:2])
+        return _result(m, reps, floor)
+    pts = _geodesic(reps[0], complex(*vh[1]), LOCUS_STEPS)
+    reps = _distinct_roots(*_newton_zeros(m, np.append(reps[0], pts))[:2])
     return _result(m, reps, floor) if len(reps) >= DEGENERATE_COUNT else None
 
 
@@ -192,11 +249,12 @@ def find_critical_point(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -
     set of p.
 
     When the scan reads convex (min lhs1 >= -``slack_tolerance``, the rule
-    of ``convexity_report``'s verdict), ``_theorem_search`` decides from one
-    seed.  Otherwise, or when it cannot decide, the SEED_COUNT grid points
-    of least |p| and the origin run one batched Newton, and the converged
-    roots, taken in order of their final |p|, are merged when closer than
-    DISTINCT_SEP.  Raises ValueError on an empty scan.
+    of ``convexity_report``'s verdict), ``_theorem_search`` first tries to
+    decide from one Newton seed, after an ascent of g when its grid maximum
+    lies on the rim.  Otherwise, or when it cannot decide, the SEED_COUNT
+    grid points of least |p| and the origin run one batched Newton, and the
+    converged roots, taken in order of their final |p|, are merged when
+    closer than DISTINCT_SEP.  Raises ValueError on an empty scan.
     """
     vals = grid_functionals(m, default_grid(m) if grid is None else grid)
     zs = vals["z"]

@@ -12,6 +12,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvmapError, PhiOutOfRange, RadiusExceeded, SingularPoint
 from .grid import GridSpec, grid_points
@@ -24,7 +25,6 @@ from .series import (
     certify,
     in_radius,
     point_columns,
-    polyval,
     series_exp,
     series_integrate,
     series_inv,
@@ -84,7 +84,7 @@ class PhiSpec:
         """Evaluate at scalar or array z."""
         z = np.asarray(z, dtype=complex)
         if self.kind == "poly":
-            return polyval(z, self.coeffs)
+            return npoly.polyval(z, np.asarray(self.coeffs))
         out = np.full(z.shape, np.exp(1j * self.theta), dtype=complex)
         if self.kind == "const":
             return out

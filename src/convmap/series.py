@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import RadiusExceeded, TruncationTail
 from .grid import GridSpec
@@ -139,7 +140,7 @@ def derivative_table(coeffs: np.ndarray) -> np.ndarray:
     """Stacked coefficient columns for f, f', f'', f''', zero padded.
 
     Column j holds the coefficients of the j-th derivative, so one Horner
-    pass (``polyval``) evaluates the whole jet.
+    pass (``numpy.polynomial.polynomial.polyval``) evaluates the whole jet.
     """
     c = np.asarray(coeffs, dtype=complex)
     table = np.zeros((c.size, 4), dtype=complex)
@@ -148,20 +149,6 @@ def derivative_table(coeffs: np.ndarray) -> np.ndarray:
         k = np.arange(1, c.size - j + 1)
         table[: k.size, j] = table[1 : k.size + 1, j - 1] * k
     return table
-
-
-def polyval(x, c):
-    """The polynomials with float or complex coefficients c (ascending along
-    the first axis, one polynomial per trailing index) at every point of x,
-    shaped c.shape[1:] + x.shape: the Horner steps of NumPy's
-    ``numpy.polynomial.polynomial.polyval``, in its order, so to its bits,
-    without importing ``numpy.polynomial``."""
-    x, c = np.asarray(x), np.asarray(c)
-    c = c.reshape(c.shape + (1,) * x.ndim)
-    c0 = c[-1] + x * 0
-    for i in range(2, len(c) + 1):
-        c0 = c[-i] + c0 * x
-    return c0
 
 
 def _takes_products(size: int, rows: int) -> bool:
@@ -187,7 +174,7 @@ def eval_table(table: np.ndarray, z, start: int = 0, stop: int | None = None):
         return tuple(point_columns(table, z)[start:stop])
     n = table.shape[0]
     if not _takes_products(z.size, n):
-        return tuple(polyval(z, table[:, start:stop]))
+        return tuple(npoly.polyval(z, table[:, start:stop]))
     powers = np.empty(z.shape + (n,), dtype=complex)
     powers[..., 0] = 1.0
     powers[..., 1:] = z[..., None]

@@ -415,14 +415,6 @@ class TestConsoleScript:
         assert "Traceback" not in proc.stderr
 
 
-class TestImports:
-    def test_the_cli_module_loads_no_numpy_polynomial(self):
-        code = "import sys, convmap.cli; print('numpy.polynomial' in sys.modules)"
-        proc = run_in_tree("-c", code, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-
 class TestModuleEntry:
     def test_python_m_convmap_matches_cli_module(self):
         argv = ("check", "--map", "identity")

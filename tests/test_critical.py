@@ -147,13 +147,36 @@ class TestNewton:
 
 
 class TestTheoremPath:
-    def test_a_composed_sector_reads_none_within_two_batches(self, monkeypatch):
-        # its 41 seeds creep for 22 batches
+    @pytest.mark.parametrize("a, theta, alpha, batches", [
+        # rotated so that its boundary point at infinity is z = 1, on a ray of
+        # the default grid: the first geodesic of the ascent reaches the edge
+        (0.3j, -2 * np.angle(1 + 0.3j), 0.75, 1),
+        # off the grid's rays: the ascent bends toward the point at infinity
+        (-0.023 + 0.299j, 4.715, 0.5, 5),
+    ])
+    def test_a_composed_sector_climbs_to_none(self, monkeypatch, a, theta, alpha, batches):
+        # their 41 seeds creep for 23 and 22 batches
         calls = counting_batches(monkeypatch)
-        m = cm.sector(0.5).precomposed(-0.023 + 0.299j, 4.715).postcomposed(-0.92 + 0.09j, 1.0 - 2.7j)
+        m = cm.sector(alpha).precomposed(a, theta).postcomposed(-0.92 + 0.09j, 1.0 - 2.7j)
         res = cm.find_critical_point(m)
         assert res.kind == "none" and res.locus == ()
-        assert calls[0] <= 2
+        assert calls[0] <= batches
+
+    @pytest.mark.parametrize("a", [0.97, 0.97 * np.exp(0.3j), 0.995])
+    def test_a_minimum_between_the_rim_and_the_cap_is_found(self, a):
+        # a Newton seed from the rim (0.9) overshoots the zero at -a out of
+        # the disk; the ascent of g stops beside it first (the 41 seeds miss
+        # the zero at -0.995)
+        res = cm.find_critical_point(cm.polygon(3).precomposed(a, 0.2))
+        assert res.kind == "unique"
+        assert res.z == pytest.approx(-a, abs=1e-9)
+
+    @pytest.mark.parametrize("a", [0.98, 0.98j])
+    def test_a_locus_between_the_rim_and_the_cap_is_found(self, a):
+        m = cm.strip().precomposed(a, 0.5)
+        res = cm.find_critical_point(m)
+        assert res.kind == "degenerate"
+        assert max(abs(cm.p_field(cm.jet_of(m, z))) for z in res.locus) <= NEWTON_TOL
 
     def test_a_composed_strip_reads_degenerate(self):
         m = cm.strip().precomposed(0.07 - 0.29j, 1.9).postcomposed(0.8 + 0.9j, -0.3 - 0.8j)
@@ -166,11 +189,20 @@ class TestTheoremPath:
 
     def test_a_minimum_past_the_scan_radius_is_still_found(self):
         # the grid argmax of g lies on the outer ring (0.9), with g growing
-        # outward: the outward seed finds the zero at -0.92
+        # outward; the ascent and its seed find the zero
         res = cm.find_critical_point(cm.polygon(5).precomposed(0.92))
         assert res.kind == "unique"
         assert res.z == pytest.approx(-0.92, abs=1e-9)
-        assert res.locus == (res.z,)
+
+    def test_a_scan_off_the_certified_disk_about_0(self):
+        # the precomposition center lies outside the series radius, so no
+        # disk about 0 is certified, yet the scanned points are; the grid
+        # maximum of g is the outermost point, short of the zero
+        m = gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=64).precomposed(0.85)
+        pts = -0.7 * np.exp(0.035j) * np.linspace(0.8, 1.0, 9) + 0.01j * np.array([0, 1, -1, 1, -1, 1, -1, 1, 0])
+        res = cm.find_critical_point(m, pts)
+        assert res.kind == "unique"
+        assert abs(cm.p_field(cm.jet_of(m, res.z))) <= NEWTON_TOL
 
     def test_an_empty_scan_is_refused(self):
         with pytest.raises(ValueError, match="empty"):

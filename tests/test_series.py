@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as npoly
 import convmap as cm
 import convmap.levelset as levelset
 from convmap.functionals import _level
-from convmap.series import MIN_ORDER, RADIUS_SLACK, derivative_table, eval_grid, eval_table, polyval
+from convmap.series import MIN_ORDER, RADIUS_SLACK, derivative_table, eval_grid, eval_table
 
 from .oracles import fd_jet
 
@@ -139,16 +139,6 @@ class TestEvaluation:
         s = geometric(10, 0.5)
         with pytest.raises(cm.RadiusExceeded):
             cm.series_eval_jet(s, 0.6)
-
-    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
-    @pytest.mark.parametrize("ncols", [None, 4])
-    def test_polyval_matches_numpy_to_the_bit(self, shape, ncols):
-        rng = np.random.default_rng(len(shape) + (ncols or 0))
-        z = np.asarray(0.9 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)))
-        c = rng.standard_normal((24,) if ncols is None else (24, ncols)) * (1 - 0.5j)
-        got, want = polyval(z, c), npoly.polyval(z, c)
-        assert got.shape == want.shape == c.shape[1:] + z.shape
-        np.testing.assert_array_equal(got, want)
 
 
 class TestScalarFastPath:
