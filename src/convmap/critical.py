@@ -198,8 +198,10 @@ def _theorem_search(m: MapSpec, vals: dict, floor: float) -> CriticalResult | No
     exactly when it is bounded (on an unbounded one the density falls along
     every recession direction), and then g -> 0 at the circle, so an ascent
     that reaches the edge would have to be climbing to a zero beside it.
-    A failed seed, too few locus points, or a climb of ASCENT_STEPS
-    geodesics is left to the seed scan.
+    A failed seed, too few locus points, a climb of ASCENT_STEPS geodesics,
+    or a climb that reaches the certified radius of a precomposed series
+    map (whose certified points, and so Newton, reach past it) is left to
+    the seed scan.
     """
     zs, p, g = vals["z"], vals["p"], vals["g"]
     i = int(np.argmax(g))
@@ -227,6 +229,10 @@ def _theorem_search(m: MapSpec, vals: dict, floor: float) -> CriticalResult | No
             if gs[j] <= gw:
                 break
             if j == ASCENT_SAMPLES - 1:
+                # a precomposed series is certified on a disk off center,
+                # which reaches past its certified radius about 0
+                if edge < INTERIOR_CAP and m.pre is not None:
+                    return None
                 return CriticalResult("none", None, None, (), floor)
             w, pw, gw = pts[j], ps[j], gs[j]
         else:

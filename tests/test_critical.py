@@ -9,6 +9,7 @@ import convmap as cm
 import convmap.critical as critical
 from convmap.critical import DEGENERATE_COUNT, NEWTON_TOL, _newton_zeros
 from convmap.functionals import normal_derivatives
+from convmap.maps import certified_rmax
 
 SECTOR_FLOOR = 0.4999999999999997  # default-grid minimum, pinned as a regression
 KOEBE_FLOOR = 1.0163944111290606
@@ -170,6 +171,17 @@ class TestTheoremPath:
         res = cm.find_critical_point(cm.polygon(3).precomposed(a, 0.2))
         assert res.kind == "unique"
         assert res.z == pytest.approx(-a, abs=1e-9)
+
+    def test_a_minimum_past_the_certified_radius_about_0_is_found(self):
+        # precomposed, the series is certified on a disk off center: the
+        # ascent reaches the certified radius about 0 short of the zero,
+        # which the seed scan then finds
+        phi = cm.PhiSpec.polynomial([0.1365 + 0.1226j, -0.1704 + 0.1758j])
+        m = gen_quiet(phi, rmax=0.9).precomposed(-0.3686 - 0.4385j, 3.656)
+        res = cm.find_critical_point(m)
+        assert res.kind == "unique"
+        assert abs(res.z) > certified_rmax(m)
+        assert abs(cm.p_field(cm.jet_of(m, res.z))) <= NEWTON_TOL
 
     @pytest.mark.parametrize("a", [0.98, 0.98j])
     def test_a_locus_between_the_rim_and_the_cap_is_found(self, a):
