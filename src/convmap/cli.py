@@ -30,7 +30,7 @@ import numpy as np
 
 from .critical import PhiClass
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished, PhiOutOfRange
-from .functionals import ConvexityReport, convexity_report, curvatures, grid_functionals
+from .functionals import CURVATURE_KEYS, ConvexityReport, convexity_report, curvatures, grid_functionals
 from .grid import GridSpec
 from .levelset import (
     DEFAULT_MAX_POINTS,
@@ -217,8 +217,8 @@ def cmd_trace(args, m: MapSpec) -> int:
 
 def _curvature_columns(m: MapSpec, grid: GridSpec):
     """The curvature-map columns over the grid, and the mask of the cells
-    left empty; grid fields that neither they nor curvatures read go first."""
-    vals = {k: v for k, v in grid_functionals(m, grid).items() if k not in ("g", "P", "rhs3", "nehari", "density")}
+    left empty."""
+    vals = grid_functionals(m, grid, ("z", "f1", "slack3", "km", *CURVATURE_KEYS))
     zs = vals["z"]
     with np.errstate(divide="ignore", invalid="ignore"):
         _, kappa = curvatures(vals, vals["f1"])

@@ -16,6 +16,7 @@ from .functionals import (
     default_grid,
     grid_functionals,
     normal_derivatives,
+    p_field,
     phi_grid,
     phi_values,
     poincare_density,
@@ -135,14 +136,17 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return z, ap_root, jac_root
 
 
-def _distinct_roots(z: np.ndarray, ap_root: np.ndarray) -> list[complex]:
+def _distinct_roots(m: MapSpec, z: np.ndarray, ap_root: np.ndarray) -> list[complex]:
     """The converged Newton roots inside INTERIOR_CAP in order of their final
-    |p|, each kept unless it lies within DISTINCT_SEP of one kept before."""
+    |p|, each kept unless it lies within DISTINCT_SEP of one kept before or
+    its |p| through ``jet_of`` exceeds NEWTON_TOL: a batch of jets and a
+    single point can differ in the last bits, and near the circle that moves
+    |p| across the tolerance."""
     found = np.flatnonzero(np.isfinite(ap_root) & (np.abs(z) < INTERIOR_CAP))
     reps: list[complex] = []
     for i in found[np.argsort(ap_root[found], kind="stable")]:
         root = complex(z[i])
-        if all(abs(root - r) > DISTINCT_SEP for r in reps):
+        if all(abs(root - r) > DISTINCT_SEP for r in reps) and abs(p_field(jet_of(m, root))) <= NEWTON_TOL:
             reps.append(root)
     return reps
 
@@ -224,7 +228,8 @@ def _theorem_search(m: MapSpec, vals: dict, floor: float) -> CriticalResult | No
             pts = _geodesic(w, u, _distance_to(w, u, edge) * np.arange(1, ASCENT_SAMPLES + 1) / ASCENT_SAMPLES)
             jets = jet_derivatives(m, pts)
             check_jets(*jets, "on an ascent of g")
-            _, gs, _, ps = _normal(pts, *jets[:2])
+            n = _normal(pts, *jets[:2])
+            gs, ps = n["g"], n["p"]
             j = int(np.argmax(gs))
             if gs[j] <= gw:
                 break
@@ -238,14 +243,14 @@ def _theorem_search(m: MapSpec, vals: dict, floor: float) -> CriticalResult | No
         else:
             return None
     z, ap_root, jac = _newton_zeros(m, [w])
-    reps = _distinct_roots(z, ap_root)
+    reps = _distinct_roots(m, z, ap_root)
     if not reps:
         return None
     _, sv, vh = np.linalg.svd(jac[0])
     if sv[1] > RANK_TOL * sv[0]:
         return _result(m, reps, floor)
     pts = _geodesic(reps[0], complex(*vh[1]), LOCUS_STEPS)
-    reps = _distinct_roots(*_newton_zeros(m, np.append(reps[0], pts))[:2])
+    reps = _distinct_roots(m, *_newton_zeros(m, np.append(reps[0], pts))[:2])
     return _result(m, reps, floor) if len(reps) >= DEGENERATE_COUNT else None
 
 
@@ -262,7 +267,7 @@ def find_critical_point(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -
     converged roots, taken in order of their final |p|, are merged when
     closer than DISTINCT_SEP.  Raises ValueError on an empty scan.
     """
-    vals = grid_functionals(m, default_grid(m) if grid is None else grid)
+    vals = grid_functionals(m, default_grid(m) if grid is None else grid, ("z", "p", "g", "lhs1"))
     zs = vals["z"]
     if not zs.size:
         raise ValueError("find_critical_point needs a nonempty scan; the array of points is empty")
@@ -275,7 +280,7 @@ def find_critical_point(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -
     order = np.argsort(ap)
     # the origin is a natural extra seed; grids exclude it
     z, ap_root, _ = _newton_zeros(m, np.append(zs[order[:SEED_COUNT]], 0j))
-    return _result(m, _distinct_roots(z, ap_root), floor)
+    return _result(m, _distinct_roots(m, z, ap_root), floor)
 
 
 @dataclass(frozen=True)

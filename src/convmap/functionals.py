@@ -1,8 +1,11 @@
-"""Pointwise diagnostics of a disk map, all from one field kernel: ``fields``
-and ``curvatures`` hold every formula once.  They use only arithmetic,
-``abs``, ``.conjugate()`` and ``.real``, so the same lines run on Python
-complex scalars and on NumPy arrays; the scalar functions here are views of
-them at one jet.
+"""Pointwise diagnostics of a disk map, all from one field kernel:
+``_FORMULAS`` and ``curvatures`` hold every formula once.  They use only
+arithmetic, ``abs``, ``.conjugate()`` and ``.real``, so the same lines run
+on Python complex scalars and on NumPy arrays; the scalar functions here are
+views of them at one jet.  A grid caller names the fields it reads, and the
+kernel frees every other array right after its last use: on a 10,000-point
+grid each is 80-160 KB, and paging in fresh memory costs more than the
+arithmetic on it.
 
 Sign conventions: slackN = lhsN - rhsN, so convexity means slack1 >= 0 and
 the strengthened bounds mean slack2, slack3 >= 0.  With P = f''/f' and
@@ -16,6 +19,7 @@ positive k.  The generator phi = P / (2 + z P) is defined where
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,18 +53,83 @@ def _unimodular_instance():
 UNIMODULAR = _Unimodular()
 
 
-def _level(z, f1):
-    """(1 - |z|^2, g) with the level function g = (1 - |z|^2)|f'|."""
-    om = 1.0 - abs(z) ** 2
-    return om, om * abs(f1)
+_JET = ("z", "f1", "f2", "f3")
+
+# Every formula of the kernel, once: an expression in the jet and in the
+# fields above it, so that the order is an order of evaluation.  P and S
+# come first, so that f'' and f''' can go before anything else is formed.
+_FORMULAS = {
+    "P": "f2 / f1",
+    "S": "f3 / f1 - 1.5 * P * P",
+    "om": "1.0 - abs(z) ** 2",
+    "g": "om * abs(f1)",
+    "p": "z.conjugate() - 0.5 * om * P",
+    "lhs1": "1.0 + (z * P).real",
+    "rhs2": "0.25 * om * abs(P) ** 2",
+    "aS": "abs(S)",
+    "nehari": "om * om * aS",
+    "rhs3": "rhs2 + 0.5 * om * aS",
+    "slack3": "lhs1 - rhs3",
+    "km": "nehari + 2.0 * abs(p) ** 2",
+    "density": "1.0 / g",
+}
+# the values each formula reads (its co_names also hold abs, conjugate, real)
+_ARGS = {
+    name: [n for n in compile(expr, name, "eval").co_names if n in _JET or n in _FORMULAS]
+    for name, expr in _FORMULAS.items()
+}
+FIELDS = ("om", "g", "P", "S", "p", "lhs1", "rhs2", "rhs3", "slack3", "km", "nehari", "density")
+CURVATURE_KEYS = ("om", "S", "p", "lhs1", "rhs2")  # what ``curvatures`` reads
+GRID_KEYS = ("z", "f1", *FIELDS)
 
 
-def _normal(z, f1, f2):
-    """(1 - |z|^2, g, P, p) with P = f''/f' and the normal p: all that the
-    scalar hot loops (tracer, critical search) need; ``fields`` starts here."""
-    om, g = _level(z, f1)
-    P = f2 / f1
-    return om, g, P, z.conjugate() - 0.5 * om * P
+@functools.cache
+def _kernel(keys: tuple, handover: bool = False):
+    """The field kernel for ``keys`` (names in _JET and _FORMULAS): a function
+    of the jet (z, f', f'', f''') that evaluates in _FORMULAS order the
+    formulas that keys need, deletes each value after its last reader unless
+    keys names it, and returns the dict of keys.  With ``handover`` it
+    takes the jet as one list and empties it, so that the caller holds no
+    reference and f'' and f''' are freed too; a grid caller does this.
+    Each kernel is compiled once into straight-line code, so that a single
+    point pays only its arithmetic (a loop over the formulas costs three
+    times that).
+    """
+    unknown = set(keys).difference(_JET, _FORMULAS)
+    if unknown:
+        raise ValueError(f"no field named {', '.join(sorted(unknown))}")
+    need = set(keys)
+    for name in reversed(_FORMULAS):  # a formula's arguments come before it
+        if name in need:
+            need.update(_ARGS[name])
+    steps = [name for name in _FORMULAS if name in need]
+    last = {arg: name for name in steps for arg in _ARGS[name]}
+    lines = [f"{', '.join(_JET)} = jets", "jets.clear()"] if handover else []
+    lines += [f"del {arg}" for arg in _JET if arg not in last and arg not in keys]
+    for name in steps:
+        lines.append(f"{name} = {_FORMULAS[name]}")
+        lines += [f"del {arg}" for arg in _ARGS[name] if last[arg] == name and arg not in keys]
+    lines.append(f"return {{{', '.join(f'{key!r}: {key}' for key in keys)}}}")
+    namespace: dict = {}
+    signature = "jets" if handover else "z, f1, f2=None, f3=None"
+    exec(f"def kernel({signature}):\n    " + "\n    ".join(lines), namespace)
+    return namespace["kernel"]
+
+
+def fields(z, f1, f2, f3, keys=FIELDS) -> dict:
+    """The pointwise fields named by ``keys`` (by default all of FIELDS) of
+    the jet (z, f', f'', f''') at a point or an array: om = 1 - |z|^2,
+    g = om |f'|, P = f''/f', S, p, lhs1, rhs2, rhs3, slack3 = lhs1 - rhs3,
+    km, nehari and density, each documented at its scalar view below.  f'
+    must not vanish."""
+    return _kernel(tuple(keys))(z, f1, f2, f3)
+
+
+# the kernels of the scalar hot loops: the level function g at (z, f'), the
+# normal p at (z, f', f''), and what the tracer keeps of an accepted point
+_level = _kernel(("g",))
+_normal = _kernel(("om", "g", "P", "p"))
+curvature_fields = _kernel(CURVATURE_KEYS)
 
 
 def normal_derivatives(z, f1, f2, f3):
@@ -69,40 +138,10 @@ def normal_derivatives(z, f1, f2, f3):
     (1/2)(1 - |z|^2) P' with P' = f'''/f' - P^2 = S + P^2/2, and
     dp/dzbar = 1 + (1/2) z P.  Over (x, y), p_x = dp/dz + dp/dzbar and
     p_y = i (dp/dz - dp/dzbar)."""
-    om, _, P, p = _normal(z, f1, f2)
+    n = _normal(z, f1, f2)
+    om, P, p = n["om"], n["P"], n["p"]
     dP = f3 / f1 - P * P
     return p, 0.5 * (z.conjugate() * P - om * dP), 1.0 + 0.5 * z * P
-
-
-def curvature_fields(z, f1, f2, f3) -> dict:
-    """The fields of the jet (z, f', f'', f''') that ``curvatures`` reads, and
-    g: the part of ``fields`` keyed om, g, P, S, p, lhs1 and rhs2."""
-    om, g, P, p = _normal(z, f1, f2)
-    return {
-        "om": om,
-        "g": g,
-        "P": P,
-        "S": f3 / f1 - 1.5 * P * P,
-        "p": p,
-        "lhs1": (1.0 + z * P).real,
-        "rhs2": 0.25 * om * abs(P) ** 2,
-    }
-
-
-def fields(z, f1, f2, f3) -> dict:
-    """Every pointwise field of the jet (z, f', f'', f''') at a point or an
-    array: ``curvature_fields`` and rhs3, slack3 = lhs1 - rhs3, km, nehari
-    and density, each documented at its scalar view below.  f' must not
-    vanish."""
-    fld = curvature_fields(z, f1, f2, f3)
-    om, aS = fld["om"], abs(fld["S"])
-    nehari = om * om * aS
-    fld["rhs3"] = fld["rhs2"] + 0.5 * om * aS
-    fld["slack3"] = fld["lhs1"] - fld["rhs3"]
-    fld["km"] = nehari + 2.0 * abs(fld["p"]) ** 2
-    fld["nehari"] = nehari
-    fld["density"] = 1.0 / fld["g"]
-    return fld
 
 
 def curvatures(fld: dict, f1):
@@ -203,17 +242,19 @@ def schwarz_pick_slack(j: Jet):
     return 1.0 / fld["om"] - abs(dphi) / (1.0 - a2)
 
 
-def grid_functionals(m: MapSpec, zs) -> dict:
+def grid_functionals(m: MapSpec, zs, keys=GRID_KEYS) -> dict:
     """Vectorized field values over an array of points zs, or over the
     points of a GridSpec zs (in ``GridSpec.points`` order).
 
-    Returns the ``fields`` dict plus the keys z and f1; f is never computed.
+    Returns the dict of ``keys``: by default the ``fields`` dict plus z (the
+    points) and f1; f is never computed.  A caller names the keys it reads,
+    and every other array is freed as soon as the kernel is done with it.
     Raises SingularPoint if f' vanishes anywhere and ValueError if a jet
     component is not finite.
     """
-    zs, f1, f2, f3 = _grid_jets(m, zs)
-    check_jets(f1, f2, f3, "on the evaluation grid")
-    return {"z": zs, "f1": f1, **fields(zs, f1, f2, f3)}
+    jets = list(_grid_jets(m, zs))
+    check_jets(*jets[1:], "on the evaluation grid")
+    return _kernel(tuple(keys), handover=True)(jets)
 
 
 def check_jets(f1, f2, f3, where: str) -> None:
@@ -233,7 +274,7 @@ def phi_grid(m: MapSpec, where):
     there."""
     z, f1, f2, _ = _grid_jets(m, where)
     with np.errstate(divide="ignore", invalid="ignore"):
-        P = _normal(z, f1, f2)[2]
+        P = fields(z, f1, f2, None, ("P",))["P"]
         den, degenerate = _phi_denominator(z, P)
         bad = ~np.isfinite(den) | degenerate
         return z, np.where(bad, complex(np.nan, np.nan), P / np.where(bad, 1.0, den))
@@ -297,7 +338,7 @@ def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None
 
     grid = grid or default_grid(m)
     tol = slack_tolerance(m) if tol is None else float(tol)
-    vals = grid_functionals(m, grid)
+    vals = grid_functionals(m, grid, ("z", "lhs1", "slack3", "km", "nehari"))
     zs = vals["z"]
     slack1 = vals["lhs1"]  # the classical bound compares against zero
     slack3 = vals["slack3"]

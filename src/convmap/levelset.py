@@ -47,7 +47,7 @@ def level_value(m: MapSpec, z):
     """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z, from f' alone."""
     z = np.asarray(z, dtype=complex)
     jet = _point_jets(m, complex(z), 1) if z.ndim == 0 else _jets(m, z, 1)
-    return _level(z, jet[1])[1]
+    return _level(z, jet[1])["g"]
 
 
 def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEFAULT_TRACE_RMAX) -> complex:
@@ -222,12 +222,12 @@ def _correct(m: MapSpec, z: complex, c: float, rmax: float):
         if abs(z) > rmax:
             return None
         f, f1, f2, f3 = _jet_at(m, z)
-        g = _level(z, f1)[1] - c
+        g = _level(z, f1)["g"] - c
         if abs(g) <= RESIDUAL_TARGET:
             return z, f, f1, f2, f3, abs(g)
         if i == NEWTON_MAX:
             return None
-        p = _normal(z, f1, f2)[3]
+        p = _normal(z, f1, f2)["p"]
         _vanished(p, z)
         z = z + (g / (2.0 * abs(f1) * abs(p))) * (p.conjugate() / abs(p))
 
@@ -321,13 +321,13 @@ def trace_level_set(
     if not rmax > 0.0:
         raise ValueError(f"the tracing radius rmax must be positive, got {rmax:g}")
     f, f1, f2, f3 = _jet_at(m, z0)
-    g0 = _level(z0, f1)[1]
+    g0 = _level(z0, f1)["g"]
     if c is None:
         c = g0
     elif not abs(g0 - float(c)) <= START_RESIDUAL_BAR:  # a NaN c too
         raise ValueError(f"g(z0) = {g0:.12g} does not sit on the level c = {float(c):.12g}")
     c = float(c)
-    p0 = _normal(z0, f1, f2)[3]
+    p0 = _normal(z0, f1, f2)["p"]
     if abs(p0) <= P_MIN:
         raise NormalVanished(f"|p| = {abs(p0):.3e} at the start point {z0}", curve=None)
     forward = [_record(z0, f, f1, f2, f3, abs(g0 - c))]

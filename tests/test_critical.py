@@ -183,9 +183,14 @@ class TestTheoremPath:
         assert abs(res.z) > certified_rmax(m)
         assert abs(cm.p_field(cm.jet_of(m, res.z))) <= NEWTON_TOL
 
-    @pytest.mark.parametrize("a", [0.98, 0.98j])
-    def test_a_locus_between_the_rim_and_the_cap_is_found(self, a):
-        m = cm.strip().precomposed(a, 0.5)
+    @pytest.mark.parametrize("m", [
+        cm.strip().precomposed(0.98, 0.5),
+        cm.strip().precomposed(0.98j, 0.5),
+        # one Newton root reads |p| <= NEWTON_TOL in its batch but 1.04e-12
+        # through jet_of; the other six make the locus
+        cm.strip().precomposed(0.995 * np.exp(1.3j), 0.5).postcomposed(1 + 1j, 0.5 - 2j),
+    ], ids=["0.98", "0.98j", "composed-0.995"])
+    def test_a_locus_between_the_rim_and_the_cap_is_found(self, m):
         res = cm.find_critical_point(m)
         assert res.kind == "degenerate"
         assert max(abs(cm.p_field(cm.jet_of(m, z))) for z in res.locus) <= NEWTON_TOL

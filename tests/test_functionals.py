@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,12 @@ CONVEX_ZOO = [
 
 def jet(m, z):
     return cm.jet_of(m, z)
+
+
+def gen384():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cm.TruncationTail)
+        return cm.gen_herglotz(cm.PhiSpec.polynomial([0.3, 0.2j, -0.1]), order=384, rmax=0.9)
 
 
 class TestSpotValues:
@@ -155,6 +162,19 @@ class TestGridFunctionals:
                     np.testing.assert_allclose(on_grid[key], on_points[key], rtol=1e-12, atol=1e-13)
             np.testing.assert_allclose(cm.phi_values(m, grid), cm.phi_values(m, grid.points()), atol=1e-13)
 
+    def test_named_keys(self):
+        m = cm.polygon(5).precomposed(0.2j, 0.4)
+        grid = cm.GridSpec(9, 8, 0.8)
+        full = cm.grid_functionals(m, grid)
+        for keys in (("z", "lhs1", "slack3", "km", "nehari"), ("z", "p", "g", "lhs1"), ("density",)):
+            vals = cm.grid_functionals(m, grid, keys)
+            assert tuple(vals) == keys
+            for key in keys:
+                np.testing.assert_array_equal(vals[key], full[key])
+        assert tuple(cm.fields(0.3j, 1.0, 0.5, 0.2, ("km",))) == ("km",)
+        with pytest.raises(ValueError, match="no field named w"):
+            cm.grid_functionals(m, grid, ("z", "w"))
+
     def test_grid_points_are_built_once_per_call(self, monkeypatch):
         built = []
         points = cm.GridSpec.points
@@ -269,3 +289,49 @@ class TestReport:
         assert rep.verdict == "Convex"
         with pytest.raises(cm.RadiusExceeded):
             cm.convexity_report(m.precomposed(0.95))
+
+    def test_reduces_the_full_grid_fields(self):
+        # the report asks the kernel for four fields; its figures must be the
+        # bits that the same reductions of the full dict give
+        zoo = CONVEX_ZOO + [cm.koebe()]
+        composed = [m.precomposed(0.3 - 0.2j, 0.7).postcomposed(1.5 - 0.5j, 1 + 1j) for m in zoo]
+        grid = cm.GridSpec(40, 60, 0.9)
+        for m in zoo + composed + [gen384()]:
+            rep = cm.convexity_report(m, grid)
+            vals = cm.grid_functionals(m, grid)
+            zs, slack3 = vals["z"], vals["slack3"]
+            eq = np.flatnonzero(np.abs(slack3) <= rep.tolerance)
+            want = (
+                float(vals["lhs1"].min()), complex(zs[np.argmin(vals["lhs1"])]),
+                float(slack3.min()), complex(zs[np.argmin(slack3)]),
+                float(vals["km"].max()), complex(zs[np.argmax(vals["km"])]),
+                float(vals["nehari"].max()), complex(zs[np.argmax(vals["nehari"])]),
+                eq.size, tuple(complex(z) for z in zs[eq[: cm.functionals.EQUALITY_POINT_CAP]]),
+            )
+            got = (
+                rep.slack1_min, rep.slack1_argmin, rep.slack3_min, rep.slack3_argmin,
+                rep.km_max, rep.km_argmax, rep.nehari_max, rep.nehari_argmax,
+                rep.equality_count, rep.equality_points,
+            )
+            assert repr(got) == repr(want), m
+
+
+class TestReportMemory:
+    # tracemalloc counts the bytes NumPy allocates, so unlike the page
+    # faults that a higher peak costs, these bounds do not depend on the host
+    @pytest.mark.parametrize("m, bound_kb", [
+        (cm.identity(), 1200),
+        (gen384(), 1300),
+        (cm.polygon(5), 1550),
+        (cm.sector(0.5), 1700),
+    ], ids=["identity", "generated-384", "polygon5", "sector0.5"])
+    def test_peak_of_a_100x100_report(self, m, bound_kb):
+        grid = cm.GridSpec(100, 100, 0.9)
+        cm.convexity_report(m, grid)  # the first call also fills the caches
+        tracemalloc.start()
+        try:
+            cm.convexity_report(m, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_kb * 1024, f"{peak / 1024:.0f} KB"

@@ -125,7 +125,7 @@ class TestLevelStart:
         # the bits that the full jet gives
         rs = min(0.78, maps.certified_rmax(m)) * np.exp(0.4j) * np.linspace(0.0, 1.0, 2048)
         for z in (rs, rs[1000]):
-            want = _level(z, cm.jet_fields(m, z)[1])[1]
+            want = _level(z, cm.jet_fields(m, z)[1])["g"]
             assert np.array_equal(cm.level_value(m, z), want)
 
     def test_positive_level_required(self):
@@ -254,7 +254,7 @@ class TestCorrector:
             assert len(curve) >= 3
             assert curve.residual.max() <= RESIDUAL_TARGET
             # each point records the |g - c| its jet was accepted on
-            want = [abs(_level(z, cm.jet_of(m, z).f1)[1] - curve.c) for z in curve.z.tolist()]
+            want = [abs(_level(z, cm.jet_of(m, z).f1)["g"] - curve.c) for z in curve.z.tolist()]
             assert curve.residual.tolist() == want
 
     @pytest.mark.parametrize("m", [cm.halfplane(), cm.polygon(5), gen_quiet([0.3, 0.2j, -0.25])])

@@ -236,7 +236,7 @@ class TestPointJets:
                 assert all(type(v) is complex for v in got)
                 assert self.bits(got) == self.bits(want)
             g = cm.level_value(m, z)
-            assert np.float64(g).view(np.uint64) == np.float64(_level(np.asarray(z), want[1])[1]).view(np.uint64)
+            assert np.float64(g).view(np.uint64) == np.float64(_level(np.asarray(z), want[1])["g"]).view(np.uint64)
         beyond = 1j * (s.rmax + 2.0 * RADIUS_SLACK)
         for call in (levelset._jet_at, cm.jet_of, cm.level_value):
             with pytest.raises(cm.RadiusExceeded):

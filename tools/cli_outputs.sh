@@ -69,6 +69,12 @@ echo '{"type": "polygon", "params": {"n": 5}}' >"$out/closed-polygon5.json"
 compose closed-polygon5-composed.json closed-polygon5.json 1
 run closed-trace-polygon5-composed trace --map closed-polygon5-composed.json --c 0.8 \
     --out closed-trace-polygon5-composed.csv
+# reports on the benchmark's 100x100 grid
+run closed-check-identity-100 check --map identity --nr 100 --ntheta 100
+run closed-check-halfplane-100 check --map halfplane --nr 100 --ntheta 100
+run closed-check-strip-100 check --map strip --nr 100 --ntheta 100
+run closed-check-polygon5-100 check --map polygon --n 5 --nr 100 --ntheta 100
+run closed-check-polygon5-composed-100 check --map closed-polygon5-composed.json --nr 100 --ntheta 100
 # the identity's constant jets under a precomposition and a postcomposition
 echo '{"type": "identity"}' >"$out/closed-identity.json"
 compose closed-identity-composed.json closed-identity.json 1
