@@ -329,9 +329,19 @@ def _auto_jets(z, a, e, ab, q, q2, q3):
     callable for its derivatives there, as the closed forms give f: a caller
     reading only tau never computes them.  The constants are a map's
     ``_pre_constants``: e = e^{i theta}, ab = conj(a), q = e (1 - |a|^2),
-    q2 = -2 ab q and q3 = 6 ab ab q, associated as written."""
+    q2 = -2 ab q and q3 = 6 ab ab q, associated as written.  z is an array;
+    on two or more points (see ``_jets``) each derivative is divided into
+    its own power of d: the bits of q / d**2 (NumPy squares for ``**2``),
+    q2 / d**3 and q3 / d**4 without their temporaries."""
     d = 1.0 + ab * z
-    return e * (z + a) / d, lambda: (q / d**2, q2 / d**3, q3 / d**4)
+    if z.size < 2:
+        return e * (z + a) / d, lambda: (q / d**2, q2 / d**3, q3 / d**4)
+
+    def derivatives():
+        powers = np.square(d), np.power(d, 3), np.power(d, 4)
+        return tuple(np.divide(c, t, out=t) for c, t in zip((q, q2, q3), powers))
+
+    return e * (z + a) / d, derivatives
 
 
 def _jets(m: MapSpec, z, count: int = 3):
@@ -341,27 +351,72 @@ def _jets(m: MapSpec, z, count: int = 3):
     move through the precomposition, the map's own kind evaluates there,
     and the chain rule and the postcomposition apply after.  ``count`` is 1
     or 3; a closed form with nothing to compose gives all three derivatives
-    whatever the count.  Single points come through ``_point_jets``."""
-    t = None if m.pre is None else _auto_jets(z, *m._pre_constants)
-    w = z if t is None else t[0]
+    whatever the count.  Single points come through ``_point_jets``.
+
+    The chain rule is written here for scalars.  Arrays of two or more
+    points take the same operations in place through ``_chain``, and the
+    postcomposition scales the arrays that ``_chain`` made.  A one-element
+    array keeps the expressions as written: NumPy iterates it with stride
+    0, and a complex product written over one of its operands then rounds
+    as a scalar product does, not as the product into a new array."""
+    w, derivatives = (z, None) if m.pre is None else _auto_jets(z, *m._pre_constants)
     if m.series is not None:
         jet = series_jet_fields(m.series, w, count)
     else:
         jet = _CLOSED_FORMS[m.kind](w, m)
-    if t is None and m.post is None:  # nothing to compose
+    if derivatives is None and m.post is None:  # nothing to compose
         return jet
     f, g1, *g = jet[: count + 1]
-    if t is not None:
-        t1, t2, t3 = t[1]()
+    chained = derivatives is not None and z.size > 1
+    if chained:
+        g = [g1, *g, *derivatives()]
+        del jet, g1, derivatives  # and with them the automorphism's denominator
+        g1, *g = _chain(g)
+    elif derivatives is not None:
+        t1, t2, t3 = derivatives()
         if g:
             g2, g3 = g
             g = [g2 * t1 * t1 + g1 * t2, g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3]
         g1 = g1 * t1
     if m.post is not None:
         s, b = m.post
+        if chained:
+            for gi in (g1, *g):
+                np.multiply(s, gi, out=gi)
+        else:
+            g1, g = s * g1, [s * gi for gi in g]
         f0 = f
-        f, g1, g = (lambda: s * f0() + b), s * g1, [s * gi for gi in g]
+        f = lambda: s * f0() + b
     return (f, g1, *g)
+
+
+def _chain(jets: list) -> list:
+    """The chain rule of ``_jets`` over arrays.  ``jets`` holds the base
+    map's f' (or f', f'' and f''') and then the automorphism's t1, t2 and
+    t3; it is emptied here, so that each array goes after its last reader.
+    Every product and sum is the one ``_jets`` writes for scalars, with its
+    association and operand order, so it has the same bits.  Results go
+    into t1, t2, t3 and arrays allocated here, never into a base array,
+    which the base map may share (the identity's f'' is its f''') or hold."""
+    g1, *g, t1, t2, t3 = jets
+    jets.clear()
+    if g:
+        g2, g3 = g
+        # g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3
+        h3 = np.power(t1, 3)
+        np.multiply(g3, h3, out=h3)
+        del g, g3  # before h2 is allocated
+        h2 = np.multiply(3.0, g2)
+        np.multiply(h2, t1, out=h2)
+        np.multiply(h2, t2, out=h2)
+        np.add(h3, h2, out=h3)
+        np.add(h3, np.multiply(g1, t3, out=t3), out=h3)
+        # g2 * t1 * t1 + g1 * t2
+        np.multiply(g2, t1, out=h2)
+        np.multiply(h2, t1, out=h2)
+        np.add(h2, np.multiply(g1, t2, out=t2), out=h2)
+        g = [h2, h3]
+    return [np.multiply(g1, t1, out=t1), *g]
 
 
 def _point_jets(m: MapSpec, z: complex, count: int = 3):

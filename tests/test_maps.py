@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import convmap as cm
 import convmap.levelset as levelset
 import convmap.maps as maps
+from convmap.grid import grid_points
 from convmap.maps import phi_to_json
 
 from .oracles import closed_form, fd_jet, random_phi_coeffs, random_disk_points
@@ -199,6 +201,81 @@ class TestPointJets:
         _, *derivatives = maps._jets(cm.identity(), np.asarray(0.3 - 0.2j))
         assert _bits(derivatives).tolist() == _bits([1.0, 0.0, 0.0]).tolist()
         assert [type(v) for v in derivatives] == [complex] * 3
+
+
+def written_chain_rule(m: cm.MapSpec, where):
+    """(f, f', f'', f''') of a composed map with the chain rule written out,
+    every operation into a new array: the oracle for the in-place route.
+    The base jets are the map's own kind at the moved points, or over the
+    grid where ``_grid_jets`` takes the spectral route."""
+    base = dataclasses.replace(m, pre=None, post=None)
+    if isinstance(where, cm.GridSpec) and m.series is not None and m.pre is None:
+        f, g1, g2, g3 = maps._jets(base, where)
+    else:
+        z = grid_points(where)
+        w, derivatives = (z, None) if m.pre is None else per_jet_automorphism(z, *m.pre)
+        f, g1, g2, g3 = maps._jets(base, w)
+        if derivatives is not None:
+            t1, t2, t3 = derivatives()
+            g1, g2, g3 = g1 * t1, g2 * t1 * t1 + g1 * t2, g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3
+    f = f()
+    if m.post is not None:
+        s, b = m.post
+        f, g1, g2, g3 = s * f + b, s * g1, s * g2, s * g3
+    return f, g1, g2, g3
+
+
+class TestComposedArrayJets:
+    """The chain rule over arrays writes into arrays of its own with the
+    bits of the rule written out, and leaves the base jets alone."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [m for _, m, _ in ZOO] + [gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=96, rmax=0.9)],
+        ids=[name for name, _, _ in ZOO] + ["series"],
+    )
+    def test_equals_the_written_chain_rule(self, m, monkeypatch):
+        rng = np.random.default_rng(15)
+        # a point, one-element and larger arrays, a 2-d array and a grid
+        wheres = [
+            np.asarray(complex(random_disk_points(rng, 1, 0.45)[0])),
+            random_disk_points(rng, 1, 0.45),
+            random_disk_points(rng, 2, 0.45),
+            random_disk_points(rng, 41, 0.45),
+            random_disk_points(rng, 42, 0.45).reshape(6, 7),
+            cm.GridSpec(12, 16, 0.45),
+        ]
+        base_jets = []  # (array, copy) for every array the base map hands over
+
+        def recorded(jets):
+            def wrapped(*args):
+                jet = jets(*args)
+                base_jets.extend((v, v.copy()) for v in jet[1:] if isinstance(v, np.ndarray))
+                return jet
+            return wrapped
+
+        if m.series is None:
+            monkeypatch.setitem(maps._CLOSED_FORMS, m.kind, recorded(maps._CLOSED_FORMS[m.kind]))
+        else:
+            monkeypatch.setattr(maps, "series_jet_fields", recorded(maps.series_jet_fields))
+        chained = []
+        monkeypatch.setattr(maps, "_chain", lambda jets, chain=maps._chain: chained.append(1) or chain(jets))
+        for variant in _composed_variants(m)[1:]:  # pre, post, pre and post
+            for where in wheres:
+                want = written_chain_rule(variant, where)
+                for _ in range(2):  # a second call finds nothing changed
+                    got = [*cm.jet_derivatives(variant, where), *maps._grid_jets(variant, where)[1:]]
+                    expect = [*want[1:], *want[1:]]
+                    if not isinstance(where, cm.GridSpec):
+                        f, *derivatives = maps._jets(variant, where)
+                        got += [f(), *derivatives, maps._jets(variant, where, 1)[1], *cm.jet_fields(variant, where)]
+                        expect += [*want, want[1], *want]
+                    np.testing.assert_array_equal(_bits(got), _bits(expect))
+        assert chained, "no array took the in-place chain rule"
+        if m.kind == "identity":  # its f'' and f''' are one zeros array
+            assert any(a is b for (a, _), (b, _) in zip(base_jets, base_jets[1:]))
+        for v, before in base_jets:
+            np.testing.assert_array_equal(_bits(v), _bits(before))
 
 
 class TestComposition:

@@ -80,6 +80,21 @@ echo '{"type": "identity"}' >"$out/closed-identity.json"
 compose closed-identity-composed.json closed-identity.json 1
 run closed-trace-identity-composed trace --map closed-identity-composed.json --c 0.75 \
     --out closed-trace-identity-composed.csv
+# composed reports on the 100x100 grid: the chain rule over arrays for each
+# closed kind, a postcomposition alone, and a composed curvature grid
+for kind in halfplane strip koebe; do
+    echo "{\"type\": \"$kind\"}" >"$out/closed-$kind.json"
+    compose closed-$kind-composed.json closed-$kind.json 1
+done
+echo '{"type": "sector", "params": {"alpha": 0.5}}' >"$out/closed-sector0.5.json"
+compose closed-sector0.5-composed.json closed-sector0.5.json 1
+compose closed-sector0.5-post.json closed-sector0.5.json 0
+for name in identity halfplane strip sector0.5 koebe; do
+    run closed-check-$name-composed-100 check --map closed-$name-composed.json --nr 100 --ntheta 100
+done
+run closed-check-sector0.5-post-100 check --map closed-sector0.5-post.json --nr 100 --ntheta 100
+run closed-curvature-sector0.5-composed-100 curvature-map --map closed-sector0.5-composed.json \
+    --nr 100 --ntheta 100 --out closed-curvature-sector0.5-composed-100.csv
 # curvature grids with scientific-notation cells (koebe) and whole-number
 # cells (identity), and the benchmark's 160,000-row call
 run closed-curvature-koebe curvature-map --map koebe --out closed-curvature-koebe.csv
