@@ -259,9 +259,9 @@ def find_critical_point(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -
     a nonempty array of points, polish seeds by Newton, and report the zero
     set of p.
 
-    When the scan reads convex (min lhs1 >= -``slack_tolerance``, the rule
-    of ``convexity_report``'s verdict), ``_theorem_search`` first tries to
-    decide from one Newton seed, after an ascent of g when its grid maximum
+    When the scan reads convex (min lhs1 >= -``slack_tolerance``, the first
+    test of ``convexity_report``'s verdict), ``_theorem_search`` first tries
+    to decide from one Newton seed, after an ascent of g when its grid maximum
     lies on the rim.  Otherwise, or when it cannot decide, the SEED_COUNT
     grid points of least |p| and the origin run one batched Newton, and the
     converged roots, taken in order of their final |p|, are merged when

@@ -330,9 +330,10 @@ class ConvexityReport:
 def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None = None) -> ConvexityReport:
     """Scan a polar grid and summarize the convexity diagnostics.
 
-    The verdict is "Convex" when min slack1 >= -tol.  The equality locus
-    collects grid points where |slack3| <= tol, i.e. where the strengthened
-    bound is attained to within the tolerance.
+    The verdict is "Convex" when min slack1 >= -tol, max km <= 2 + tol and
+    min slack3 >= -tol, all three of which a convex map meets.  The equality
+    locus collects grid points where |slack3| <= tol, i.e. where the
+    strengthened bound is attained to within the tolerance.
     """
     from .critical import classify_phi  # deferred: critical itself uses this module
 
@@ -348,9 +349,9 @@ def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None
     inh = int(np.argmax(vals["nehari"]))
     eq_mask = np.abs(slack3) <= tol
     eq_idx = np.flatnonzero(eq_mask)
-    verdict = "Convex" if slack1[i1] >= -tol else "NotConvex"
+    convex = slack1[i1] >= -tol and vals["km"][ik] <= 2.0 + tol and slack3[i3] >= -tol
     return ConvexityReport(
-        verdict=verdict,
+        verdict="Convex" if convex else "NotConvex",
         tolerance=tol,
         slack1_min=float(slack1[i1]),
         slack1_argmin=complex(zs[i1]),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,7 @@ class MapSpec:
             if abs(a) >= 1.0:
                 raise ValueError(f"precomposition center must satisfy |a| < 1, got {a}")
             object.__setattr__(self, "pre", (a, theta))
-            # what _auto_jets reads at every z, computed once per map
+            # what _moved and the chain rule read at every z, computed once per map
             ab, e = a.conjugate(), np.exp(1j * theta)
             q = e * (1.0 - abs(a) ** 2)
             object.__setattr__(self, "_pre_constants", (a, e, ab, q, -2.0 * ab * q, 6.0 * ab * ab * q))
@@ -324,99 +325,95 @@ _CLOSED_FORMS = {
 }
 
 
-def _auto_jets(z, a, e, ab, q, q2, q3):
-    """The automorphism tau(z) = e (z + a) / (1 + conj(a) z) at z, and a
-    callable for its derivatives there, as the closed forms give f: a caller
-    reading only tau never computes them.  The constants are a map's
-    ``_pre_constants``: e = e^{i theta}, ab = conj(a), q = e (1 - |a|^2),
-    q2 = -2 ab q and q3 = 6 ab ab q, associated as written.  z is an array;
-    on two or more points (see ``_jets``) each derivative is divided into
-    its own power of d: the bits of q / d**2 (NumPy squares for ``**2``),
-    q2 / d**3 and q3 / d**4 without their temporaries."""
+def _moved(m: MapSpec, z):
+    """(tau(z), d): z moved by the precomposition tau(z) = e (z + a) / d,
+    with d = 1 + conj(a) z."""
+    a, e, ab = m._pre_constants[:3]
     d = 1.0 + ab * z
-    if z.size < 2:
-        return e * (z + a) / d, lambda: (q / d**2, q2 / d**3, q3 / d**4)
+    return e * (z + a) / d, d
 
-    def derivatives():
-        powers = np.square(d), np.power(d, 3), np.power(d, 4)
-        return tuple(np.divide(c, t, out=t) for c, t in zip((q, q2, q3), powers))
 
-    return e * (z + a) / d, derivatives
+# The chain rule of s F(tau(z)) + b, once: f1, f2, f3 enter as F', F'', F'''
+# at tau(z) and leave as the composed derivatives; t1, t2, t3 are tau' = q/d^2,
+# tau'' = q2/d^3, tau''' = q3/d^4.  Each step keeps the association and operand
+# order that fix the bits (complex products of arrays do not commute bit for
+# bit), and f''' goes first, so each reads the lower derivatives unchanged.
+_PRE_STEPS = (
+    "t1 = d ** 2; t1 = q / t1; t2 = d ** 3; t2 = q2 / t2; t3 = d ** 4; t3 = q3 / t3; "
+    # f''' = f3 t1^3 + 3.0 f2 t1 t2 + f1 t3, f'' = f2 t1 t1 + f1 t2, f' = f1 t1
+    "h = t1 ** 3; h = f3 * h; k = 3.0 * f2; k = k * t1; k = k * t2; h = h + k; t3 = f1 * t3; f3 = h + t3; "
+    "k = f2 * t1; k = k * t1; t2 = f1 * t2; f2 = k + t2; f1 = f1 * t1"
+).split("; ")
+_POST_STEPS = ["f1 = s * f1", "f2 = s * f2", "f3 = s * f3"]
+_CONSTANTS = {"q": "m._pre_constants[3]", "q2": "m._pre_constants[4]", "q3": "m._pre_constants[5]", "s": "m.post[0]"}
+_UFUNCS = {"+": "add", "*": "multiply", "/": "divide", "**": "power"}
+
+
+@functools.cache
+def _composition(count: int, pre: bool, post: bool, in_place: bool):
+    """The chain rule (``pre``) and the postcomposition scale (``post``),
+    compiled as the field kernel is: a function of a map and the list
+    [f1, (f2, f3,) (d)], which it empties, returning the composed f', ...,
+    f^(count).  It runs the steps those read as written (the operator form)
+    or as ufunc calls (``** 2`` is np.square, as for the operator) with
+    ``out=`` the result's array if the function made it, else an operand's
+    that it made and nothing reads again.  So it writes into no base array,
+    which the base map may share or hold in its f."""
+    outs = ("f1", "f2", "f3")[:count]
+    steps, live = [], set(outs)
+    for r, _, a, op, b in (step.split() for step in reversed(_PRE_STEPS * pre + _POST_STEPS * post)):
+        if r in live:
+            live.discard(r)
+            live.update(x for x in (a, b) if x.isidentifier())
+            steps.insert(0, (r, a, op, b))
+    lines = [f"{', '.join(x for x in ('f1', 'f2', 'f3', 'd') if x in live)}, = jets", "jets.clear()"]
+    lines += [f"{x} = {value}" for x, value in _CONSTANTS.items() if x in live]
+
+    def next_use(x, i):  # "read" or "write" at the first later step naming x
+        return next(("read" if x in (a, b) else "write" for r, a, _, b in steps[i + 1 :] if x in (r, a, b)), None)
+
+    own = set()  # names bound to an array the function made
+    for i, (r, a, op, b) in enumerate(steps):
+        uses = {x: next_use(x, i) for x in (a, b) if x.isidentifier() and x not in _CONSTANTS}
+        dead = [x for x, use in uses.items() if use is None and x not in outs]  # read here for the last time
+        expr = f"{a} {op} {b}"
+        if in_place:
+            out = r if r in own else next((x for x in dead if x in own), None)
+            own.discard(out)
+            expr = f"np.square({a}" if (op, b) == ("**", "2") else f"np.{_UFUNCS[op]}({a}, {b}"
+            expr += f", out={out})" if out else ")"
+        own.add(r)
+        lines.append(f"{r} = {expr}")
+        # a name goes after its last reader, unless its array is to take a later result
+        lines += [f"del {x}" for x, use in uses.items() if x in dead or use == "write" and x not in own]
+    namespace = {"np": np}
+    exec("def composition(m, jets):\n    " + "\n    ".join(lines + [f"return {', '.join(outs)},"]), namespace)
+    return namespace["composition"]
 
 
 def _jets(m: MapSpec, z, count: int = 3):
     """(f, f', ..., f^(count)) of the composed map at array z, or over a
-    GridSpec for a series map with no precomposition, with f as a callable,
-    so that a caller reading only derivatives never computes f: the points
-    move through the precomposition, the map's own kind evaluates there,
-    and the chain rule and the postcomposition apply after.  ``count`` is 1
-    or 3; a closed form with nothing to compose gives all three derivatives
-    whatever the count.  Single points come through ``_point_jets``.
-
-    The chain rule is written here for scalars.  Arrays of two or more
-    points take the same operations in place through ``_chain``, and the
-    postcomposition scales the arrays that ``_chain`` made.  A one-element
-    array keeps the expressions as written: NumPy iterates it with stride
-    0, and a complex product written over one of its operands then rounds
-    as a scalar product does, not as the product into a new array."""
-    w, derivatives = (z, None) if m.pre is None else _auto_jets(z, *m._pre_constants)
-    if m.series is not None:
-        jet = series_jet_fields(m.series, w, count)
-    else:
-        jet = _CLOSED_FORMS[m.kind](w, m)
-    if derivatives is None and m.post is None:  # nothing to compose
-        return jet
-    f, g1, *g = jet[: count + 1]
-    chained = derivatives is not None and z.size > 1
-    if chained:
-        g = [g1, *g, *derivatives()]
-        del jet, g1, derivatives  # and with them the automorphism's denominator
-        g1, *g = _chain(g)
-    elif derivatives is not None:
-        t1, t2, t3 = derivatives()
-        if g:
-            g2, g3 = g
-            g = [g2 * t1 * t1 + g1 * t2, g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3]
-        g1 = g1 * t1
+    GridSpec for a series map with no precomposition, with f as a callable
+    that a caller reading only derivatives never calls.  ``count`` is 1 or
+    3 (a closed form with nothing to compose gives three derivatives
+    whatever the count); single points come through ``_point_jets``.  The
+    base map's jets at the moved points and d go to ``_composition``: its
+    operator form for a 0-d or one-element array, which NumPy iterates
+    with stride 0 (a complex product written over an operand then rounds
+    as a scalar product does), its in-place form for more points."""
+    w, d = (z, None) if m.pre is None else _moved(m, z)
+    jets = series_jet_fields(m.series, w, count) if m.series is not None else _CLOSED_FORMS[m.kind](w, m)
+    if m.pre is None and m.post is None:  # nothing to compose
+        return jets
+    f, *jets = jets[: count + 1]
+    jets += [] if d is None else [d]
+    del w, d
+    in_place = isinstance(z, GridSpec) or z.size > 1
+    jets = _composition(count, m.pre is not None, m.post is not None, in_place)(m, jets)
     if m.post is not None:
         s, b = m.post
-        if chained:
-            for gi in (g1, *g):
-                np.multiply(s, gi, out=gi)
-        else:
-            g1, g = s * g1, [s * gi for gi in g]
-        f0 = f
-        f = lambda: s * f0() + b
-    return (f, g1, *g)
-
-
-def _chain(jets: list) -> list:
-    """The chain rule of ``_jets`` over arrays.  ``jets`` holds the base
-    map's f' (or f', f'' and f''') and then the automorphism's t1, t2 and
-    t3; it is emptied here, so that each array goes after its last reader.
-    Every product and sum is the one ``_jets`` writes for scalars, with its
-    association and operand order, so it has the same bits.  Results go
-    into t1, t2, t3 and arrays allocated here, never into a base array,
-    which the base map may share (the identity's f'' is its f''') or hold."""
-    g1, *g, t1, t2, t3 = jets
-    jets.clear()
-    if g:
-        g2, g3 = g
-        # g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3
-        h3 = np.power(t1, 3)
-        np.multiply(g3, h3, out=h3)
-        del g, g3  # before h2 is allocated
-        h2 = np.multiply(3.0, g2)
-        np.multiply(h2, t1, out=h2)
-        np.multiply(h2, t2, out=h2)
-        np.add(h3, h2, out=h3)
-        np.add(h3, np.multiply(g1, t3, out=t3), out=h3)
-        # g2 * t1 * t1 + g1 * t2
-        np.multiply(g2, t1, out=h2)
-        np.multiply(h2, t1, out=h2)
-        np.add(h2, np.multiply(g1, t2, out=t2), out=h2)
-        g = [h2, h3]
-    return [np.multiply(g1, t1, out=t1), *g]
+        f = lambda f0=f: s * f0() + b
+    return (f, *jets)
 
 
 def _point_jets(m: MapSpec, z: complex, count: int = 3):
@@ -473,7 +470,7 @@ def certified_points(m: MapSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if m.series is None:
         return np.ones(z.shape, dtype=bool)
-    return in_radius(m.series, z if m.pre is None else _auto_jets(z, *m._pre_constants)[0])
+    return in_radius(m.series, z if m.pre is None else _moved(m, z)[0])
 
 
 def _jet_at(m: MapSpec, z: complex):

@@ -157,29 +157,27 @@ def _takes_products(size: int, rows: int) -> bool:
     return size <= 2 * rows and size * rows <= RUNNING_PRODUCT_ENTRIES
 
 
-def eval_table(table: np.ndarray, z, start: int = 0, stop: int | None = None):
-    """Evaluate columns ``start:stop`` of the stacked polynomials at scalar
-    or array z.
+def eval_table(table: np.ndarray, z):
+    """Evaluate every column of the stacked polynomials at scalar or array z.
 
     A scalar z takes ``point_columns`` and gives Python complex values.  A
     batch of at most twice as many points as the table has rows and at most
     RUNNING_PRODUCT_ENTRIES entries in its matrix of powers takes the same
     running products of 1, z, z**2, ... and one matrix product over all
-    columns, which round as when all are kept; other arrays use Horner on
-    the wanted columns, each column to the same bits however many are
-    wanted.
+    columns; other arrays use Horner, each column to the same bits whatever
+    the other columns of the table.
     """
     z = np.asarray(z)
     if z.ndim == 0:
-        return tuple(point_columns(table, z)[start:stop])
+        return tuple(point_columns(table, z))
     n = table.shape[0]
     if not _takes_products(z.size, n):
-        return tuple(npoly.polyval(z, table[:, start:stop]))
+        return tuple(npoly.polyval(z, table))
     powers = np.empty(z.shape + (n,), dtype=complex)
     powers[..., 0] = 1.0
     powers[..., 1:] = z[..., None]
     np.multiply.accumulate(powers, axis=-1, out=powers)  # cumprod without a copy
-    return tuple(np.moveaxis(powers @ table, -1, 0)[start:stop])
+    return tuple(np.moveaxis(powers @ table, -1, 0))
 
 
 def point_columns(table: np.ndarray, z) -> list:
@@ -260,4 +258,4 @@ def series_jet_fields(s: PowerSeries, z, count: int = 3):
     if _takes_products(z.size, table.shape[0]):
         jet = eval_table(table, z)  # one product gives every column
         return (lambda: jet[0], *jet[1 : count + 1])
-    return (lambda: eval_table(table, z, 0, 1)[0], *eval_table(table, z, 1, count + 1))
+    return (lambda: eval_table(table[:, :1], z)[0], *eval_table(table[:, 1 : count + 1], z))

@@ -260,6 +260,18 @@ class TestReport:
         assert rep.slack1_argmin.real < -0.4
         assert rep.km_max > 2.0
 
+    def test_km_and_slack3_witness_what_slack1_misses(self):
+        # z + 1.416 z^81: z^80 is real and positive at every angle of the
+        # default grid, so slack1 reads 1.0 there, but km and slack3 do not
+        c = np.zeros(82, dtype=complex)
+        c[1], c[81] = 1.0, 1.416
+        rep = cm.convexity_report(cm.from_series(c, 0.9))
+        assert rep.grid == cm.GridSpec()
+        assert rep.slack1_min >= 0.0
+        assert rep.km_max > 7.0
+        assert rep.slack3_min < -14.0
+        assert rep.verdict == "NotConvex"
+
     def test_series_map_gets_looser_tolerance(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", cm.TruncationTail)

@@ -167,47 +167,12 @@ def per_jet_automorphism(z, a, theta):
     return e * (z + a) / d, lambda: (q / d**2, -2.0 * ab * q / d**3, 6.0 * ab * ab * q / d**4)
 
 
-class TestPointJets:
-    """What the tracer and ``jet_of`` read at one point keeps every bit."""
-
-    @pytest.mark.parametrize(
-        "m",
-        [m for _, m, _ in ZOO] + [gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192, rmax=0.8)],
-        ids=[name for name, _, _ in ZOO] + ["series"],
-    )
-    def test_composed_jets_equal_the_per_jet_automorphism(self, m, monkeypatch):
-        zs = [complex(z) for z in random_disk_points(np.random.default_rng(8), 20, 0.45)]
-
-        def point_values(variant):
-            out = []
-            for z in zs:
-                f, *derivatives = levelset._jet_at(variant, z)
-                jet = cm.jet_of(variant, z)
-                out += [complex(f()), *derivatives, jet.f0, jet.f1, jet.f2, jet.f3]
-                out.append(complex(cm.level_value(variant, z)))
-            return out
-
-        for variant in _composed_variants(m)[1::2]:  # the precomposed ones
-            got = point_values(variant)
-            with monkeypatch.context() as patch:
-                patch.setattr(maps, "_auto_jets", lambda z, *_, pre=variant.pre: per_jet_automorphism(z, *pre))
-                want = point_values(variant)
-            np.testing.assert_array_equal(_bits(got), _bits(want))
-
-    def test_identity_point_jets_are_python_complex(self):
-        for m in _composed_variants(cm.identity()):
-            f, *derivatives = levelset._jet_at(m, 0.3 - 0.2j)
-            assert all(type(v) is complex for v in derivatives)
-        _, *derivatives = maps._jets(cm.identity(), np.asarray(0.3 - 0.2j))
-        assert _bits(derivatives).tolist() == _bits([1.0, 0.0, 0.0]).tolist()
-        assert [type(v) for v in derivatives] == [complex] * 3
-
-
 def written_chain_rule(m: cm.MapSpec, where):
-    """(f, f', f'', f''') of a composed map with the chain rule written out,
-    every operation into a new array: the oracle for the in-place route.
-    The base jets are the map's own kind at the moved points, or over the
-    grid where ``_grid_jets`` takes the spectral route."""
+    """(f, f', f'', f''') of a composed map with the chain rule written out
+    over the per-jet automorphism, every operation into a new array: the
+    oracle for both compiled forms of the rule.  The base jets are the map's
+    own kind at the moved points, or over the grid where ``_grid_jets``
+    takes the spectral route."""
     base = dataclasses.replace(m, pre=None, post=None)
     if isinstance(where, cm.GridSpec) and m.series is not None and m.pre is None:
         f, g1, g2, g3 = maps._jets(base, where)
@@ -225,26 +190,60 @@ def written_chain_rule(m: cm.MapSpec, where):
     return f, g1, g2, g3
 
 
-class TestComposedArrayJets:
-    """The chain rule over arrays writes into arrays of its own with the
-    bits of the rule written out, and leaves the base jets alone."""
+class TestPointJets:
+    """What the tracer and ``jet_of`` read at one point keeps every bit."""
 
     @pytest.mark.parametrize(
         "m",
-        [m for _, m, _ in ZOO] + [gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=96, rmax=0.9)],
+        [m for _, m, _ in ZOO] + [gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=192, rmax=0.8)],
         ids=[name for name, _, _ in ZOO] + ["series"],
     )
+    def test_composed_jets_equal_the_per_jet_automorphism(self, m):
+        zs = [complex(z) for z in random_disk_points(np.random.default_rng(8), 20, 0.45)]
+        for variant in _composed_variants(m)[1:]:  # pre, post, pre and post
+            got, want = [], []
+            for z in zs:
+                f, *derivatives = levelset._jet_at(variant, z)
+                jet = cm.jet_of(variant, z)
+                got += [complex(f()), *derivatives, jet.f0, jet.f1, jet.f2, jet.f3]
+                got.append(complex(cm.level_value(variant, z)))
+                written = written_chain_rule(variant, np.asarray(z))
+                want += [*written, *written]
+                want.append(complex(levelset._level(np.asarray(z), written[1])["g"]))
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_identity_point_jets_are_python_complex(self):
+        for m in _composed_variants(cm.identity()):
+            f, *derivatives = levelset._jet_at(m, 0.3 - 0.2j)
+            assert all(type(v) is complex for v in derivatives)
+        _, *derivatives = maps._jets(cm.identity(), np.asarray(0.3 - 0.2j))
+        assert _bits(derivatives).tolist() == _bits([1.0, 0.0, 0.0]).tolist()
+        assert [type(v) for v in derivatives] == [complex] * 3
+
+
+def _array_inputs(rng) -> list:
+    """A point, one-element and larger arrays, a 2-d array and a grid."""
+    return [
+        np.asarray(complex(random_disk_points(rng, 1, 0.45)[0])),
+        random_disk_points(rng, 1, 0.45),
+        random_disk_points(rng, 2, 0.45),
+        random_disk_points(rng, 41, 0.45),
+        random_disk_points(rng, 42, 0.45).reshape(6, 7),
+        cm.GridSpec(12, 16, 0.45),
+    ]
+
+
+COMPOSED_BASES = [m for _, m, _ in ZOO] + [gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=96, rmax=0.9)]
+COMPOSED_IDS = [name for name, _, _ in ZOO] + ["series"]
+
+
+class TestComposedArrayJets:
+    """The chain rule's in-place form writes into arrays of its own with the
+    bits of the rule written out, and leaves the base jets alone."""
+
+    @pytest.mark.parametrize("m", COMPOSED_BASES, ids=COMPOSED_IDS)
     def test_equals_the_written_chain_rule(self, m, monkeypatch):
-        rng = np.random.default_rng(15)
-        # a point, one-element and larger arrays, a 2-d array and a grid
-        wheres = [
-            np.asarray(complex(random_disk_points(rng, 1, 0.45)[0])),
-            random_disk_points(rng, 1, 0.45),
-            random_disk_points(rng, 2, 0.45),
-            random_disk_points(rng, 41, 0.45),
-            random_disk_points(rng, 42, 0.45).reshape(6, 7),
-            cm.GridSpec(12, 16, 0.45),
-        ]
+        wheres = _array_inputs(np.random.default_rng(15))
         base_jets = []  # (array, copy) for every array the base map hands over
 
         def recorded(jets):
@@ -258,12 +257,14 @@ class TestComposedArrayJets:
             monkeypatch.setitem(maps._CLOSED_FORMS, m.kind, recorded(maps._CLOSED_FORMS[m.kind]))
         else:
             monkeypatch.setattr(maps, "series_jet_fields", recorded(maps.series_jet_fields))
-        chained = []
-        monkeypatch.setattr(maps, "_chain", lambda jets, chain=maps._chain: chained.append(1) or chain(jets))
+        in_place = []  # the form of every composition called
+        compiled = maps._composition
+        monkeypatch.setattr(maps, "_composition", lambda *key: in_place.append(key[-1]) or compiled(*key))
         for variant in _composed_variants(m)[1:]:  # pre, post, pre and post
             for where in wheres:
                 want = written_chain_rule(variant, where)
                 for _ in range(2):  # a second call finds nothing changed
+                    in_place.clear()
                     got = [*cm.jet_derivatives(variant, where), *maps._grid_jets(variant, where)[1:]]
                     expect = [*want[1:], *want[1:]]
                     if not isinstance(where, cm.GridSpec):
@@ -271,11 +272,29 @@ class TestComposedArrayJets:
                         got += [f(), *derivatives, maps._jets(variant, where, 1)[1], *cm.jet_fields(variant, where)]
                         expect += [*want, want[1], *want]
                     np.testing.assert_array_equal(_bits(got), _bits(expect))
-        assert chained, "no array took the in-place chain rule"
+                    # two or more points take the in-place form, others the operator form
+                    assert in_place and set(in_place) == {grid_points(where).size > 1}
         if m.kind == "identity":  # its f'' and f''' are one zeros array
             assert any(a is b for (a, _), (b, _) in zip(base_jets, base_jets[1:]))
         for v, before in base_jets:
             np.testing.assert_array_equal(_bits(v), _bits(before))
+
+    @pytest.mark.parametrize("m", COMPOSED_BASES, ids=COMPOSED_IDS)
+    def test_count_one_computes_neither_t2_nor_t3(self, m):
+        for pre in (False, True):
+            for post in (False, True):
+                for in_place in (False, True):
+                    names = set(maps._composition(1, pre, post, in_place).__code__.co_varnames)
+                    assert not names & {"t2", "t3", "q2", "q3", "f2", "f3"}, (pre, post, in_place)
+                    if pre:
+                        assert {"t2", "t3"} <= set(maps._composition(3, pre, post, in_place).__code__.co_varnames)
+        for variant in _composed_variants(m)[1:]:
+            for where in _array_inputs(np.random.default_rng(15)):
+                spectral = isinstance(where, cm.GridSpec) and m.series is not None and variant.pre is None
+                z = where if spectral else grid_points(where)
+                got, want = maps._jets(variant, z, 1), maps._jets(variant, z)
+                assert len(got) == 2
+                np.testing.assert_array_equal(_bits(got[1]), _bits(want[1]))
 
 
 class TestComposition:

@@ -93,6 +93,17 @@ for name in identity halfplane strip sector0.5 koebe; do
     run closed-check-$name-composed-100 check --map closed-$name-composed.json --nr 100 --ntheta 100
 done
 run closed-check-sector0.5-post-100 check --map closed-sector0.5-post.json --nr 100 --ntheta 100
+# composed traces of the other closed kinds (the identity's is above): each
+# march point takes the chain rule's operator form, the 2,048-point start
+# scan its in-place form at count 1; then a postcomposition alone
+run closed-trace-halfplane-composed trace --map closed-halfplane-composed.json --c 1.0 \
+    --out closed-trace-halfplane-composed.csv
+run closed-trace-strip-composed trace --map closed-strip-composed.json --c 1.0 \
+    --out closed-trace-strip-composed.csv
+run closed-trace-koebe-composed trace --map closed-koebe-composed.json --c 1.5 \
+    --out closed-trace-koebe-composed.csv
+compose closed-halfplane-post.json closed-halfplane.json 0
+run closed-trace-halfplane-post trace --map closed-halfplane-post.json --c 2.0 --out closed-trace-halfplane-post.csv
 run closed-curvature-sector0.5-composed-100 curvature-map --map closed-sector0.5-composed.json \
     --nr 100 --ntheta 100 --out closed-curvature-sector0.5-composed-100.csv
 # curvature grids with scientific-notation cells (koebe) and whole-number
@@ -138,3 +149,8 @@ run series-herglotz-trace trace --map series-herglotz.json --c 0.8 --out series-
 run series-gen-random32 gen --phi-random 3 --seed 11 --order 32 --out series-gen-random32.json
 run series-check-random32 check --map series-gen-random32.json
 run series-trace-random32 trace --map series-gen-random32.json --c 0.9 --out series-trace-random32.csv
+# z + 1.416 z^81: slack1 reads 1.0 at every angle of the default grid, where
+# z^80 is real and positive, but km and slack3 there witness NotConvex (exit 3)
+"$py" -c 'import json; c = [[0.0, 0.0]] * 82; c[1] = [1.0, 0.0]; c[81] = [1.416, 0.0]
+print(json.dumps({"type": "series", "params": {"coeffs": c, "rmax": 0.9}}))' >"$out/series-alias.json"
+run series-check-alias check --map series-alias.json
