@@ -11,11 +11,9 @@ import numpy as np
 
 from .errors import ConvmapError, RadiusExceeded
 from .functionals import (
-    _normal,
-    check_jets,
+    _reads_convex,
     default_grid,
     grid_functionals,
-    normal_derivatives,
     p_field,
     phi_grid,
     phi_values,
@@ -23,16 +21,7 @@ from .functionals import (
     slack_tolerance,
 )
 from .grid import GridSpec
-from .maps import (
-    MapSpec,
-    PhiSpec,
-    certified_points,
-    certified_rmax,
-    identity,
-    jet_derivatives,
-    jet_fields,
-    jet_of,
-)
+from .maps import MapSpec, PhiSpec, certified_points, certified_rmax, identity, jet_fields, jet_of
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
@@ -94,8 +83,9 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """2-d Newton on (Re p, Im p) over (x, y) from every seed at once.
 
     p contains conj(z), so the Jacobian is a genuine real 2x2, taken exactly
-    from the jet through the Wirtinger derivatives of ``normal_derivatives``.
-    Each iteration evaluates one batch of jets at the seeds still running.
+    from the jet through the Wirtinger derivatives pz and pzb of the field
+    kernel.  Each iteration evaluates one ``grid_functionals`` batch at the
+    seeds still running.
     A seed fails when an iterate leaves the disk (|z| >= INTERIOR_CAP) or the
     map's certified points, when its step stalls below 1e-15 with |p| >
     NEWTON_TOL, or when NEWTON_WINDOW iterations bring no new least |p|.
@@ -115,9 +105,7 @@ def _newton_zeros(m: MapSpec, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray
         if not live.size:
             break
         zl = z[live]
-        jets = jet_derivatives(m, zl)
-        check_jets(*jets, "at a Newton iterate")
-        p, dp_dz, dp_dzb = normal_derivatives(zl, *jets)
+        p, dp_dz, dp_dzb = grid_functionals(m, zl, ("p", "pz", "pzb")).values()
         px, py = dp_dz + dp_dzb, 1j * (dp_dz - dp_dzb)
         jac = np.moveaxis(np.array([[px.real, py.real], [px.imag, py.imag]]), -1, 0)
         ap = np.abs(p)
@@ -226,10 +214,7 @@ def _theorem_search(m: MapSpec, vals: dict, floor: float) -> CriticalResult | No
                 break
             u = -pw.conjugate() / abs(pw)
             pts = _geodesic(w, u, _distance_to(w, u, edge) * np.arange(1, ASCENT_SAMPLES + 1) / ASCENT_SAMPLES)
-            jets = jet_derivatives(m, pts)
-            check_jets(*jets, "on an ascent of g")
-            n = _normal(pts, *jets[:2])
-            gs, ps = n["g"], n["p"]
+            gs, ps = grid_functionals(m, pts, ("g", "p")).values()
             j = int(np.argmax(gs))
             if gs[j] <= gw:
                 break
@@ -259,21 +244,22 @@ def find_critical_point(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -
     a nonempty array of points, polish seeds by Newton, and report the zero
     set of p.
 
-    When the scan reads convex (min lhs1 >= -``slack_tolerance``, the first
-    test of ``convexity_report``'s verdict), ``_theorem_search`` first tries
-    to decide from one Newton seed, after an ascent of g when its grid maximum
-    lies on the rim.  Otherwise, or when it cannot decide, the SEED_COUNT
+    When the scan reads convex by the rule of ``convexity_report``'s verdict
+    (min lhs1 >= -tol, max km <= 2 + tol and min slack3 >= -tol, with tol
+    the ``slack_tolerance``), ``_theorem_search`` first tries to decide from
+    one Newton seed, after an ascent of g when its grid maximum lies on the
+    rim.  Otherwise, or when it cannot decide, the SEED_COUNT
     grid points of least |p| and the origin run one batched Newton, and the
     converged roots, taken in order of their final |p|, are merged when
     closer than DISTINCT_SEP.  Raises ValueError on an empty scan.
     """
-    vals = grid_functionals(m, default_grid(m) if grid is None else grid, ("z", "p", "g", "lhs1"))
+    vals = grid_functionals(m, default_grid(m) if grid is None else grid, ("z", "p", "g", "lhs1", "km", "slack3"))
     zs = vals["z"]
     if not zs.size:
         raise ValueError("find_critical_point needs a nonempty scan; the array of points is empty")
     ap = np.abs(vals["p"])
     floor = float(ap.min())
-    if vals["lhs1"].min() >= -slack_tolerance(m):
+    if _reads_convex(vals, slack_tolerance(m)):
         res = _theorem_search(m, vals, floor)
         if res is not None:
             return res

@@ -1,11 +1,13 @@
 """Pointwise diagnostics of a disk map, all from one field kernel:
-``_FORMULAS`` and ``curvatures`` hold every formula once.  They use only
+``_FORMULAS`` and ``curvatures`` hold every formula once, the derivatives of
+p that the critical search's Newton steps read included.  They use only
 arithmetic, ``abs``, ``.conjugate()`` and ``.real``, so the same lines run
 on Python complex scalars and on NumPy arrays; the scalar functions here are
-views of them at one jet.  A grid caller names the fields it reads, and the
-kernel frees every other array right after its last use: on a 10,000-point
-grid each is 80-160 KB, and paging in fresh memory costs more than the
-arithmetic on it.
+views of them at one jet.  ``maps._compiled``, which also compiles the chain
+rule of a composed map, turns the formulas a caller names into one
+straight-line function that frees every other array right after its last
+use: on a 10,000-point grid each is 80-160 KB, and paging in fresh memory
+costs more than the arithmetic on it.
 
 Sign conventions: slackN = lhsN - rhsN, so convexity means slack1 >= 0 and
 the strengthened bounds mean slack2, slack3 >= 0.  With P = f''/f' and
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import DegenerateDenominator, SingularPoint
 from .grid import GridSpec
 from .jet import Jet
-from .maps import MapSpec, _grid_jets, certified_rmax
+from .maps import MapSpec, _compiled, _grid_jets, certified_rmax
 
 UNIMODULAR_EPS = 1e-10
 DEGENERATE_EPS = 1e-12
@@ -56,14 +58,18 @@ UNIMODULAR = _Unimodular()
 _JET = ("z", "f1", "f2", "f3")
 
 # Every formula of the kernel, once: an expression in the jet and in the
-# fields above it, so that the order is an order of evaluation.  P and S
-# come first, so that f'' and f''' can go before anything else is formed.
+# fields above it, so that the order is an order of evaluation.  P, S and
+# P' come first, so that f'' and f''' can go before anything else is formed;
+# pz and pzb are the Wirtinger derivatives of p (see ``normal_derivatives``).
 _FORMULAS = {
     "P": "f2 / f1",
     "S": "f3 / f1 - 1.5 * P * P",
+    "dP": "f3 / f1 - P * P",
     "om": "1.0 - abs(z) ** 2",
     "g": "om * abs(f1)",
     "p": "z.conjugate() - 0.5 * om * P",
+    "pz": "0.5 * (z.conjugate() * P - om * dP)",
+    "pzb": "1.0 + 0.5 * z * P",
     "lhs1": "1.0 + (z * P).real",
     "rhs2": "0.25 * om * abs(P) ** 2",
     "aS": "abs(S)",
@@ -73,11 +79,6 @@ _FORMULAS = {
     "km": "nehari + 2.0 * abs(p) ** 2",
     "density": "1.0 / g",
 }
-# the values each formula reads (its co_names also hold abs, conjugate, real)
-_ARGS = {
-    name: [n for n in compile(expr, name, "eval").co_names if n in _JET or n in _FORMULAS]
-    for name, expr in _FORMULAS.items()
-}
 FIELDS = ("om", "g", "P", "S", "p", "lhs1", "rhs2", "rhs3", "slack3", "km", "nehari", "density")
 CURVATURE_KEYS = ("om", "S", "p", "lhs1", "rhs2")  # what ``curvatures`` reads
 GRID_KEYS = ("z", "f1", *FIELDS)
@@ -85,35 +86,16 @@ GRID_KEYS = ("z", "f1", *FIELDS)
 
 @functools.cache
 def _kernel(keys: tuple, handover: bool = False):
-    """The field kernel for ``keys`` (names in _JET and _FORMULAS): a function
-    of the jet (z, f', f'', f''') that evaluates in _FORMULAS order the
-    formulas that keys need, deletes each value after its last reader unless
-    keys names it, and returns the dict of keys.  With ``handover`` it
-    takes the jet as one list and empties it, so that the caller holds no
-    reference and f'' and f''' are freed too; a grid caller does this.
-    Each kernel is compiled once into straight-line code, so that a single
-    point pays only its arithmetic (a loop over the formulas costs three
-    times that).
-    """
+    """The field kernel for ``keys`` (names in _JET and _FORMULAS): the
+    formulas keys need, compiled by ``maps._compiled`` into a function of the
+    jet (z, f', f'', f''') that returns the dict of keys.  With ``handover``
+    it takes the jet as one list and empties it, so that f'' and f''' are
+    freed too; a grid caller does this."""
     unknown = set(keys).difference(_JET, _FORMULAS)
     if unknown:
         raise ValueError(f"no field named {', '.join(sorted(unknown))}")
-    need = set(keys)
-    for name in reversed(_FORMULAS):  # a formula's arguments come before it
-        if name in need:
-            need.update(_ARGS[name])
-    steps = [name for name in _FORMULAS if name in need]
-    last = {arg: name for name in steps for arg in _ARGS[name]}
-    lines = [f"{', '.join(_JET)} = jets", "jets.clear()"] if handover else []
-    lines += [f"del {arg}" for arg in _JET if arg not in last and arg not in keys]
-    for name in steps:
-        lines.append(f"{name} = {_FORMULAS[name]}")
-        lines += [f"del {arg}" for arg in _ARGS[name] if last[arg] == name and arg not in keys]
-    lines.append(f"return {{{', '.join(f'{key!r}: {key}' for key in keys)}}}")
-    namespace: dict = {}
-    signature = "jets" if handover else "z, f1, f2=None, f3=None"
-    exec(f"def kernel({signature}):\n    " + "\n    ".join(lines), namespace)
-    return namespace["kernel"]
+    params = "jets" if handover else "z, f1, f2=None, f3=None"
+    return _compiled(_FORMULAS.items(), _JET, keys, params, handover=handover)
 
 
 def fields(z, f1, f2, f3, keys=FIELDS) -> dict:
@@ -128,7 +110,7 @@ def fields(z, f1, f2, f3, keys=FIELDS) -> dict:
 # the kernels of the scalar hot loops: the level function g at (z, f'), the
 # normal p at (z, f', f''), and what the tracer keeps of an accepted point
 _level = _kernel(("g",))
-_normal = _kernel(("om", "g", "P", "p"))
+_normal = _kernel(("p",))
 curvature_fields = _kernel(CURVATURE_KEYS)
 
 
@@ -138,10 +120,7 @@ def normal_derivatives(z, f1, f2, f3):
     (1/2)(1 - |z|^2) P' with P' = f'''/f' - P^2 = S + P^2/2, and
     dp/dzbar = 1 + (1/2) z P.  Over (x, y), p_x = dp/dz + dp/dzbar and
     p_y = i (dp/dz - dp/dzbar)."""
-    n = _normal(z, f1, f2)
-    om, P, p = n["om"], n["P"], n["p"]
-    dP = f3 / f1 - P * P
-    return p, 0.5 * (z.conjugate() * P - om * dP), 1.0 + 0.5 * z * P
+    return tuple(fields(z, f1, f2, f3, ("p", "pz", "pzb")).values())
 
 
 def curvatures(fld: dict, f1):
@@ -253,20 +232,20 @@ def grid_functionals(m: MapSpec, zs, keys=GRID_KEYS) -> dict:
     component is not finite.
     """
     jets = list(_grid_jets(m, zs))
-    check_jets(*jets[1:], "on the evaluation grid")
+    check_jets(*jets[1:])
     return _kernel(tuple(keys), handover=True)(jets)
 
 
-def check_jets(f1, f2, f3, where: str) -> None:
-    """Reject a batch of derivative jets as ``maps._jet_at``, the checked
-    point route of ``jet_of`` and the tracer, rejects one: ValueError on a
-    non-finite component, then SingularPoint where f' vanishes; ``where``
-    ends the message."""
+def check_jets(f1, f2, f3) -> None:
+    """Reject a batch of derivative jets on the evaluation grid as
+    ``maps._jet_at``, the checked point route of ``jet_of`` and the tracer,
+    rejects one: ValueError on a non-finite component, then SingularPoint
+    where f' vanishes."""
     for name, vals in zip(("f1", "f2", "f3"), (f1, f2, f3)):
         if not np.all(np.isfinite(vals)):
-            raise ValueError(f"jet component {name} is not finite {where}")
+            raise ValueError(f"jet component {name} is not finite on the evaluation grid")
     if np.any(f1 == 0):
-        raise SingularPoint(f"f' vanishes {where}")
+        raise SingularPoint("f' vanishes on the evaluation grid")
 
 
 def phi_grid(m: MapSpec, where):
@@ -327,13 +306,21 @@ class ConvexityReport:
     grid: GridSpec
 
 
+def _reads_convex(vals: dict, tol: float) -> bool:
+    """The verdict rule on the kernel's arrays: min slack1 (lhs1) >= -tol,
+    max km <= 2 + tol and min slack3 >= -tol, all three of which a convex
+    map meets."""
+    return vals["lhs1"].min() >= -tol and vals["km"].max() <= 2.0 + tol and vals["slack3"].min() >= -tol
+
+
 def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None = None) -> ConvexityReport:
     """Scan a polar grid and summarize the convexity diagnostics.
 
     The verdict is "Convex" when min slack1 >= -tol, max km <= 2 + tol and
-    min slack3 >= -tol, all three of which a convex map meets.  The equality
-    locus collects grid points where |slack3| <= tol, i.e. where the
-    strengthened bound is attained to within the tolerance.
+    min slack3 >= -tol (``_reads_convex``, which also gates the theorem
+    search of ``find_critical_point``).  The equality locus collects grid
+    points where |slack3| <= tol, i.e. where the strengthened bound is
+    attained to within the tolerance.
     """
     from .critical import classify_phi  # deferred: critical itself uses this module
 
@@ -349,9 +336,8 @@ def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None
     inh = int(np.argmax(vals["nehari"]))
     eq_mask = np.abs(slack3) <= tol
     eq_idx = np.flatnonzero(eq_mask)
-    convex = slack1[i1] >= -tol and vals["km"][ik] <= 2.0 + tol and slack3[i3] >= -tol
     return ConvexityReport(
-        verdict="Convex" if convex else "NotConvex",
+        verdict="Convex" if _reads_convex(vals, tol) else "NotConvex",
         tolerance=tol,
         slack1_min=float(slack1[i1]),
         slack1_argmin=complex(zs[i1]),

@@ -7,6 +7,7 @@ in this module differentiates numerically.
 
 from __future__ import annotations
 
+import ast
 import cmath
 import dataclasses
 import functools
@@ -324,6 +325,61 @@ _CLOSED_FORMS = {
     "koebe": _jets_koebe,
 }
 
+_UFUNCS = {ast.Add: "add", ast.Mult: "multiply", ast.Div: "divide", ast.Pow: "power"}
+
+
+def _compiled(steps, inputs, outputs, params: str, handover=False, in_place=False):
+    """(name, expression) ``steps`` in evaluation order (a name may be bound
+    again) compiled into the straight-line function of ``params`` that runs
+    the steps the ``outputs`` read and returns the dict of outputs.  The
+    values ``inputs`` are parameters, or with ``handover`` one list ``jets``
+    that the function unpacks and empties, so that the caller holds no
+    reference.  A step may read other parameters (``s = m.post[0]``), which
+    binds a constant where the steps place it; every value but the outputs
+    is deleted after its last reader.  So a single point pays only its
+    arithmetic; a loop over the steps would cost three times that.
+
+    ``in_place`` runs each one-operator step as a ufunc call (``** 2`` is
+    np.square, as for the operator) with ``out=`` the array its name held if
+    the function made it, else an operand's that it made and nothing reads
+    again.  So it writes into no input, which the caller may share."""
+    known = {*inputs, *(name for name, _ in steps)}  # the values
+    body, live = [], set(outputs)  # (name, expression, values read) of the steps kept, found backwards
+    for name, expr in reversed(steps):
+        if name in live:
+            reads = [x for x in compile(expr, name, "eval").co_names if x in known]  # in order of evaluation
+            live.discard(name)
+            live.update(reads)
+            body.insert(0, (name, expr, reads))
+    lines = [f"{', '.join(inputs)}, = jets", "jets.clear()"] if handover else []
+    lines += [f"del {x}" for x in inputs if x not in live and x not in outputs]
+
+    def next_use(x, i):  # "read" or "write" at the first later step naming x
+        return next(("read" if x in r else "write" for n, _, r in body[i + 1 :] if x in (n, *r)), None)
+
+    own = set()  # names bound to an array the function made
+    for i, (name, expr, reads) in enumerate(body):
+        uses = {x: next_use(x, i) for x in reads}
+        dead = [x for x, use in uses.items() if use is None and x not in outputs]  # read here for the last time
+        tree = ast.parse(expr, mode="eval").body
+        operands = (tree.left, tree.right) if isinstance(tree, ast.BinOp) and type(tree.op) in _UFUNCS else ()
+        if in_place and operands and all(isinstance(x, (ast.Name, ast.Constant)) for x in operands):
+            out = name if name in own else next((x for x in dead if x in own), None)
+            own.discard(out)
+            a, b = map(ast.unparse, operands)
+            expr = f"np.square({a}" if isinstance(tree.op, ast.Pow) and b == "2" else f"np.{_UFUNCS[type(tree.op)]}({a}, {b}"
+            expr += f", out={out})" if out else ")"
+            own.add(name)
+        else:
+            own.discard(name)
+        lines.append(f"{name} = {expr}")
+        # a name goes after its last reader, unless its array is to take a later result
+        lines += [f"del {x}" for x, use in uses.items() if x in dead or use == "write" and x not in own]
+    lines.append(f"return {{{', '.join(f'{x!r}: {x}' for x in outputs)}}}")
+    namespace = {"np": np}
+    exec(f"def compiled({params}):\n    " + "\n    ".join(lines), namespace)
+    return namespace["compiled"]
+
 
 def _moved(m: MapSpec, z):
     """(tau(z), d): z moved by the precomposition tau(z) = e (z + a) / d,
@@ -338,57 +394,25 @@ def _moved(m: MapSpec, z):
 # tau'' = q2/d^3, tau''' = q3/d^4.  Each step keeps the association and operand
 # order that fix the bits (complex products of arrays do not commute bit for
 # bit), and f''' goes first, so each reads the lower derivatives unchanged.
-_PRE_STEPS = (
-    "t1 = d ** 2; t1 = q / t1; t2 = d ** 3; t2 = q2 / t2; t3 = d ** 4; t3 = q3 / t3; "
+_PRE_STEPS = [tuple(step.split(" = ")) for step in (
+    "t1 = d ** 2; q = m._pre_constants[3]; t1 = q / t1; t2 = d ** 3; q2 = m._pre_constants[4]; t2 = q2 / t2; "
+    "t3 = d ** 4; q3 = m._pre_constants[5]; t3 = q3 / t3; "
     # f''' = f3 t1^3 + 3.0 f2 t1 t2 + f1 t3, f'' = f2 t1 t1 + f1 t2, f' = f1 t1
     "h = t1 ** 3; h = f3 * h; k = 3.0 * f2; k = k * t1; k = k * t2; h = h + k; t3 = f1 * t3; f3 = h + t3; "
     "k = f2 * t1; k = k * t1; t2 = f1 * t2; f2 = k + t2; f1 = f1 * t1"
-).split("; ")
-_POST_STEPS = ["f1 = s * f1", "f2 = s * f2", "f3 = s * f3"]
-_CONSTANTS = {"q": "m._pre_constants[3]", "q2": "m._pre_constants[4]", "q3": "m._pre_constants[5]", "s": "m.post[0]"}
-_UFUNCS = {"+": "add", "*": "multiply", "/": "divide", "**": "power"}
+).split("; ")]
+_POST_STEPS = [("s", "m.post[0]"), ("f1", "s * f1"), ("f2", "s * f2"), ("f3", "s * f3")]
 
 
 @functools.cache
 def _composition(count: int, pre: bool, post: bool, in_place: bool):
     """The chain rule (``pre``) and the postcomposition scale (``post``),
-    compiled as the field kernel is: a function of a map and the list
-    [f1, (f2, f3,) (d)], which it empties, returning the composed f', ...,
-    f^(count).  It runs the steps those read as written (the operator form)
-    or as ufunc calls (``** 2`` is np.square, as for the operator) with
-    ``out=`` the result's array if the function made it, else an operand's
-    that it made and nothing reads again.  So it writes into no base array,
-    which the base map may share or hold in its f."""
+    compiled by ``_compiled``: a function of a map and the list [f1, (f2,
+    f3,) (d)], which it empties, returning the dict of the composed f',
+    ..., f^(count), in the operator form or the in-place form."""
     outs = ("f1", "f2", "f3")[:count]
-    steps, live = [], set(outs)
-    for r, _, a, op, b in (step.split() for step in reversed(_PRE_STEPS * pre + _POST_STEPS * post)):
-        if r in live:
-            live.discard(r)
-            live.update(x for x in (a, b) if x.isidentifier())
-            steps.insert(0, (r, a, op, b))
-    lines = [f"{', '.join(x for x in ('f1', 'f2', 'f3', 'd') if x in live)}, = jets", "jets.clear()"]
-    lines += [f"{x} = {value}" for x, value in _CONSTANTS.items() if x in live]
-
-    def next_use(x, i):  # "read" or "write" at the first later step naming x
-        return next(("read" if x in (a, b) else "write" for r, a, _, b in steps[i + 1 :] if x in (r, a, b)), None)
-
-    own = set()  # names bound to an array the function made
-    for i, (r, a, op, b) in enumerate(steps):
-        uses = {x: next_use(x, i) for x in (a, b) if x.isidentifier() and x not in _CONSTANTS}
-        dead = [x for x, use in uses.items() if use is None and x not in outs]  # read here for the last time
-        expr = f"{a} {op} {b}"
-        if in_place:
-            out = r if r in own else next((x for x in dead if x in own), None)
-            own.discard(out)
-            expr = f"np.square({a}" if (op, b) == ("**", "2") else f"np.{_UFUNCS[op]}({a}, {b}"
-            expr += f", out={out})" if out else ")"
-        own.add(r)
-        lines.append(f"{r} = {expr}")
-        # a name goes after its last reader, unless its array is to take a later result
-        lines += [f"del {x}" for x, use in uses.items() if x in dead or use == "write" and x not in own]
-    namespace = {"np": np}
-    exec("def composition(m, jets):\n    " + "\n    ".join(lines + [f"return {', '.join(outs)},"]), namespace)
-    return namespace["composition"]
+    steps = _PRE_STEPS * pre + _POST_STEPS * post
+    return _compiled(steps, outs + ("d",) * pre, outs, "m, jets", handover=True, in_place=in_place)
 
 
 def _jets(m: MapSpec, z, count: int = 3):
@@ -409,7 +433,7 @@ def _jets(m: MapSpec, z, count: int = 3):
     jets += [] if d is None else [d]
     del w, d
     in_place = isinstance(z, GridSpec) or z.size > 1
-    jets = _composition(count, m.pre is not None, m.post is not None, in_place)(m, jets)
+    jets = _composition(count, m.pre is not None, m.post is not None, in_place)(m, jets).values()
     if m.post is not None:
         s, b = m.post
         f = lambda f0=f: s * f0() + b

@@ -8,8 +8,10 @@ import pytest
 import convmap as cm
 import convmap.critical as critical
 from convmap.critical import DEGENERATE_COUNT, NEWTON_TOL, _newton_zeros
-from convmap.functionals import normal_derivatives
+from convmap.functionals import fields, normal_derivatives
 from convmap.maps import certified_rmax
+
+from .oracles import random_disk_points
 
 SECTOR_FLOOR = 0.4999999999999997  # default-grid minimum, pinned as a regression
 KOEBE_FLOOR = 1.0163944111290606
@@ -22,19 +24,42 @@ def gen_quiet(phi, order=192, rmax=0.8):
 
 
 def counting_batches(monkeypatch) -> list:
-    """Count the Newton jet batches of the search: ``jet_derivatives`` calls."""
-    real, calls = critical.jet_derivatives, [0]
+    """Count the jet batches of the search's Newton iterations and ascent of
+    g: its ``grid_functionals`` calls on arrays of points, every call but
+    the scan of a GridSpec."""
+    real, calls = critical.grid_functionals, [0]
 
-    def counted(m, z):
-        calls[0] += 1
-        return real(m, z)
+    def counted(m, zs, keys):
+        calls[0] += not isinstance(zs, cm.GridSpec)
+        return real(m, zs, keys)
 
-    monkeypatch.setattr(critical, "jet_derivatives", counted)
+    monkeypatch.setattr(critical, "grid_functionals", counted)
     return calls
 
 
 def composed(m):
     return m.precomposed(0.25 - 0.15j, 0.7).postcomposed(1.5 - 0.5j, 1 + 1j)
+
+
+def alias_map():
+    """z + 1.416 z^81: z^80 is real and positive at every angle of the
+    default grid, so lhs1 reads 1.0 there, but km and slack3 read NotConvex."""
+    c = np.zeros(82, dtype=complex)
+    c[1], c[81] = 1.0, 1.416
+    return cm.from_series(c, 0.9)
+
+
+def written_normal_derivatives(z, f1, f2, f3):
+    """(p, dp/dz, dp/dzbar) written out by hand: the reference for the
+    formula table's p, pz and pzb."""
+    P = f2 / f1
+    om = 1.0 - abs(z) ** 2
+    dP = f3 / f1 - P * P
+    return z.conjugate() - 0.5 * om * P, 0.5 * (z.conjugate() * P - om * dP), 1.0 + 0.5 * z * P
+
+
+def _bits(vals) -> np.ndarray:
+    return np.ascontiguousarray(vals, dtype=complex).reshape(-1).view(np.uint64)
 
 
 class TestCriticalPoints:
@@ -125,6 +150,23 @@ class TestNewton:
             scale = 1.0 + np.abs(px) + np.abs(py)
             assert np.abs(dp_dz + dp_dzb - px).max() <= 1e-8 * scale.max()
             assert np.abs(1j * (dp_dz - dp_dzb) - py).max() <= 1e-8 * scale.max()
+
+    @pytest.mark.parametrize("m", [
+        cm.identity(), cm.halfplane(), cm.strip(), cm.sector(0.5), cm.polygon(5), cm.koebe(),
+        composed(cm.sector(0.5)), composed(cm.koebe()),
+        gen_quiet(cm.PhiSpec.polynomial([0.3, 0.2j, -0.25])),
+        gen_quiet(cm.PhiSpec.polynomial([0.3, 0.2j, -0.25])).precomposed(0.1j, 1.0),
+    ])
+    def test_the_table_has_the_bits_of_the_written_derivatives(self, m):
+        zs = random_disk_points(np.random.default_rng(17), 41, 0.6)
+        j = cm.jet_of(m, complex(zs[0]))
+        jets = [(j.z, j.f1, j.f2, j.f3)]  # a point, as Python complex values
+        jets += [(z, *cm.jet_derivatives(m, z)) for z in (zs[:1], zs)]  # one-element and 41-point arrays
+        for jet in jets:
+            want = written_normal_derivatives(*jet)
+            table = fields(*jet, ("p", "pz", "pzb"))
+            for got in ([table["p"], table["pz"], table["pzb"]], normal_derivatives(*jet)):
+                np.testing.assert_array_equal(_bits(got), _bits(want))
 
     def test_a_seed_leaving_the_certified_radius_fails_alone(self):
         m = gen_quiet(cm.PhiSpec.polynomial([0.4 + 0.2j, 0.0, 0.45])).precomposed(0.1)
@@ -220,6 +262,14 @@ class TestTheoremPath:
         res = cm.find_critical_point(m, pts)
         assert res.kind == "unique"
         assert abs(cm.p_field(cm.jet_of(m, res.z))) <= NEWTON_TOL
+
+    def test_a_scan_that_km_and_slack3_read_not_convex_takes_the_seed_scan(self, monkeypatch):
+        # lhs1 alone reads convex on this scan; the verdict's rule does not
+        calls = []
+        monkeypatch.setattr(critical, "_theorem_search", lambda *args: calls.append(args))
+        res = cm.find_critical_point(alias_map())
+        assert calls == []
+        assert res.kind == "unique" and abs(res.z) < 1e-10
 
     def test_an_empty_scan_is_refused(self):
         with pytest.raises(ValueError, match="empty"):

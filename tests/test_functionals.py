@@ -328,6 +328,23 @@ class TestReport:
             assert repr(got) == repr(want), m
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("nr, ntheta", [(2.5, 4), (40, 7.5), (float("nan"), 4), (40, float("inf"))])
+    def test_refuses_a_count_that_is_not_an_integer(self, nr, ntheta):
+        # 2.5 rings to rmax 0.9 would be 0.36, 0.72 and 1.08, the last outside
+        # the disk, where a half-plane reads NotConvex
+        with pytest.raises(ValueError, match="must be an integer"):
+            cm.GridSpec(nr, ntheta, 0.9)
+
+    def test_takes_integral_counts_of_any_type(self):
+        assert cm.GridSpec(np.int64(40), np.int32(7), 0.9).points().size == 280
+        assert cm.GridSpec(4.0, 5, 0.9).radii().tolist() == cm.GridSpec(4, 5, 0.9).radii().tolist()
+
+    def test_fit_phi_polynomial_refuses_fractional_samples(self):
+        with pytest.raises(ValueError, match="ntheta must be an integer"):
+            cm.fit_phi_polynomial(cm.sector(0.5), degree=2, samples=64.5)
+
+
 def composed(m: cm.MapSpec) -> cm.MapSpec:
     # a composition like the benchmark's: an automorphism centred at |a| = 0.3, an affine map
     return m.precomposed(0.3 * np.exp(0.4j), 0.7).postcomposed(1.5 - 0.5j, 0.25 + 1j)
