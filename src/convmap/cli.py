@@ -30,7 +30,7 @@ import numpy as np
 
 from .critical import PhiClass
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished, PhiOutOfRange
-from .functionals import CURVATURE_KEYS, ConvexityReport, convexity_report, curvatures, grid_functionals
+from .functionals import ConvexityReport, convexity_report, grid_functionals
 from .grid import GridSpec
 from .levelset import (
     DEFAULT_MAX_POINTS,
@@ -218,13 +218,12 @@ def cmd_trace(args, m: MapSpec) -> int:
 def _curvature_columns(m: MapSpec, grid: GridSpec):
     """The curvature-map columns over the grid, and the mask of the cells
     left empty."""
-    vals = grid_functionals(m, grid, ("z", "f1", "slack3", "km", *CURVATURE_KEYS))
-    zs = vals["z"]
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, kappa = curvatures(vals, vals["f1"])
-    cols = (zs.real, zs.imag, vals["lhs1"], vals["slack3"], vals["km"], kappa)
+        vals = grid_functionals(m, grid, ("z", "lhs1", "slack3", "km", "kappa", "ap"))
+    zs = vals["z"]
+    cols = (zs.real, zs.imag, vals["lhs1"], vals["slack3"], vals["km"], vals["kappa"])
     blank = np.zeros((zs.size, len(cols)), dtype=bool)
-    blank[:, -1] = np.abs(vals["p"]) <= P_MIN  # kappa is undefined there
+    blank[:, -1] = vals["ap"] <= P_MIN  # kappa is undefined there
     return cols, blank
 
 

@@ -1,13 +1,13 @@
 """Pointwise diagnostics of a disk map, all from one field kernel:
-``_FORMULAS`` and ``curvatures`` hold every formula once, the derivatives of
-p that the critical search's Newton steps read included.  They use only
-arithmetic, ``abs``, ``.conjugate()`` and ``.real``, so the same lines run
-on Python complex scalars and on NumPy arrays; the scalar functions here are
-views of them at one jet.  ``maps._compiled``, which also compiles the chain
-rule of a composed map, turns the formulas a caller names into one
-straight-line function that frees every other array right after its last
-use: on a 10,000-point grid each is 80-160 KB, and paging in fresh memory
-costs more than the arithmetic on it.
+``_FORMULAS`` holds every formula once, from the derivatives of p that the
+critical search's Newton steps read to the curvatures and the generator phi.
+They use only arithmetic, ``abs``, ``.conjugate()`` and ``.real``, so the
+same lines run on Python complex scalars and on NumPy arrays; the scalar
+functions here are views of them at one jet.  ``maps._compiled``, which also
+compiles the chain rule of a composed map, turns the formulas a caller names
+into one straight-line function that frees every other array right after
+its last use: on a 10,000-point grid each is 80-160 KB, and paging in fresh
+memory costs more than the arithmetic on it.
 
 Sign conventions: slackN = lhsN - rhsN, so convexity means slack1 >= 0 and
 the strengthened bounds mean slack2, slack3 >= 0.  With P = f''/f' and
@@ -60,7 +60,9 @@ _JET = ("z", "f1", "f2", "f3")
 # Every formula of the kernel, once: an expression in the jet and in the
 # fields above it, so that the order is an order of evaluation.  P, S and
 # P' come first, so that f'' and f''' can go before anything else is formed;
-# pz and pzb are the Wirtinger derivatives of p (see ``normal_derivatives``).
+# pz and pzb are dp/dz and dp/dzbar (p holds conj(z)).  k and kappa divide by
+# |p| and phi and dphi by 2 + z P: FIELDS leaves them and ap, re and den out.
+# No key is named as an attribute (``real``): ``_compiled`` reads co_names.
 _FORMULAS = {
     "P": "f2 / f1",
     "S": "f3 / f1 - 1.5 * P * P",
@@ -78,9 +80,17 @@ _FORMULAS = {
     "slack3": "lhs1 - rhs3",
     "km": "nehari + 2.0 * abs(p) ** 2",
     "density": "1.0 / g",
+    "ap": "abs(p)",
+    # (z')^2 = -conj(p)^2 / |p|^2 for the tangent -i conj(p)/|p|
+    "re": "(p.conjugate() ** 2 * S).real",
+    "k": "(1.0 + rhs2 + om / (2.0 * ap**2) * re) / ap",
+    "kappa": "(lhs1 - rhs2 + 0.5 * om * re / ap**2) / (abs(f1) * ap)",
+    "den": "2.0 + z * P",
+    "phi": "P / den",
+    # phi' = 2 S / (2 + z P)^2, from P' = S + P^2/2
+    "dphi": "2.0 * S / (den * den)",
 }
 FIELDS = ("om", "g", "P", "S", "p", "lhs1", "rhs2", "rhs3", "slack3", "km", "nehari", "density")
-CURVATURE_KEYS = ("om", "S", "p", "lhs1", "rhs2")  # what ``curvatures`` reads
 GRID_KEYS = ("z", "f1", *FIELDS)
 
 
@@ -102,8 +112,8 @@ def fields(z, f1, f2, f3, keys=FIELDS) -> dict:
     """The pointwise fields named by ``keys`` (by default all of FIELDS) of
     the jet (z, f', f'', f''') at a point or an array: om = 1 - |z|^2,
     g = om |f'|, P = f''/f', S, p, lhs1, rhs2, rhs3, slack3 = lhs1 - rhs3,
-    km, nehari and density, each documented at its scalar view below.  f'
-    must not vanish."""
+    km, nehari and density, each documented at its scalar view below, or any
+    other key of ``_FORMULAS``.  f' must not vanish."""
     return _kernel(tuple(keys))(z, f1, f2, f3)
 
 
@@ -111,94 +121,65 @@ def fields(z, f1, f2, f3, keys=FIELDS) -> dict:
 # normal p at (z, f', f''), and what the tracer keeps of an accepted point
 _level = _kernel(("g",))
 _normal = _kernel(("p",))
-curvature_fields = _kernel(CURVATURE_KEYS)
+curvature_fields = _kernel(("p", "k", "kappa"))
 
 
-def normal_derivatives(z, f1, f2, f3):
-    """(p, dp/dz, dp/dzbar): the normal and its Wirtinger derivatives.  p
-    contains conj(z), so both are needed: dp/dz = (1/2) conj(z) P -
-    (1/2)(1 - |z|^2) P' with P' = f'''/f' - P^2 = S + P^2/2, and
-    dp/dzbar = 1 + (1/2) z P.  Over (x, y), p_x = dp/dz + dp/dzbar and
-    p_y = i (dp/dz - dp/dzbar)."""
-    return tuple(fields(z, f1, f2, f3, ("p", "pz", "pzb")).values())
-
-
-def curvatures(fld: dict, f1):
-    """(k, kappa): signed curvature of the level curve of g through each
-    point, in the disk and of its image under the map, from a ``fields``
-    result and f'.  Divides by |p|, so a scalar call at a zero of p raises
-    ZeroDivisionError; array callers guard |p| themselves."""
-    om, p = fld["om"], fld["p"]
-    ap = abs(p)
-    # (z')^2 = -conj(p)^2 / |p|^2 for the tangent -i conj(p)/|p|
-    re = (p.conjugate() ** 2 * fld["S"]).real
-    k = (1.0 + fld["rhs2"] + om / (2.0 * ap**2) * re) / ap
-    kappa = (fld["lhs1"] - fld["rhs2"] + 0.5 * om * re / ap**2) / (abs(f1) * ap)
-    return k, kappa
-
-
-def _phi_denominator(z, P):
-    """2 + z P, the denominator of phi, and where it is below DEGENERATE_EPS."""
-    den = 2.0 + z * P
-    return den, abs(den) < DEGENERATE_EPS
-
-
-def fields_at(j: Jet) -> dict:
+def fields_at(j: Jet, keys=FIELDS) -> dict:
     """``fields`` at one jet; raises SingularPoint if f' vanishes."""
     if j.f1 == 0:
         raise SingularPoint(f"f' vanishes at z = {j.z}")
-    return fields(j.z, j.f1, j.f2, j.f3)
+    return fields(j.z, j.f1, j.f2, j.f3, keys)
 
 
 def pre_schwarzian(j: Jet) -> complex:
     """f''/f'."""
-    return fields_at(j)["P"]
+    return fields_at(j, ("P",))["P"]
 
 
 def schwarzian(j: Jet) -> complex:
     """f'''/f' - (3/2)(f''/f')**2."""
-    return fields_at(j)["S"]
+    return fields_at(j, ("S",))["S"]
 
 
 def classical_lhs(j: Jet) -> float:
     """Re(1 + z f''/f'); nonnegative on the disk exactly for convex maps."""
-    return fields_at(j)["lhs1"]
+    return fields_at(j, ("lhs1",))["lhs1"]
 
 
 def rhs2(j: Jet) -> float:
     """(1/4)(1 - |z|^2) |f''/f'|^2."""
-    return fields_at(j)["rhs2"]
+    return fields_at(j, ("rhs2",))["rhs2"]
 
 
 def rhs3(j: Jet) -> float:
     """(1/4)(1 - |z|^2) (2 |S| + |f''/f'|^2); dominates rhs2 pointwise."""
-    return fields_at(j)["rhs3"]
+    return fields_at(j, ("rhs3",))["rhs3"]
 
 
 def p_field(j: Jet) -> complex:
     """conj(z) - (1/2)(1 - |z|^2) f''/f', the level-set normal data."""
-    return fields_at(j)["p"]
+    return fields_at(j, ("p",))["p"]
 
 
 def kim_minda(j: Jet) -> float:
     """(1 - |z|^2)^2 |S| + 2 |p|^2; at most 2 on convex maps."""
-    return fields_at(j)["km"]
+    return fields_at(j, ("km",))["km"]
 
 
 def nehari_value(j: Jet) -> float:
     """(1 - |z|^2)^2 |S|; at most 2 whenever the map is univalent."""
-    return fields_at(j)["nehari"]
+    return fields_at(j, ("nehari",))["nehari"]
 
 
 def poincare_density(j: Jet) -> float:
     """Density of the hyperbolic metric of the image domain at f(z)."""
-    return fields_at(j)["density"]
+    return fields_at(j, ("density",))["density"]
 
 
 def equivalence_identity(j: Jet) -> float:
     """|(2 - km) - 2 (1 - |z|^2) (lhs1 - rhs3)|; identically zero in exact
     arithmetic, so the result is a pure roundoff gauge."""
-    fld = fields_at(j)
+    fld = fields_at(j, ("om", "slack3", "km"))
     return abs((2.0 - fld["km"]) - 2.0 * fld["om"] * fld["slack3"])
 
 
@@ -209,16 +190,13 @@ def schwarz_pick_slack(j: Jet):
     quotient degenerates and the UNIMODULAR sentinel is returned instead of
     a number.
     """
-    fld = fields_at(j)
-    den, degenerate = _phi_denominator(j.z, fld["P"])
-    if degenerate:
+    if abs(fields_at(j, ("den",))["den"]) < DEGENERATE_EPS:
         raise DegenerateDenominator(f"2 + z f''/f' vanishes at z = {j.z}")
-    # phi' = 2 S / (2 + z P)^2, from P' = S + P^2/2
-    phi, dphi = fld["P"] / den, 2.0 * fld["S"] / (den * den)
-    a2 = abs(phi) ** 2
+    fld = fields_at(j, ("om", "phi", "dphi"))
+    a2 = abs(fld["phi"]) ** 2
     if a2 >= (1.0 - UNIMODULAR_EPS) ** 2:
         return UNIMODULAR
-    return 1.0 / fld["om"] - abs(dphi) / (1.0 - a2)
+    return 1.0 / fld["om"] - abs(fld["dphi"]) / (1.0 - a2)
 
 
 def grid_functionals(m: MapSpec, zs, keys=GRID_KEYS) -> dict:
@@ -253,10 +231,9 @@ def phi_grid(m: MapSpec, where):
     there."""
     z, f1, f2, _ = _grid_jets(m, where)
     with np.errstate(divide="ignore", invalid="ignore"):
-        P = fields(z, f1, f2, None, ("P",))["P"]
-        den, degenerate = _phi_denominator(z, P)
-        bad = ~np.isfinite(den) | degenerate
-        return z, np.where(bad, complex(np.nan, np.nan), P / np.where(bad, 1.0, den))
+        vals = fields(z, f1, f2, None, ("den", "phi"))
+        bad = ~np.isfinite(vals["den"]) | (abs(vals["den"]) < DEGENERATE_EPS)
+        return z, np.where(bad, complex(np.nan, np.nan), vals["phi"])
 
 
 def phi_values(m: MapSpec, z):

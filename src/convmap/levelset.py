@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvmapError, LevelNotOnRay, NormalVanished
-from .functionals import _level, _normal, curvature_fields, curvatures, fields_at
+from .errors import ConvmapError, LevelNotOnRay, NormalVanished, SingularPoint
+from .functionals import _level, _normal, curvature_fields
 from .jet import Jet
 from .maps import MapSpec, _jet_at, _jets, _point_jets, certified_rmax
 
@@ -143,20 +143,27 @@ def _vanished(p: complex, z: complex) -> None:
         raise NormalVanished(f"|p| = {abs(p):.3e} at z = {z}; curvature undefined")
 
 
-def _curvatures_at(j: Jet):
-    fld = fields_at(j)
-    _vanished(fld["p"], j.z)
-    return curvatures(fld, j.f1)
+def _curvatures(z: complex, f1: complex, f2: complex, f3: complex) -> dict:
+    """p, k and kappa at one point: SingularPoint where f' vanishes, and
+    NormalVanished where |p| <= P_MIN, a |p|^2 of 0.0 divided by included."""
+    if f1 == 0:
+        raise SingularPoint(f"f' vanishes at z = {z}")
+    try:
+        fld = curvature_fields(z, f1, f2, f3)
+    except ZeroDivisionError:
+        fld = _normal(z, f1, f2)
+    _vanished(fld["p"], z)
+    return fld
 
 
 def disk_curvature(j: Jet) -> float:
     """Signed curvature at j.z of the level curve of g through that point."""
-    return _curvatures_at(j)[0]
+    return _curvatures(j.z, j.f1, j.f2, j.f3)["k"]
 
 
 def image_curvature(j: Jet) -> float:
     """Signed curvature of the image of the level curve at f(j.z)."""
-    return _curvatures_at(j)[1]
+    return _curvatures(j.z, j.f1, j.f2, j.f3)["kappa"]
 
 
 def discrete_curvature(curve, image_plane: bool = False, closed: bool | None = None) -> np.ndarray:
@@ -197,12 +204,11 @@ def _record(z: complex, f, f1: complex, f2: complex, f3: complex, r: float):
     """What the curve keeps of an accepted point: (z, f, p, k, kappa, |g - c|),
     all from the jet it was accepted on; f is computed here, and checked
     as ``jet_of`` checks it."""
-    fld = curvature_fields(z, f1, f2, f3)
-    _vanished(fld["p"], z)
+    fld = _curvatures(z, f1, f2, f3)
     w = complex(f())
     if not cmath.isfinite(w):
         raise ValueError(f"jet component f0 is not finite at z = {z}")
-    return (z, w, fld["p"], *curvatures(fld, f1), r)
+    return (z, w, fld["p"], fld["k"], fld["kappa"], r)
 
 
 def _arc(h: float, k: float) -> complex:

@@ -8,7 +8,7 @@ import pytest
 import convmap as cm
 import convmap.critical as critical
 from convmap.critical import DEGENERATE_COUNT, NEWTON_TOL, _newton_zeros
-from convmap.functionals import fields, normal_derivatives
+from convmap.functionals import fields
 from convmap.maps import certified_rmax
 
 from .oracles import random_disk_points
@@ -56,6 +56,35 @@ def written_normal_derivatives(z, f1, f2, f3):
     om = 1.0 - abs(z) ** 2
     dP = f3 / f1 - P * P
     return z.conjugate() - 0.5 * om * P, 0.5 * (z.conjugate() * P - om * dP), 1.0 + 0.5 * z * P
+
+
+def written_curvatures_and_phi(z, f1, fld):
+    """(k, kappa, phi, phi') written out by hand from the table's om, P, S,
+    p, lhs1 and rhs2: the reference for the table's k, kappa, phi and dphi."""
+    om, p = fld["om"], fld["p"]
+    ap = abs(p)
+    re = (p.conjugate() ** 2 * fld["S"]).real
+    k = (1.0 + fld["rhs2"] + om / (2.0 * ap**2) * re) / ap
+    kappa = (fld["lhs1"] - fld["rhs2"] + 0.5 * om * re / ap**2) / (abs(f1) * ap)
+    den = 2.0 + z * fld["P"]
+    return k, kappa, fld["P"] / den, 2.0 * fld["S"] / (den * den)
+
+
+# the six closed kinds, two composed maps, a generated map and its precomposition
+TABLE_MAPS = [
+    cm.identity(), cm.halfplane(), cm.strip(), cm.sector(0.5), cm.polygon(5), cm.koebe(),
+    composed(cm.sector(0.5)), composed(cm.koebe()),
+    gen_quiet(cm.PhiSpec.polynomial([0.3, 0.2j, -0.25])),
+    gen_quiet(cm.PhiSpec.polynomial([0.3, 0.2j, -0.25])).precomposed(0.1j, 1.0),
+]
+
+
+def table_jets(m) -> list:
+    """Jets (z, f', f'', f''') of m at a point, as Python complex values,
+    and at a one-element and a 41-point array."""
+    zs = random_disk_points(np.random.default_rng(17), 41, 0.6)
+    j = cm.jet_of(m, complex(zs[0]))
+    return [(j.z, j.f1, j.f2, j.f3)] + [(z, *cm.jet_derivatives(m, z)) for z in (zs[:1], zs)]
 
 
 def _bits(vals) -> np.ndarray:
@@ -142,31 +171,28 @@ class TestNewton:
             z = 0.6 * np.sqrt(rng.uniform(size=16)) * np.exp(2j * np.pi * rng.uniform(size=16))
 
             def p_at(w):
-                return normal_derivatives(w, *cm.jet_fields(m, w)[1:])[0]
+                return fields(w, *cm.jet_fields(m, w)[1:], ("p",))["p"]
 
-            _, dp_dz, dp_dzb = normal_derivatives(z, *cm.jet_fields(m, z)[1:])
+            dp_dz, dp_dzb = fields(z, *cm.jet_fields(m, z)[1:], ("pz", "pzb")).values()
             px = (p_at(z + h) - p_at(z - h)) / (2 * h)
             py = (p_at(z + 1j * h) - p_at(z - 1j * h)) / (2 * h)
             scale = 1.0 + np.abs(px) + np.abs(py)
             assert np.abs(dp_dz + dp_dzb - px).max() <= 1e-8 * scale.max()
             assert np.abs(1j * (dp_dz - dp_dzb) - py).max() <= 1e-8 * scale.max()
 
-    @pytest.mark.parametrize("m", [
-        cm.identity(), cm.halfplane(), cm.strip(), cm.sector(0.5), cm.polygon(5), cm.koebe(),
-        composed(cm.sector(0.5)), composed(cm.koebe()),
-        gen_quiet(cm.PhiSpec.polynomial([0.3, 0.2j, -0.25])),
-        gen_quiet(cm.PhiSpec.polynomial([0.3, 0.2j, -0.25])).precomposed(0.1j, 1.0),
-    ])
+    @pytest.mark.parametrize("m", TABLE_MAPS)
     def test_the_table_has_the_bits_of_the_written_derivatives(self, m):
-        zs = random_disk_points(np.random.default_rng(17), 41, 0.6)
-        j = cm.jet_of(m, complex(zs[0]))
-        jets = [(j.z, j.f1, j.f2, j.f3)]  # a point, as Python complex values
-        jets += [(z, *cm.jet_derivatives(m, z)) for z in (zs[:1], zs)]  # one-element and 41-point arrays
-        for jet in jets:
+        for jet in table_jets(m):
             want = written_normal_derivatives(*jet)
             table = fields(*jet, ("p", "pz", "pzb"))
-            for got in ([table["p"], table["pz"], table["pzb"]], normal_derivatives(*jet)):
-                np.testing.assert_array_equal(_bits(got), _bits(want))
+            np.testing.assert_array_equal(_bits([table["p"], table["pz"], table["pzb"]]), _bits(want))
+
+    @pytest.mark.parametrize("m", TABLE_MAPS)
+    def test_the_table_has_the_bits_of_the_written_curvatures_and_phi(self, m):
+        for jet in table_jets(m):
+            want = written_curvatures_and_phi(jet[0], jet[1], fields(*jet, ("om", "P", "S", "p", "lhs1", "rhs2")))
+            table = fields(*jet, ("k", "kappa", "phi", "dphi"))
+            np.testing.assert_array_equal(_bits([table["k"], table["kappa"], table["phi"], table["dphi"]]), _bits(want))
 
     def test_a_seed_leaving_the_certified_radius_fails_alone(self):
         m = gen_quiet(cm.PhiSpec.polynomial([0.4 + 0.2j, 0.0, 0.45])).precomposed(0.1)

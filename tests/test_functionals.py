@@ -129,7 +129,7 @@ class TestGridFunctionals:
         for m, r in ((cm.sector(0.6), 0.8), (generated, 0.8), (composed, 0.75)):
             zs = random_disk_points(np.random.default_rng(12), 24, r)
             vals = cm.grid_functionals(m, zs)
-            k, kappa = cm.curvatures(vals, vals["f1"])
+            k, kappa = cm.grid_functionals(m, zs, ("k", "kappa")).values()
             for i in (0, 7, 23):
                 j = jet(m, complex(zs[i]))
                 for key, op in scalar_ops.items():

@@ -9,7 +9,7 @@ import pytest
 import convmap as cm
 import convmap.levelset as levelset
 import convmap.maps as maps
-from convmap.functionals import _level, curvatures, fields_at
+from convmap.functionals import _level, fields_at
 from convmap.levelset import CSV_HEADER, RESIDUAL_TARGET
 
 
@@ -265,9 +265,9 @@ class TestCorrector:
         # bit, and the curve costs no jets beyond those of the march
         for i, z in enumerate(curve.z.tolist()):
             j = cm.jet_of(m, z)
-            fld = fields_at(j)
+            fld = fields_at(j, ("p", "k", "kappa"))
             assert (curve.w[i], curve.p[i]) == (j.f0, fld["p"])
-            assert (curve.k[i], curve.kappa[i]) == curvatures(fld, j.f1)
+            assert (curve.k[i], curve.kappa[i]) == (fld["k"], fld["kappa"])
         assert traced <= 2 * len(curve) + 1
 
     def test_identity_circle_takes_one_jet_per_point(self, jet_count):
@@ -378,8 +378,17 @@ class TestNormalVanishes:
         assert np.abs(np.diff(partial.z)).max() <= 2e-5 * (1.0 + 1e-9)
 
     def test_pointwise_guard(self):
-        with pytest.raises(cm.NormalVanished):
-            cm.disk_curvature(cm.jet_of(cm.strip(), 0.0))
+        # p == 0 exactly at the strip's center: each pointwise route raises
+        # the typed error, never the kernel's ZeroDivisionError on |p|
+        m = cm.strip()
+        assert cm.p_field(cm.jet_of(m, 0j)) == 0
+        for view in (
+            lambda: cm.disk_curvature(cm.jet_of(m, 0j)),
+            lambda: cm.image_curvature(cm.jet_of(m, 0j)),
+            lambda: levelset._record(0j, *maps._jet_at(m, 0j), 0.0),  # the tracer's point record
+        ):
+            with pytest.raises(cm.NormalVanished):
+                view()
 
 
 class TestValidation:

@@ -9,9 +9,10 @@ CHECKOUT (default: the checkout holding this script) supplies src/; the
 package runs from it with no install, through its public API only, so the
 script runs on older checkouts too.  Each map NAME gets NAME.txt with the
 repr of its ``convexity_report``, ``find_critical_point`` and
-``classify_phi`` results, and for one traced level curve its level, length,
+``classify_phi`` results, for one traced level curve its level, length,
 closure, termination and a SHA-256 of its arrays (z, w, p, k, kappa,
-residual, s).  A call that raises writes its exception type and message
+residual, s), and the repr of every public pointwise view at each of
+POINTS.  A call that raises writes its exception type and message
 instead.  Names start with "closed-lib-" for closed-form maps, whose bytes
 must not change between checkouts, and with "series-lib-" for series maps.
 """
@@ -27,6 +28,10 @@ RING_RADIUS = 0.55  # the level of a trace lies between g(0) and the least g on 
 RING_SAMPLES = 256
 TRACE_RMAX = 0.78
 TRACE_MAX_POINTS = 2000
+POINTS = (0j, 0.3 + 0.2j, -0.5 + 0j)  # the center, a generic point, and where 2 + z P vanishes for koebe
+JET_VIEWS = ("pre_schwarzian", "schwarzian", "classical_lhs", "rhs2", "rhs3", "p_field", "kim_minda",
+             "nehari_value", "poincare_density", "equivalence_identity", "disk_curvature",
+             "image_curvature", "schwarz_pick_slack")
 
 
 def zoo(cm, np):
@@ -67,6 +72,17 @@ def trace(cm, np, m) -> str:
             f"sha256={digest.hexdigest()}")
 
 
+def pointwise(cm, m) -> list[str]:
+    """One line per pointwise view and point: the views of a jet at
+    ``jet_of(m, z)``, and ``phi_of(m, z)``."""
+    lines = []
+    for z in POINTS:
+        for name in JET_VIEWS:
+            lines.append(f"{name}({z!r}): {outcome(lambda: getattr(cm, name)(cm.jet_of(m, z)))}")
+        lines.append(f"phi_of({z!r}): {outcome(lambda: cm.phi_of(m, z))}")
+    return lines
+
+
 def outcome(call) -> str:
     try:
         result = call()
@@ -94,6 +110,7 @@ def main(argv: list[str]) -> int:
             f"find_critical_point: {outcome(lambda: cm.find_critical_point(m))}",
             f"classify_phi: {outcome(lambda: cm.classify_phi(m))}",
             f"trace: {outcome(lambda: trace(cm, np, m))}",
+            *pointwise(cm, m),
         ]
         (out / f"{name}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
