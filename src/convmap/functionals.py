@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateDenominator, SingularPoint
 from .grid import GridSpec
 from .jet import Jet
-from .maps import MapSpec, _compiled, _grid_jets, certified_rmax
+from .maps import MapSpec, _compiled, _jets, certified_rmax
 
 UNIMODULAR_EPS = 1e-10
 DEGENERATE_EPS = 1e-12
@@ -209,7 +209,8 @@ def grid_functionals(m: MapSpec, zs, keys=GRID_KEYS) -> dict:
     Raises SingularPoint if f' vanishes anywhere and ValueError if a jet
     component is not finite.
     """
-    jets = list(_grid_jets(m, zs))
+    jets = list(_jets(m, zs))
+    jets[:2] = [np.asarray(jets[0])]  # z (a lone point as a 0-d array); f holds the base map's arrays
     check_jets(*jets[1:])
     return _kernel(tuple(keys), handover=True)(jets)
 
@@ -229,9 +230,9 @@ def check_jets(f1, f2, f3) -> None:
 def phi_grid(m: MapSpec, where):
     """(z, phi): the points of a GridSpec or an array, and ``phi_values``
     there."""
-    z, f1, f2, _ = _grid_jets(m, where)
+    z, _, f1, f2, _ = _jets(m, where)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = fields(z, f1, f2, None, ("den", "phi"))
+        vals = fields(np.asarray(z), f1, f2, None, ("den", "phi"))  # a lone point as a 0-d array
         bad = ~np.isfinite(vals["den"]) | (abs(vals["den"]) < DEGENERATE_EPS)
         return z, np.where(bad, complex(np.nan, np.nan), vals["phi"])
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished, SingularPoint
 from .functionals import _level, _normal, curvature_fields
 from .jet import Jet
-from .maps import MapSpec, _jet_at, _jets, _point_jets, certified_rmax
+from .maps import MapSpec, _jet_at, _jets, certified_rmax
 
 P_MIN = 1e-4
 RESIDUAL_TARGET = 1e-12
@@ -46,8 +46,8 @@ CSV_HEADER = "s,Re z,Im z,Re w,Im w,|p|,k,kappa,residual"
 def level_value(m: MapSpec, z):
     """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z, from f' alone."""
     z = np.asarray(z, dtype=complex)
-    jet = _point_jets(m, complex(z), 1) if z.ndim == 0 else _jets(m, z, 1)
-    return _level(z, jet[1])["g"]
+    f1 = _jets(m, complex(z) if z.ndim == 0 else z, 1)[2]
+    return _level(z, f1)["g"]
 
 
 def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEFAULT_TRACE_RMAX) -> complex:
@@ -333,9 +333,6 @@ def trace_level_set(
     elif not abs(g0 - float(c)) <= START_RESIDUAL_BAR:  # a NaN c too
         raise ValueError(f"g(z0) = {g0:.12g} does not sit on the level c = {float(c):.12g}")
     c = float(c)
-    p0 = _normal(z0, f1, f2)["p"]
-    if abs(p0) <= P_MIN:
-        raise NormalVanished(f"|p| = {abs(p0):.3e} at the start point {z0}", curve=None)
     forward = [_record(z0, f, f1, f2, f3, abs(g0 - c))]
     backward = forward[:]  # z0 is shared by both halves
     try:

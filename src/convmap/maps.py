@@ -11,6 +11,8 @@ import ast
 import cmath
 import dataclasses
 import functools
+import itertools
+import linecache
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,6 +327,7 @@ _CLOSED_FORMS = {
     "koebe": _jets_koebe,
 }
 
+_SOURCES = itertools.count()  # numbers the sources of ``_compiled`` in linecache
 _UFUNCS = {ast.Add: "add", ast.Mult: "multiply", ast.Div: "divide", ast.Pow: "power"}
 
 
@@ -376,8 +379,11 @@ def _compiled(steps, inputs, outputs, params: str, handover=False, in_place=Fals
         # a name goes after its last reader, unless its array is to take a later result
         lines += [f"del {x}" for x, use in uses.items() if x in dead or use == "write" and x not in own]
     lines.append(f"return {{{', '.join(f'{x!r}: {x}' for x in outputs)}}}")
+    source = f"def compiled({params}):\n    " + "\n    ".join(lines) + "\n"
+    filename = f"<convmap._compiled {' '.join(outputs)} #{next(_SOURCES)}>"  # for a warning's line
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"np": np}
-    exec(f"def compiled({params}):\n    " + "\n    ".join(lines), namespace)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace["compiled"]
 
 
@@ -415,65 +421,52 @@ def _composition(count: int, pre: bool, post: bool, in_place: bool):
     return _compiled(steps, outs + ("d",) * pre, outs, "m, jets", handover=True, in_place=in_place)
 
 
-def _jets(m: MapSpec, z, count: int = 3):
-    """(f, f', ..., f^(count)) of the composed map at array z, or over a
-    GridSpec for a series map with no precomposition, with f as a callable
-    that a caller reading only derivatives never calls.  ``count`` is 1 or
-    3 (a closed form with nothing to compose gives three derivatives
-    whatever the count); single points come through ``_point_jets``.  The
-    base map's jets at the moved points and d go to ``_composition``: its
-    operator form for a 0-d or one-element array, which NumPy iterates
-    with stride 0 (a complex product written over an operand then rounds
-    as a scalar product does), its in-place form for more points."""
-    w, d = (z, None) if m.pre is None else _moved(m, z)
+def _jets(m: MapSpec, where, count: int = 3):
+    """(z, f, f', ..., f^(count)) of the composed map at the points z it
+    evaluated, f a callable that a caller reading only derivatives never
+    calls; ``count`` is 1 or 3 (a map with nothing to compose may give three
+    derivatives whatever the count).  The one function that picks a route:
+    - a Python complex on a series map with nothing composed: ``certify``,
+      then one running product (``point_columns``), all Python complex;
+    - a GridSpec of a series map with no precomposition: ``series.eval_grid``;
+    - anything else at z = ``grid_points(where)``, a point as a 0-d array.
+    Only a Python complex counts as a point: ``np.complex128`` subclasses it,
+    and the closed forms round differently on a NumPy scalar.  The base
+    map's jets at the moved points and d go to ``_composition``: its
+    operator form for a 0-d or one-element array, which NumPy iterates with
+    stride 0 (a complex product written over an operand then rounds as a
+    scalar product does), its in-place form for more points."""
+    if type(where) is complex and m.series is not None and m.pre is None and m.post is None:
+        certify(m.series, abs(where))
+        f0, *jet = point_columns(m.series.table, where)
+        return (where, lambda: f0, *jet)
+    z = grid_points(where)
+    spectral = m.series is not None and m.pre is None and isinstance(where, GridSpec)
+    w, d = (where if spectral else z, None) if m.pre is None else _moved(m, z)
     jets = series_jet_fields(m.series, w, count) if m.series is not None else _CLOSED_FORMS[m.kind](w, m)
     if m.pre is None and m.post is None:  # nothing to compose
-        return jets
+        return (z, *jets)
     f, *jets = jets[: count + 1]
     jets += [] if d is None else [d]
     del w, d
-    in_place = isinstance(z, GridSpec) or z.size > 1
-    jets = _composition(count, m.pre is not None, m.post is not None, in_place)(m, jets).values()
+    jets = _composition(count, m.pre is not None, m.post is not None, z.size > 1)(m, jets).values()
     if m.post is not None:
         s, b = m.post
         f = lambda f0=f: s * f0() + b
-    return (f, *jets)
-
-
-def _point_jets(m: MapSpec, z: complex, count: int = 3):
-    """``_jets`` at one point z: a series map with nothing to compose takes
-    one running product (Python complex values), any other map a 0-d array."""
-    if m.series is not None and m.pre is None and m.post is None:
-        certify(m.series, abs(z))
-        f0, *jet = point_columns(m.series.table, z)
-        return (lambda: f0, *jet)
-    return _jets(m, np.asarray(z, dtype=complex), count)
+    return (z, f, *jets)
 
 
 def jet_fields(m: MapSpec, z):
     """Arrays (f, f', f'', f''') of the composed map at scalar or array z."""
-    f, f1, f2, f3 = _jets(m, np.asarray(z, dtype=complex))
+    _, f, f1, f2, f3 = _jets(m, z)
     return f(), f1, f2, f3
-
-
-def _grid_jets(m: MapSpec, where):
-    """(z, f', f'', f''') without computing f, at the points z of a GridSpec
-    (in ``GridSpec.points`` order, built once here) or of an array.
-
-    On a grid, a series map without a precomposition takes the spectral
-    route (``series.eval_grid``), and a postcomposition applies after it;
-    every other map evaluates at z.
-    """
-    z = grid_points(where)
-    spectral = isinstance(where, GridSpec) and m.series is not None and m.pre is None
-    return (z, *_jets(m, where if spectral else z)[1:])
 
 
 def jet_derivatives(m: MapSpec, z):
     """(f', f'', f''') of the composed map at scalar or array z, or over the
     points of a GridSpec in ``GridSpec.points`` order, without computing f
-    (see ``_grid_jets``)."""
-    return _grid_jets(m, z)[1:]
+    (see ``_jets``)."""
+    return _jets(m, z)[2:]
 
 
 def certified_rmax(m: MapSpec) -> float:
@@ -498,13 +491,13 @@ def certified_points(m: MapSpec, z) -> np.ndarray:
 
 
 def _jet_at(m: MapSpec, z: complex):
-    """(f, f', f'', f''') at one point from ``_point_jets``, the derivatives
+    """(f, f', f'', f''') at one point from ``_jets``, the derivatives
     as Python complex and f as a callable.  The single-point rules live
     here, for ``jet_of`` and the tracer alike: ValueError at |z| >= 1 or on
     a non-finite derivative, then SingularPoint where f' vanishes."""
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
-    f, f1, f2, f3 = _point_jets(m, z)
+    _, f, f1, f2, f3 = _jets(m, z)
     f1, f2, f3 = complex(f1), complex(f2), complex(f3)
     if not (cmath.isfinite(f1) and cmath.isfinite(f2) and cmath.isfinite(f3)):
         name = next(n for n, v in (("f1", f1), ("f2", f2), ("f3", f3)) if not cmath.isfinite(v))

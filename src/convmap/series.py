@@ -122,11 +122,6 @@ def series_exp(a: PowerSeries) -> PowerSeries:
     return PowerSeries(b, a.rmax)
 
 
-def series_derive(a: PowerSeries) -> PowerSeries:
-    k = np.arange(1, a.coeffs.size)
-    return PowerSeries(a.coeffs[1:] * k, a.rmax)
-
-
 def series_integrate(a: PowerSeries, c0: complex = 0.0, cap: int | None = None) -> PowerSeries:
     """Termwise antiderivative with constant term c0, optionally capped at order ``cap``."""
     k = np.arange(1, a.coeffs.size + 1)
@@ -197,8 +192,7 @@ def eval_grid(table: np.ndarray, grid: GridSpec):
     With N = ntheta, column c at the point r w**j (w = e^{2 pi i/N}) is
     sum_m r**m a_m w**(j m), where a_m = sum_q table[q N + m, c] (r**N)**q
     folds the rows mod N.  The folds of all rings are one real matrix
-    product, and no temporary outgrows the result; a table of at most N
-    rows is one block, whose fold is the table itself.  Powers of r below
+    product, and no temporary outgrows the result.  Powers of r below
     POWER_FLOOR become zero: subnormal factors can slow arithmetic down many
     times over, and they weigh nothing against the terms that are kept.
     """
@@ -210,15 +204,11 @@ def eval_grid(table: np.ndarray, grid: GridSpec):
     folded[:, :rows] = table.T
     angle_powers = r[:, None] ** np.arange(N)
     angle_powers[angle_powers < POWER_FLOOR] = 0.0
-    if Q == 1:
-        # the product would scale each row by r**0 = 1, exactly
-        folds = folded[:, None, :] * angle_powers
-    else:
-        ring_powers = r[:, None] ** (N * np.arange(Q))
-        ring_powers[ring_powers < POWER_FLOOR] = 0.0
-        # per column a real (nr, Q) @ (Q, 2N) product over (re, im) pairs
-        folds = np.matmul(ring_powers, folded.view(float).reshape(cols, Q, 2 * N)).view(complex)
-        folds *= angle_powers
+    ring_powers = r[:, None] ** (N * np.arange(Q))
+    ring_powers[ring_powers < POWER_FLOOR] = 0.0
+    # per column a real (nr, Q) @ (Q, 2N) product over (re, im) pairs
+    folds = np.matmul(ring_powers, folded.view(float).reshape(cols, Q, 2 * N)).view(complex)
+    folds *= angle_powers
     vals = np.fft.ifft(folds, axis=-1, norm="forward")
     return tuple(v.reshape(-1) for v in vals)
 

@@ -191,7 +191,7 @@ def test_primary_06_generator_oracles(capsys):
     err1 = float(np.abs(m1.series.coeffs[:40] - want).max())
 
     mz = cm.gen_herglotz(cm.PhiSpec.polynomial([0.0, 1.0]), order=64, rmax=0.5)
-    d = cm.series_derive(mz.series).coeffs[:40]
+    d = mz.series.table[:40, 1]
     want = np.zeros(40, dtype=complex)
     want[0::2] = 1.0
     err2 = float(np.abs(d - want).max())

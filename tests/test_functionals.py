@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import linecache
 import tracemalloc
 import warnings
 
@@ -197,6 +198,17 @@ class TestGridFunctionals:
         # and the scalar op agrees with the arrays
         assert cm.equivalence_identity(jet(cm.polygon(5), 0.4 + 0.3j)) < 1e-14
 
+
+    def test_a_kernel_warning_names_its_formula(self):
+        # |p| = 0 at the strip's center: k divides by zero in the kernel,
+        # whose source is registered under a name of its own
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cm.grid_functionals(cm.strip(), np.array([0j]), ("k",))
+        assert caught
+        for w in caught:
+            assert w.filename != "<string>"
+            assert "k =" in linecache.getline(w.filename, w.lineno)
 
 class TestInvariance:
     @settings(max_examples=60, deadline=None)

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import convmap as cm
+import convmap.functionals as functionals
 import convmap.levelset as levelset
 import convmap.maps as maps
 from convmap.grid import grid_points
@@ -171,15 +171,14 @@ def written_chain_rule(m: cm.MapSpec, where):
     """(f, f', f'', f''') of a composed map with the chain rule written out
     over the per-jet automorphism, every operation into a new array: the
     oracle for both compiled forms of the rule.  The base jets are the map's
-    own kind at the moved points, or over the grid where ``_grid_jets``
-    takes the spectral route."""
-    base = dataclasses.replace(m, pre=None, post=None)
+    own kind at the moved points, or over the grid where ``_jets`` takes the
+    spectral route."""
     if isinstance(where, cm.GridSpec) and m.series is not None and m.pre is None:
-        f, g1, g2, g3 = maps._jets(base, where)
+        f, g1, g2, g3 = maps.series_jet_fields(m.series, where)
     else:
         z = grid_points(where)
         w, derivatives = (z, None) if m.pre is None else per_jet_automorphism(z, *m.pre)
-        f, g1, g2, g3 = maps._jets(base, w)
+        f, g1, g2, g3 = maps.series_jet_fields(m.series, w) if m.series is not None else maps._CLOSED_FORMS[m.kind](w, m)
         if derivatives is not None:
             t1, t2, t3 = derivatives()
             g1, g2, g3 = g1 * t1, g2 * t1 * t1 + g1 * t2, g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3
@@ -216,9 +215,56 @@ class TestPointJets:
         for m in _composed_variants(cm.identity()):
             f, *derivatives = levelset._jet_at(m, 0.3 - 0.2j)
             assert all(type(v) is complex for v in derivatives)
-        _, *derivatives = maps._jets(cm.identity(), np.asarray(0.3 - 0.2j))
+        _, _, *derivatives = maps._jets(cm.identity(), np.asarray(0.3 - 0.2j))
         assert _bits(derivatives).tolist() == _bits([1.0, 0.0, 0.0]).tolist()
         assert [type(v) for v in derivatives] == [complex] * 3
+
+
+class TestOneEntryPoint:
+    """``maps._jets`` picks the route of every jet: counted in each module
+    that holds it, a point of ``jet_of`` calls it once and every scalar,
+    array, grid and tracer user reaches it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list:
+        calls, jets = [], maps._jets
+
+        def counted(*args):
+            calls.append(args)
+            return jets(*args)
+
+        for module in (maps, functionals, levelset):
+            monkeypatch.setattr(module, "_jets", counted)
+        return calls
+
+    SERIES = gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=48)
+
+    @pytest.mark.parametrize(
+        "m",
+        [SERIES, cm.polygon(5), cm.sector(0.5).precomposed(0.2 - 0.1j, 0.7).postcomposed(2j, 1.0)],
+        ids=["series", "polygon", "composed"],
+    )
+    def test_jet_of_calls_it_once(self, calls, m):
+        cm.jet_of(m, 0.3 - 0.2j)
+        assert len(calls) == 1
+
+    def test_every_jet_user_reaches_it(self, calls):
+        m, z, grid = self.SERIES, np.array([0.1, 0.2j, -0.3]), cm.GridSpec(4, 8, 0.5)
+        for use in (
+            lambda: cm.jet_fields(m, z),
+            lambda: cm.jet_derivatives(m, z),
+            lambda: cm.jet_derivatives(m, grid),
+            lambda: cm.level_value(m, 0.3),
+            lambda: cm.level_value(m, z),
+            lambda: cm.grid_functionals(m, grid),
+            lambda: cm.phi_values(m, z),
+            lambda: cm.convexity_report(m, grid),
+            lambda: cm.find_critical_point(m, grid),
+            lambda: cm.trace_level_set(m, 0.3, max_points=4),
+        ):
+            calls.clear()
+            use()
+            assert calls
 
 
 def _array_inputs(rng) -> list:
@@ -265,11 +311,11 @@ class TestComposedArrayJets:
                 want = written_chain_rule(variant, where)
                 for _ in range(2):  # a second call finds nothing changed
                     in_place.clear()
-                    got = [*cm.jet_derivatives(variant, where), *maps._grid_jets(variant, where)[1:]]
+                    got = [*cm.jet_derivatives(variant, where), *maps._jets(variant, where)[2:]]
                     expect = [*want[1:], *want[1:]]
                     if not isinstance(where, cm.GridSpec):
-                        f, *derivatives = maps._jets(variant, where)
-                        got += [f(), *derivatives, maps._jets(variant, where, 1)[1], *cm.jet_fields(variant, where)]
+                        _, f, *derivatives = maps._jets(variant, where)
+                        got += [f(), *derivatives, maps._jets(variant, where, 1)[2], *cm.jet_fields(variant, where)]
                         expect += [*want, want[1], *want]
                     np.testing.assert_array_equal(_bits(got), _bits(expect))
                     # two or more points take the in-place form, others the operator form
@@ -293,8 +339,8 @@ class TestComposedArrayJets:
                 spectral = isinstance(where, cm.GridSpec) and m.series is not None and variant.pre is None
                 z = where if spectral else grid_points(where)
                 got, want = maps._jets(variant, z, 1), maps._jets(variant, z)
-                assert len(got) == 2
-                np.testing.assert_array_equal(_bits(got[1]), _bits(want[1]))
+                assert len(got) == 3
+                np.testing.assert_array_equal(_bits(got[2]), _bits(want[2]))
 
 
 class TestComposition:
@@ -371,7 +417,7 @@ class TestGenerator:
 
     def test_linear_phi_gives_strip(self):
         m = gen_quiet(cm.PhiSpec.polynomial([0.0, 1.0]), order=48)
-        fprime = cm.series_derive(m.series).coeffs[:40]
+        fprime = m.series.table[:40, 1]
         expect = np.zeros(40)
         expect[0::2] = 1.0
         np.testing.assert_allclose(fprime, expect, atol=1e-12)
