@@ -56,6 +56,7 @@ UNIMODULAR = _Unimodular()
 
 
 _JET = ("z", "f1", "f2", "f3")
+_PS = ("z", "P", "S")  # what ``maps._jets`` gives on its request "PS"
 
 # Every formula of the kernel, once: an expression in the jet and in the
 # fields above it, so that the order is an order of evaluation.  P, S and
@@ -95,17 +96,23 @@ GRID_KEYS = ("z", "f1", *FIELDS)
 
 
 @functools.cache
-def _kernel(keys: tuple, handover: bool = False):
+def _kernel(keys: tuple, handover: bool = False, inputs: tuple = _JET):
     """The field kernel for ``keys`` (names in _JET and _FORMULAS): the
     formulas keys need, compiled by ``maps._compiled`` into a function of the
     jet (z, f', f'', f''') that returns the dict of keys.  With ``handover``
     it takes the jet as one list and empties it, so that f'' and f''' are
-    freed too; a grid caller does this."""
+    freed too; a grid caller does this.  With ``inputs`` _PS it takes
+    (z, P, S) and refuses a key that reads f' or P'."""
     unknown = set(keys).difference(_JET, _FORMULAS)
     if unknown:
         raise ValueError(f"no field named {', '.join(sorted(unknown))}")
-    params = "jets" if handover else "z, f1, f2=None, f3=None"
-    return _compiled(_FORMULAS.items(), _JET, keys, params, handover=handover)
+    steps = [(name, expr) for name, expr in _FORMULAS.items() if name not in inputs]
+    absent = set(_JET).difference(inputs)  # then each formula that reads one, in table order
+    absent.update(name for name, expr in steps if absent and absent.intersection(compile(expr, name, "eval").co_names))
+    if absent.intersection(keys):
+        raise ValueError(f"no field {', '.join(sorted(absent.intersection(keys)))} from (z, P, S): it reads f' or P'")
+    params = "jets" if handover else "z, " + ", ".join(f"{x}=None" for x in inputs[1:])
+    return _compiled(steps, inputs, keys, params, handover=handover)
 
 
 def fields(z, f1, f2, f3, keys=FIELDS) -> dict:
@@ -211,28 +218,28 @@ def grid_functionals(m: MapSpec, zs, keys=GRID_KEYS) -> dict:
     """
     jets = list(_jets(m, zs))
     jets[:2] = [np.asarray(jets[0])]  # z (a lone point as a 0-d array); f holds the base map's arrays
-    check_jets(*jets[1:])
+    check_jets(_JET, jets)
     return _kernel(tuple(keys), handover=True)(jets)
 
 
-def check_jets(f1, f2, f3) -> None:
-    """Reject a batch of derivative jets on the evaluation grid as
-    ``maps._jet_at``, the checked point route of ``jet_of`` and the tracer,
-    rejects one: ValueError on a non-finite component, then SingularPoint
-    where f' vanishes."""
-    for name, vals in zip(("f1", "f2", "f3"), (f1, f2, f3)):
+def check_jets(names, jets) -> None:
+    """Reject a batch of jets (z, f', f'', f''') or (z, P, S), named by
+    ``names``, on the evaluation grid as ``maps._jet_at``, the checked point
+    route of ``jet_of`` and the tracer, rejects one: ValueError on a
+    non-finite component, then SingularPoint where f' vanishes."""
+    for name, vals in zip(names[1:], jets[1:]):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"jet component {name} is not finite on the evaluation grid")
-    if np.any(f1 == 0):
+    if names[1] == "f1" and np.any(jets[1] == 0):
         raise SingularPoint("f' vanishes on the evaluation grid")
 
 
 def phi_grid(m: MapSpec, where):
     """(z, phi): the points of a GridSpec or an array, and ``phi_values``
-    there."""
-    z, _, f1, f2, _ = _jets(m, where)
+    there, from the (P, S) request of ``maps._jets``."""
+    z, P, _ = _jets(m, where, "PS")
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = fields(np.asarray(z), f1, f2, None, ("den", "phi"))  # a lone point as a 0-d array
+        vals = _kernel(("den", "phi"), False, _PS)(np.asarray(z), P)  # a lone point as a 0-d array
         bad = ~np.isfinite(vals["den"]) | (abs(vals["den"]) < DEGENERATE_EPS)
         return z, np.where(bad, complex(np.nan, np.nan), vals["phi"])
 
@@ -304,7 +311,9 @@ def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None
 
     grid = grid or default_grid(m)
     tol = slack_tolerance(m) if tol is None else float(tol)
-    vals = grid_functionals(m, grid, ("z", "lhs1", "slack3", "km", "nehari"))
+    jets = list(_jets(m, grid, "PS"))  # the report reads z, P and S alone
+    check_jets(_PS, jets)
+    vals = _kernel(("z", "lhs1", "slack3", "km", "nehari"), True, _PS)(jets)
     zs = vals["z"]
     slack1 = vals["lhs1"]  # the classical bound compares against zero
     slack3 = vals["slack3"]

@@ -240,42 +240,53 @@ def builtin_map(name: str, alpha: float | None = None, n: int | None = None) -> 
 
 # ---------------------------------------------------------------------------
 # jets: each closed form gives (f, f', f'', f''') with f as a callable, so that
-# a caller reading only the derivatives never computes f
+# a caller reading only the derivatives never computes f, or with ``ps`` P =
+# f''/f' and the Schwarzian S before f' is formed.  Complex products of arrays
+# do not commute bit for bit: from 16,384 points NumPy elides the temporary of
+# f1 * (Pp + P * P) and computes (Pp + P * P) * f1, which rounds differently
+# with FMA, so that line stays one expression (named temporaries would move a
+# 400x400 curvature map and no smaller batch).
 
 
-def _jets_identity(z, m):
-    if np.ndim(z) == 0:
+def _jets_identity(z, m, ps=False):
+    if np.ndim(z) == 0 and not ps:
         return lambda: z, 1 + 0j, 0j, 0j
     zero = np.zeros_like(z)
-    return lambda: z, np.ones_like(z), zero, zero
+    return (zero, zero) if ps else (lambda: z, np.ones_like(z), zero, zero)
 
 
-def _jets_halfplane(z, m):
+def _jets_halfplane(z, m, ps=False):
     u = 1.0 / (1.0 - z)
-    return lambda: z * u, u * u, 2.0 * u**3, 6.0 * u**4
+    return (2.0 * u, np.zeros_like(u)) if ps else (lambda: z * u, u * u, 2.0 * u**3, 6.0 * u**4)
 
 
-def _jets_strip(z, m):
+def _jets_strip(z, m, ps=False):
     w = 1.0 - z * z
+    if ps:
+        return 2.0 * z / w, 2.0 / w**2
     return lambda: np.arctanh(z), 1.0 / w, 2.0 * z / w**2, (2.0 + 6.0 * z * z) / w**3
 
 
-def _jets_sector(z, m):
-    # principal logs; 1 +/- z stays in the right half plane for |z| < 1
+def _jets_sector(z, m, ps=False):
     alpha = m.alpha
-    lp, lm = np.log(1.0 + z), np.log(1.0 - z)
-    f1 = 2.0 * alpha * np.exp((alpha - 1.0) * lp - (alpha + 1.0) * lm)
     w = 1.0 - z * z
     P = (2.0 * alpha + 2.0 * z) / w
+    if ps:
+        return P, 2.0 * (1.0 - alpha * alpha) / w**2
+    # principal logs; 1 +/- z stays in the right half plane for |z| < 1
+    lp, lm = np.log(1.0 + z), np.log(1.0 - z)
+    f1 = 2.0 * alpha * np.exp((alpha - 1.0) * lp - (alpha + 1.0) * lm)
     Pp = (2.0 + 4.0 * alpha * z + 2.0 * z * z) / w**2
     return lambda: np.exp(alpha * (lp - lm)), f1, f1 * P, f1 * (Pp + P * P)
 
 
-def _jets_koebe(z, m):
-    om = 1.0 - z
-    f1 = (1.0 + z) / om**3
+def _jets_koebe(z, m, ps=False):
     w = 1.0 - z * z
     P = (4.0 + 2.0 * z) / w
+    if ps:
+        return P, -6.0 / w**2
+    om = 1.0 - z
+    f1 = (1.0 + z) / om**3
     Pp = (2.0 + 8.0 * z + 2.0 * z * z) / w**2
     return lambda: z / om**2, f1, f1 * P, f1 * (Pp + P * P)
 
@@ -303,7 +314,7 @@ def _polygon_f0(z, n):
     return z * acc
 
 
-def _jets_polygon(z, m):
+def _jets_polygon(z, m, ps=False):
     n = m.n
     # a single point runs on Python complex and cmath: on a 0-d array each
     # of the vertex series' hundreds of terms pays NumPy's per-call overhead
@@ -312,8 +323,10 @@ def _jets_polygon(z, m):
         z, lib = complex(z), cmath
     zn = z**n
     w = 1.0 - zn
-    f1 = lib.exp(-(2.0 / n) * lib.log(w))
     P = 2.0 * z ** (n - 1) / w
+    if ps:
+        return P, 2.0 * (n - 1.0) * z ** (n - 2) / w**2
+    f1 = lib.exp(-(2.0 / n) * lib.log(w))
     Pp = 2.0 * ((n - 1.0) * z ** (n - 2) + z ** (2 * n - 2)) / w**2
     return lambda: _polygon_f0(z, n), f1, f1 * P, f1 * (Pp + P * P)
 
@@ -408,24 +421,31 @@ _PRE_STEPS = [tuple(step.split(" = ")) for step in (
     "k = f2 * t1; k = k * t1; t2 = f1 * t2; f2 = k + t2; f1 = f1 * t1"
 ).split("; ")]
 _POST_STEPS = [("s", "m.post[0]"), ("f1", "s * f1"), ("f2", "s * f2"), ("f3", "s * f3")]
+# and of the request: P tau' + tau''/tau' (= -2 conj(a)/d) and S tau'^2 (tau has S = 0)
+_PS_STEPS = [tuple(step.split(" = ")) for step in (
+    "t1 = d ** 2; q = m._pre_constants[3]; t1 = q / t1; P = P * t1; c = -2.0 * m._pre_constants[2]; c = c / d; "
+    "P = P + c; t1 = t1 * t1; S = S * t1").split("; ")]
 
 
 @functools.cache
-def _composition(count: int, pre: bool, post: bool, in_place: bool):
+def _composition(count, pre: bool, post: bool, in_place: bool):
     """The chain rule (``pre``) and the postcomposition scale (``post``),
     compiled by ``_compiled``: a function of a map and the list [f1, (f2,
-    f3,) (d)], which it empties, returning the dict of the composed f',
-    ..., f^(count), in the operator form or the in-place form."""
-    outs = ("f1", "f2", "f3")[:count]
-    steps = _PRE_STEPS * pre + _POST_STEPS * post
+    f3,) (d)], or [P, S, d] for the count "PS", which it empties, returning
+    the dict of the composed values, in the operator form or the in-place form."""
+    outs = ("P", "S") if count == "PS" else ("f1", "f2", "f3")[:count]
+    steps = _PS_STEPS if count == "PS" else _PRE_STEPS * pre + _POST_STEPS * post
     return _compiled(steps, outs + ("d",) * pre, outs, "m, jets", handover=True, in_place=in_place)
 
 
-def _jets(m: MapSpec, where, count: int = 3):
+def _jets(m: MapSpec, where, count=3):
     """(z, f, f', ..., f^(count)) of the composed map at the points z it
     evaluated, f a callable that a caller reading only derivatives never
     calls; ``count`` is 1 or 3 (a map with nothing to compose may give three
-    derivatives whatever the count).  The one function that picks a route:
+    derivatives whatever the count), or the request "PS" for (z, P, S), P =
+    f''/f' and the Schwarzian S: closed forms give them before f' is formed,
+    series maps by the kernel's lines (SingularPoint where f' vanishes).
+    The one function that picks a route:
     - a Python complex on a series map with nothing composed: ``certify``,
       then one running product (``point_columns``), all Python complex;
     - a GridSpec of a series map with no precomposition: ``series.eval_grid``;
@@ -436,24 +456,34 @@ def _jets(m: MapSpec, where, count: int = 3):
     operator form for a 0-d or one-element array, which NumPy iterates with
     stride 0 (a complex product written over an operand then rounds as a
     scalar product does), its in-place form for more points."""
-    if type(where) is complex and m.series is not None and m.pre is None and m.post is None:
+    ps = count == "PS"
+    if type(where) is complex and m.series is not None and m.pre is None and m.post is None and not ps:
         certify(m.series, abs(where))
         f0, *jet = point_columns(m.series.table, where)
         return (where, lambda: f0, *jet)
     z = grid_points(where)
     spectral = m.series is not None and m.pre is None and isinstance(where, GridSpec)
     w, d = (where if spectral else z, None) if m.pre is None else _moved(m, z)
-    jets = series_jet_fields(m.series, w, count) if m.series is not None else _CLOSED_FORMS[m.kind](w, m)
-    if m.pre is None and m.post is None:  # nothing to compose
+    if m.series is None:
+        jets = _CLOSED_FORMS[m.kind](w, m, True) if ps else _CLOSED_FORMS[m.kind](w, m)
+    elif ps:
+        from .functionals import _kernel  # deferred: functionals imports this module
+        jets = series_jet_fields(m.series, w)[1:]
+        if np.any(jets[0] == 0):
+            raise SingularPoint("f' vanishes on the evaluation grid")
+        jets = _kernel(("P", "S"), True)([z, *jets]).values()
+    else:
+        jets = series_jet_fields(m.series, w, count)
+    if m.pre is None and (m.post is None or ps):  # nothing to compose (a postcomposition leaves P and S)
         return (z, *jets)
-    f, *jets = jets[: count + 1]
+    f, *jets = [None, *jets] if ps else jets[: count + 1]
     jets += [] if d is None else [d]
     del w, d
     jets = _composition(count, m.pre is not None, m.post is not None, z.size > 1)(m, jets).values()
     if m.post is not None:
         s, b = m.post
         f = lambda f0=f: s * f0() + b
-    return (z, f, *jets)
+    return (z, *jets) if ps else (z, f, *jets)
 
 
 def jet_fields(m: MapSpec, z):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import convmap as cm
 
-from .oracles import random_disk_points
+from .oracles import random_disk_points, random_phi_coeffs
 
 CONVEX_ZOO = [
     cm.identity(),
@@ -315,14 +315,16 @@ class TestReport:
             cm.convexity_report(m.precomposed(0.95))
 
     def test_reduces_the_full_grid_fields(self):
-        # the report asks the kernel for four fields; its figures must be the
-        # bits that the same reductions of the full dict give
+        # the report asks the kernel for four fields of the (P, S) request;
+        # its figures must be the bits that the same reductions of those
+        # fields give
         zoo = CONVEX_ZOO + [cm.koebe()]
         composed = [m.precomposed(0.3 - 0.2j, 0.7).postcomposed(1.5 - 0.5j, 1 + 1j) for m in zoo]
         grid = cm.GridSpec(40, 60, 0.9)
+        keys = ("z", "lhs1", "slack3", "km", "nehari")
         for m in zoo + composed + [gen384()]:
             rep = cm.convexity_report(m, grid)
-            vals = cm.grid_functionals(m, grid)
+            vals = cm.functionals._kernel(keys, False, cm.functionals._PS)(*cm.maps._jets(m, grid, "PS"))
             zs, slack3 = vals["z"], vals["slack3"]
             eq = np.flatnonzero(np.abs(slack3) <= rep.tolerance)
             want = (
@@ -338,6 +340,90 @@ class TestReport:
                 rep.equality_count, rep.equality_points,
             )
             assert repr(got) == repr(want), m
+
+
+CLOSED_KINDS = [cm.identity(), cm.halfplane(), cm.strip(), cm.sector(0.5), cm.polygon(5), cm.koebe()]
+REQUEST_KEYS = ("lhs1", "slack3", "km", "nehari", "den", "phi")
+
+
+def request_fields(m, where, keys=REQUEST_KEYS) -> dict:
+    """The kernel's fields from the (P, S) request of ``maps._jets``."""
+    return cm.functionals._kernel(keys, False, cm.functionals._PS)(*cm.maps._jets(m, where, "PS"))
+
+
+def full_route_phi_grid(m, where):
+    """``phi_grid`` on the full jet: phi from f' and f'', NaN where 2 + z P
+    is (numerically) zero."""
+    z = where.points() if isinstance(where, cm.GridSpec) else np.asarray(where)
+    f1, f2, f3 = cm.jet_derivatives(m, where)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = cm.fields(z, f1, f2, f3, ("den", "phi"))
+        bad = ~np.isfinite(vals["den"]) | (abs(vals["den"]) < cm.functionals.DEGENERATE_EPS)
+        return z, np.where(bad, complex(np.nan, np.nan), vals["phi"])
+
+
+class TestPSRequest:
+    """Reports and phi read P and S from the request "PS" of ``maps._jets``;
+    the full jet's fields are the reference."""
+
+    def test_exact_schwarzians(self):
+        grid = cm.GridSpec(100, 100, 0.9)
+        assert cm.convexity_report(cm.halfplane(), grid).nehari_max == 0.0
+        assert cm.convexity_report(cm.identity().precomposed(0.3 - 0.2j, 0.7), grid).nehari_max == 0.0
+        grid = cm.GridSpec(30, 40, 0.9)
+        for m in CLOSED_KINDS:
+            _, P, S = cm.maps._jets(m, grid, "PS")
+            full = cm.grid_functionals(m, grid, ("P", "S"))
+            np.testing.assert_allclose(P, full["P"], rtol=1e-12, atol=0)
+            if m.kind in ("identity", "halfplane"):
+                assert not np.any(S)  # exactly 0, where the full jet reads roundoff
+                assert np.abs(full["S"]).max() < 1e-12
+            else:
+                np.testing.assert_allclose(S, full["S"], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", CLOSED_KINDS, ids=lambda m: m.kind)
+    def test_agrees_with_the_full_jet(self, m, monkeypatch):
+        pre = m.precomposed(0.2 - 0.1j, 0.7)
+        variants = [m, pre, m.postcomposed(1.5 - 0.5j, 0.25 + 1j), pre.postcomposed(1.5 - 0.5j, 0.25 + 1j),
+                    m.precomposed(0.9 * np.exp(1.1j), 0.3)]
+        for v in variants:
+            for grid in (cm.GridSpec(), cm.GridSpec(100, 100, 0.9)):
+                got, want = request_fields(v, grid), cm.grid_functionals(v, grid, REQUEST_KEYS)
+                for key in REQUEST_KEYS:
+                    np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-13, err_msg=f"{v} {key}")
+                rep, full = cm.convexity_report(v, grid), cm.grid_functionals(v, grid)
+                assert rep.verdict == ("Convex" if cm.functionals._reads_convex(full, rep.tolerance) else "NotConvex")
+                assert rep.equality_count == np.count_nonzero(np.abs(full["slack3"]) <= rep.tolerance)
+            kind = cm.classify_phi(v).kind
+            with monkeypatch.context() as patched:
+                patched.setattr(cm.critical, "phi_grid", full_route_phi_grid)
+                assert cm.classify_phi(v).kind == kind, v
+
+    def test_generated_maps_keep_every_bit(self):
+        rng = np.random.default_rng(20)
+        grid = cm.GridSpec(40, 60, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            maps = [cm.gen_herglotz(cm.PhiSpec.polynomial(random_phi_coeffs(rng)), 384, 0.9) for _ in range(20)]
+        for m in maps:
+            for where in (grid, grid.points()):
+                got, want = request_fields(m, where), cm.grid_functionals(m, where, REQUEST_KEYS)
+                for key in REQUEST_KEYS:
+                    np.testing.assert_array_equal(got[key], want[key])
+            np.testing.assert_array_equal(cm.phi_values(m, grid), full_route_phi_grid(m, grid)[1])
+
+    def test_refuses_what_needs_f1(self):
+        for key in ("f1", "g", "density", "kappa", "dP", "pz"):
+            with pytest.raises(ValueError, match=f"no field {key} from"):
+                request_fields(cm.sector(0.5), cm.GridSpec(4, 8, 0.5), ("lhs1", key))
+
+    def test_checks(self):
+        # a series map keeps SingularPoint where f' vanishes; a P that is not
+        # finite is a ValueError
+        with pytest.raises(cm.SingularPoint):
+            cm.convexity_report(cm.from_series([0.0, 1.0, -1.0], rmax=0.9), cm.GridSpec(9, 8, 0.9))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="P is not finite"):
+            cm.convexity_report(cm.from_series([0.0, 1.0, 1e308, 1e308], 0.9), cm.GridSpec(4, 8, 0.8))
 
 
 class TestGridSpec:

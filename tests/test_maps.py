@@ -250,7 +250,10 @@ class TestOneEntryPoint:
 
     def test_every_jet_user_reaches_it(self, calls):
         m, z, grid = self.SERIES, np.array([0.1, 0.2j, -0.3]), cm.GridSpec(4, 8, 0.5)
+        closed = cm.sector(0.5).precomposed(0.2 - 0.1j, 0.7).postcomposed(2j, 1.0)
         for use in (
+            lambda: cm.convexity_report(closed, grid),
+            lambda: cm.phi_values(closed, z),
             lambda: cm.jet_fields(m, z),
             lambda: cm.jet_derivatives(m, z),
             lambda: cm.jet_derivatives(m, grid),
