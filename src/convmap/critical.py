@@ -21,7 +21,7 @@ from .functionals import (
     slack_tolerance,
 )
 from .grid import GridSpec
-from .maps import MapSpec, PhiSpec, _jets, certified_points, certified_rmax, identity, jet_of
+from .maps import MapSpec, PhiSpec, _moved, certified_points, certified_rmax, identity, jet_of
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
@@ -311,7 +311,7 @@ def classify_phi(m: MapSpec, grid: GridSpec | np.ndarray | None = None) -> PhiCl
     theta = float(np.angle(u))
     if abs(a) >= 1.0:
         return PhiClass("strict", None, None, float("inf"))
-    err = float(np.max(np.abs(phis - _jets(identity().precomposed(a, theta), zs, 1)[1]())))
+    err = float(np.max(np.abs(phis - _moved(identity().precomposed(a, theta), zs)[0])))
     if err <= CLASSIFY_TOL:
         return PhiClass("automorphism", complex(a), theta, err)
     return PhiClass("strict", None, None, err)

@@ -2,12 +2,14 @@
 ``_FORMULAS`` holds every formula once, from the derivatives of p that the
 critical search's Newton steps read to the curvatures and the generator phi.
 They use only arithmetic, ``abs``, ``.conjugate()`` and ``.real``, so the
-same lines run on Python complex scalars and on NumPy arrays; the scalar
-functions here are views of them at one jet.  ``maps._compiled``, which also
-compiles the chain rule of a composed map, turns the formulas a caller names
-into one straight-line function that frees every other array right after
-its last use: on a 10,000-point grid each is 80-160 KB, and paging in fresh
-memory costs more than the arithmetic on it.
+same lines run on Python complex scalars and on NumPy arrays.  The grid,
+search and tracer users feed it (z, f', P, S) from ``maps._jets``, with
+P = f''/f' and S the Schwarzian, a report and phi (z, P, S); ``fields`` and
+the scalar views feed it a jet (z, f', f'', f''').  ``maps._compiled``,
+which also compiles the chain rule of a composed map, turns the formulas a
+caller names into one straight-line function that frees every other array
+right after its last use: on a 10,000-point grid each is 80-160 KB, and
+paging in fresh memory costs more than the arithmetic on it.
 
 Sign conventions: slackN = lhsN - rhsN, so convexity means slack1 >= 0 and
 the strengthened bounds mean slack2, slack3 >= 0.  With P = f''/f' and
@@ -55,19 +57,22 @@ def _unimodular_instance():
 UNIMODULAR = _Unimodular()
 
 
-_JET = ("z", "f1", "f2", "f3")
+_JET = ("z", "f1", "f2", "f3")  # a full jet, as ``fields`` takes it
+_F1PS = ("z", "f1", "P", "S")  # what ``maps._jets`` gives, f aside
 _PS = ("z", "P", "S")  # what ``maps._jets`` gives on its request "PS"
 
-# Every formula of the kernel, once: an expression in the jet and in the
-# fields above it, so that the order is an order of evaluation.  P, S and
-# P' come first, so that f'' and f''' can go before anything else is formed;
-# pz and pzb are dp/dz and dp/dzbar (p holds conj(z)).  k and kappa divide by
-# |p| and phi and dphi by 2 + z P: FIELDS leaves them and ap, re and den out.
+# Every formula of the kernel, once: an expression in the inputs and in the
+# fields above it, so that the order is an order of evaluation.  P and S
+# come first, so that f'' and f''' of a full jet can go before anything else
+# is formed; the other inputs give them.  P' (dP) is read from S, so (z, P,
+# S) gives every key that does not read f'.  pz and pzb are dp/dz and
+# dp/dzbar (p holds conj(z)).  k and kappa divide by |p| and phi and dphi by
+# 2 + z P: FIELDS leaves them and ap, re and den out.
 # No key is named as an attribute (``real``): ``_compiled`` reads co_names.
 _FORMULAS = {
     "P": "f2 / f1",
     "S": "f3 / f1 - 1.5 * P * P",
-    "dP": "f3 / f1 - P * P",
+    "dP": "S + 0.5 * P * P",
     "om": "1.0 - abs(z) ** 2",
     "g": "om * abs(f1)",
     "p": "z.conjugate() - 0.5 * om * P",
@@ -96,13 +101,13 @@ GRID_KEYS = ("z", "f1", *FIELDS)
 
 
 @functools.cache
-def _kernel(keys: tuple, handover: bool = False, inputs: tuple = _JET):
+def _kernel(keys: tuple, handover: bool = False, inputs: tuple = _F1PS):
     """The field kernel for ``keys`` (names in _JET and _FORMULAS): the
-    formulas keys need, compiled by ``maps._compiled`` into a function of the
-    jet (z, f', f'', f''') that returns the dict of keys.  With ``handover``
-    it takes the jet as one list and empties it, so that f'' and f''' are
-    freed too; a grid caller does this.  With ``inputs`` _PS it takes
-    (z, P, S) and refuses a key that reads f' or P'."""
+    formulas keys need, compiled by ``maps._compiled`` into a function of
+    the ``inputs``, (z, f', P, S), _JET or _PS, that returns the dict of
+    keys.  With ``handover`` it takes the inputs as one list and empties it,
+    so that they are freed too; a grid caller does this.  With _PS it
+    refuses a key that reads f'."""
     unknown = set(keys).difference(_JET, _FORMULAS)
     if unknown:
         raise ValueError(f"no field named {', '.join(sorted(unknown))}")
@@ -110,7 +115,7 @@ def _kernel(keys: tuple, handover: bool = False, inputs: tuple = _JET):
     absent = set(_JET).difference(inputs)  # then each formula that reads one, in table order
     absent.update(name for name, expr in steps if absent and absent.intersection(compile(expr, name, "eval").co_names))
     if absent.intersection(keys):
-        raise ValueError(f"no field {', '.join(sorted(absent.intersection(keys)))} from (z, P, S): it reads f' or P'")
+        raise ValueError(f"no field {', '.join(sorted(absent.intersection(keys)))} from (z, P, S): it reads f'")
     params = "jets" if handover else "z, " + ", ".join(f"{x}=None" for x in inputs[1:])
     return _compiled(steps, inputs, keys, params, handover=handover)
 
@@ -121,11 +126,11 @@ def fields(z, f1, f2, f3, keys=FIELDS) -> dict:
     g = om |f'|, P = f''/f', S, p, lhs1, rhs2, rhs3, slack3 = lhs1 - rhs3,
     km, nehari and density, each documented at its scalar view below, or any
     other key of ``_FORMULAS``.  f' must not vanish."""
-    return _kernel(tuple(keys))(z, f1, f2, f3)
+    return _kernel(tuple(keys), False, _JET)(z, f1, f2, f3)
 
 
-# the kernels of the scalar hot loops: the level function g at (z, f'), the
-# normal p at (z, f', f''), and what the tracer keeps of an accepted point
+# the kernels of the scalar hot loops, on (z, f', P, S): the level function
+# g, the normal p, and what the tracer keeps of an accepted point
 _level = _kernel(("g",))
 _normal = _kernel(("p",))
 curvature_fields = _kernel(("p", "k", "kappa"))
@@ -217,13 +222,13 @@ def grid_functionals(m: MapSpec, zs, keys=GRID_KEYS) -> dict:
     component is not finite.
     """
     jets = list(_jets(m, zs))
-    jets[:2] = [np.asarray(jets[0])]  # z (a lone point as a 0-d array); f holds the base map's arrays
-    check_jets(_JET, jets)
+    del jets[1]  # f, which holds the base map's arrays
+    check_jets(_F1PS, jets)
     return _kernel(tuple(keys), handover=True)(jets)
 
 
 def check_jets(names, jets) -> None:
-    """Reject a batch of jets (z, f', f'', f''') or (z, P, S), named by
+    """Reject a batch of jets (z, f', P, S) or (z, P, S), named by
     ``names``, on the evaluation grid as ``maps._jet_at``, the checked point
     route of ``jet_of`` and the tracer, rejects one: ValueError on a
     non-finite component, then SingularPoint where f' vanishes."""
@@ -239,7 +244,7 @@ def phi_grid(m: MapSpec, where):
     there, from the (P, S) request of ``maps._jets``."""
     z, P, _ = _jets(m, where, "PS")
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _kernel(("den", "phi"), False, _PS)(np.asarray(z), P)  # a lone point as a 0-d array
+        vals = _kernel(("den", "phi"), False, _PS)(z, P)
         bad = ~np.isfinite(vals["den"]) | (abs(vals["den"]) < DEGENERATE_EPS)
         return z, np.where(bad, complex(np.nan, np.nan), vals["phi"])
 

@@ -6,12 +6,13 @@ The march is a second-order predictor-corrector: each step follows the
 osculating circle of the curve at the last accepted point (tangent
 -i conj(p)/|p| and the exact curvature k, both from that point's jet), and
 Newton along the normal conj(p)/|p|, where g decreases, brings it back to
-the level.  A Newton iterate evaluates only f', f'' and f''' through the
-jet core of ``convmap.maps``; f, for the image point, is computed once per
-accepted point.  The start search evaluates f' alone.  Every jet of the
-march comes from ``maps._jet_at``, the one checked single-point route,
-which ``jet_of`` takes too; on a series map with nothing composed it is
-one running product of the powers of z against the derivative table.
+the level.  A Newton iterate evaluates only f', P = f''/f' and the
+Schwarzian S through the jet core of ``convmap.maps``; f, for the image
+point, is computed once per accepted point, and the start search evaluates
+f' alone.  Every jet of the march comes from ``maps._jet_at``, the one
+checked single-point route, which ``jet_of`` takes too; on a series map
+with nothing composed it is one running product of the powers of z
+against the derivative table.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvmapError, LevelNotOnRay, NormalVanished, SingularPoint
-from .functionals import _level, _normal, curvature_fields
+from .errors import ConvmapError, LevelNotOnRay, NormalVanished
+from .functionals import _level, _normal, curvature_fields, fields_at
 from .jet import Jet
 from .maps import MapSpec, _jet_at, _jets, certified_rmax
 
@@ -46,8 +47,7 @@ CSV_HEADER = "s,Re z,Im z,Re w,Im w,|p|,k,kappa,residual"
 def level_value(m: MapSpec, z):
     """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z, from f' alone."""
     z = np.asarray(z, dtype=complex)
-    f1 = _jets(m, complex(z) if z.ndim == 0 else z, 1)[2]
-    return _level(z, f1)["g"]
+    return _level(z, _jets(m, z, "f1")[2])["g"]
 
 
 def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEFAULT_TRACE_RMAX) -> complex:
@@ -143,27 +143,25 @@ def _vanished(p: complex, z: complex) -> None:
         raise NormalVanished(f"|p| = {abs(p):.3e} at z = {z}; curvature undefined")
 
 
-def _curvatures(z: complex, f1: complex, f2: complex, f3: complex) -> dict:
-    """p, k and kappa at one point: SingularPoint where f' vanishes, and
-    NormalVanished where |p| <= P_MIN, a |p|^2 of 0.0 divided by included."""
-    if f1 == 0:
-        raise SingularPoint(f"f' vanishes at z = {z}")
+def _curvatures(z: complex, f1: complex, P: complex, S: complex) -> dict:
+    """p, k and kappa at one point: NormalVanished where |p| <= P_MIN, a
+    |p|^2 of 0.0 divided by included."""
     try:
-        fld = curvature_fields(z, f1, f2, f3)
+        fld = curvature_fields(z, f1, P, S)
     except ZeroDivisionError:
-        fld = _normal(z, f1, f2)
+        fld = _normal(z, f1, P)
     _vanished(fld["p"], z)
     return fld
 
 
 def disk_curvature(j: Jet) -> float:
     """Signed curvature at j.z of the level curve of g through that point."""
-    return _curvatures(j.z, j.f1, j.f2, j.f3)["k"]
+    return _curvatures(j.z, j.f1, *fields_at(j, ("P", "S")).values())["k"]
 
 
 def image_curvature(j: Jet) -> float:
     """Signed curvature of the image of the level curve at f(j.z)."""
-    return _curvatures(j.z, j.f1, j.f2, j.f3)["kappa"]
+    return _curvatures(j.z, j.f1, *fields_at(j, ("P", "S")).values())["kappa"]
 
 
 def discrete_curvature(curve, image_plane: bool = False, closed: bool | None = None) -> np.ndarray:
@@ -200,11 +198,11 @@ def _tangent(p: complex) -> complex:
     return -1j * p.conjugate() / abs(p)
 
 
-def _record(z: complex, f, f1: complex, f2: complex, f3: complex, r: float):
+def _record(z: complex, f, f1: complex, P: complex, S: complex, r: float):
     """What the curve keeps of an accepted point: (z, f, p, k, kappa, |g - c|),
     all from the jet it was accepted on; f is computed here, and checked
     as ``jet_of`` checks it."""
-    fld = _curvatures(z, f1, f2, f3)
+    fld = _curvatures(z, f1, P, S)
     w = complex(f())
     if not cmath.isfinite(w):
         raise ValueError(f"jet component f0 is not finite at z = {z}")
@@ -221,19 +219,19 @@ def _arc(h: float, k: float) -> complex:
 
 def _correct(m: MapSpec, z: complex, c: float, rmax: float):
     """Newton along the normal until |g - c| <= RESIDUAL_TARGET, within
-    NEWTON_MAX steps: the accepted point's (z, f, f', f'', f''', |g - c|)
+    NEWTON_MAX steps: the accepted point's (z, f, f', P, S, |g - c|)
     with f still a callable (see ``_jet_at``), or None to ask the caller to
     halve the predictor step."""
     for i in range(NEWTON_MAX + 1):
         if abs(z) > rmax:
             return None
-        f, f1, f2, f3 = _jet_at(m, z)
+        f, f1, P, S = _jet_at(m, z)
         g = _level(z, f1)["g"] - c
         if abs(g) <= RESIDUAL_TARGET:
-            return z, f, f1, f2, f3, abs(g)
+            return z, f, f1, P, S, abs(g)
         if i == NEWTON_MAX:
             return None
-        p = _normal(z, f1, f2)["p"]
+        p = _normal(z, f1, P)["p"]
         _vanished(p, z)
         z = z + (g / (2.0 * abs(f1) * abs(p))) * (p.conjugate() / abs(p))
 
@@ -308,8 +306,8 @@ def trace_level_set(
     tangent is closed; otherwise both directions are traced from z0 and
     concatenated, ends stopping at |z| = rmax or at the point budget.
     Each point records in ``residual`` the |g - c| it was accepted on.
-    Newton iterates evaluate only f', f'' and f'''; f, for ``w``, is
-    computed once per accepted point.
+    Newton iterates evaluate only f', P and S; f, for ``w``, is computed
+    once per accepted point.
 
     If c is given, g(z0) must match it to 1e-8; otherwise c is inferred from
     z0.  When |p| falls to 1e-4 the tracer raises NormalVanished carrying the
@@ -326,14 +324,14 @@ def trace_level_set(
         raise ValueError(f"|z0| = {abs(z0):.6g} is outside the tracing radius {rmax:g}")
     if not rmax > 0.0:
         raise ValueError(f"the tracing radius rmax must be positive, got {rmax:g}")
-    f, f1, f2, f3 = _jet_at(m, z0)
+    f, f1, P, S = _jet_at(m, z0)
     g0 = _level(z0, f1)["g"]
     if c is None:
         c = g0
     elif not abs(g0 - float(c)) <= START_RESIDUAL_BAR:  # a NaN c too
         raise ValueError(f"g(z0) = {g0:.12g} does not sit on the level c = {float(c):.12g}")
     c = float(c)
-    forward = [_record(z0, f, f1, f2, f3, abs(g0 - c))]
+    forward = [_record(z0, f, f1, P, S, abs(g0 - c))]
     backward = forward[:]  # z0 is shared by both halves
     try:
         status_f = _march(m, forward, c, step, max_points, rmax, +1)

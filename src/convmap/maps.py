@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvmapError, PhiOutOfRange, RadiusExceeded, SingularPoint
-from .grid import GridSpec, grid_points
+from .grid import grid_points
 from .jet import Jet
 from .series import (
     DEFAULT_ORDER,
@@ -173,8 +173,7 @@ class MapSpec:
             object.__setattr__(self, "pre", (a, theta))
             # what _moved and the chain rule read at every z, computed once per map
             ab, e = a.conjugate(), np.exp(1j * theta)
-            q = e * (1.0 - abs(a) ** 2)
-            object.__setattr__(self, "_pre_constants", (a, e, ab, q, -2.0 * ab * q, 6.0 * ab * ab * q))
+            object.__setattr__(self, "_pre_constants", (a, e, ab, e * (1.0 - abs(a) ** 2)))
         if self.post is not None:
             s, b = self.post
             s = complex(s)
@@ -239,56 +238,46 @@ def builtin_map(name: str, alpha: float | None = None, n: int | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# jets: each closed form gives (f, f', f'', f''') with f as a callable, so that
-# a caller reading only the derivatives never computes f, or with ``ps`` P =
-# f''/f' and the Schwarzian S before f' is formed.  Complex products of arrays
-# do not commute bit for bit: from 16,384 points NumPy elides the temporary of
-# f1 * (Pp + P * P) and computes (Pp + P * P) * f1, which rounds differently
-# with FMA, so that line stays one expression (named temporaries would move a
-# 400x400 curvature map and no smaller batch).
+# jets, in one vocabulary: f', P = f''/f' and the Schwarzian S.  Each closed
+# form gives (f, f', P, S) at the points z, f and f' as callables, so that a
+# convexity report, which reads P and S, never forms f'.  The full jet f'' =
+# f' P, f''' = f' (S + 1.5 P^2) is built in one place, ``_full_jet``, in steps
+# that keep their operands in order: from 16,384 points NumPy elides the
+# temporary of f1 * (S + 1.5 * P * P) and computes (S + 1.5 * P * P) * f1,
+# which rounds differently with FMA, so a point's bits would depend on the
+# size of its batch.
 
 
-def _jets_identity(z, m, ps=False):
-    if np.ndim(z) == 0 and not ps:
-        return lambda: z, 1 + 0j, 0j, 0j
+def _jets_identity(z, m):
+    if np.ndim(z) == 0:
+        return lambda: z, lambda: 1 + 0j, 0j, 0j
     zero = np.zeros_like(z)
-    return (zero, zero) if ps else (lambda: z, np.ones_like(z), zero, zero)
+    return lambda: z, lambda: np.ones_like(z), zero, zero
 
 
-def _jets_halfplane(z, m, ps=False):
+def _jets_halfplane(z, m):
     u = 1.0 / (1.0 - z)
-    return (2.0 * u, np.zeros_like(u)) if ps else (lambda: z * u, u * u, 2.0 * u**3, 6.0 * u**4)
+    return lambda: z * u, lambda: u * u, 2.0 * u, np.zeros_like(u)
 
 
-def _jets_strip(z, m, ps=False):
+def _jets_strip(z, m):
     w = 1.0 - z * z
-    if ps:
-        return 2.0 * z / w, 2.0 / w**2
-    return lambda: np.arctanh(z), 1.0 / w, 2.0 * z / w**2, (2.0 + 6.0 * z * z) / w**3
+    return lambda: np.arctanh(z), lambda: 1.0 / w, 2.0 * z / w, 2.0 / w**2
 
 
-def _jets_sector(z, m, ps=False):
+def _jets_sector(z, m):
     alpha = m.alpha
     w = 1.0 - z * z
-    P = (2.0 * alpha + 2.0 * z) / w
-    if ps:
-        return P, 2.0 * (1.0 - alpha * alpha) / w**2
-    # principal logs; 1 +/- z stays in the right half plane for |z| < 1
-    lp, lm = np.log(1.0 + z), np.log(1.0 - z)
-    f1 = 2.0 * alpha * np.exp((alpha - 1.0) * lp - (alpha + 1.0) * lm)
-    Pp = (2.0 + 4.0 * alpha * z + 2.0 * z * z) / w**2
-    return lambda: np.exp(alpha * (lp - lm)), f1, f1 * P, f1 * (Pp + P * P)
+    # principal logs, once for f and f'; 1 +/- z stays in the right half plane for |z| < 1
+    logs = functools.cache(lambda: (np.log(1.0 + z), np.log(1.0 - z)))
+    f = lambda: np.exp(alpha * (logs()[0] - logs()[1]))
+    f1 = lambda: 2.0 * alpha * np.exp((alpha - 1.0) * logs()[0] - (alpha + 1.0) * logs()[1])
+    return f, f1, (2.0 * alpha + 2.0 * z) / w, 2.0 * (1.0 - alpha * alpha) / w**2
 
 
-def _jets_koebe(z, m, ps=False):
+def _jets_koebe(z, m):
     w = 1.0 - z * z
-    P = (4.0 + 2.0 * z) / w
-    if ps:
-        return P, -6.0 / w**2
-    om = 1.0 - z
-    f1 = (1.0 + z) / om**3
-    Pp = (2.0 + 8.0 * z + 2.0 * z * z) / w**2
-    return lambda: z / om**2, f1, f1 * P, f1 * (Pp + P * P)
+    return lambda: z / (1.0 - z) ** 2, lambda: (1.0 + z) / (1.0 - z) ** 3, (4.0 + 2.0 * z) / w, -6.0 / w**2
 
 
 def _polygon_f0(z, n):
@@ -314,21 +303,16 @@ def _polygon_f0(z, n):
     return z * acc
 
 
-def _jets_polygon(z, m, ps=False):
+def _jets_polygon(z, m):
     n = m.n
     # a single point runs on Python complex and cmath: on a 0-d array each
     # of the vertex series' hundreds of terms pays NumPy's per-call overhead
     lib = np
     if np.ndim(z) == 0:
         z, lib = complex(z), cmath
-    zn = z**n
-    w = 1.0 - zn
-    P = 2.0 * z ** (n - 1) / w
-    if ps:
-        return P, 2.0 * (n - 1.0) * z ** (n - 2) / w**2
-    f1 = lib.exp(-(2.0 / n) * lib.log(w))
-    Pp = 2.0 * ((n - 1.0) * z ** (n - 2) + z ** (2 * n - 2)) / w**2
-    return lambda: _polygon_f0(z, n), f1, f1 * P, f1 * (Pp + P * P)
+    w = 1.0 - z**n
+    f1 = lambda: lib.exp(-(2.0 / n) * lib.log(w))
+    return lambda: _polygon_f0(z, n), f1, 2.0 * z ** (n - 1) / w, 2.0 * (n - 1.0) * z ** (n - 2) / w**2
 
 
 _CLOSED_FORMS = {
@@ -408,95 +392,107 @@ def _moved(m: MapSpec, z):
     return e * (z + a) / d, d
 
 
-# The chain rule of s F(tau(z)) + b, once: f1, f2, f3 enter as F', F'', F'''
-# at tau(z) and leave as the composed derivatives; t1, t2, t3 are tau' = q/d^2,
-# tau'' = q2/d^3, tau''' = q3/d^4.  Each step keeps the association and operand
-# order that fix the bits (complex products of arrays do not commute bit for
-# bit), and f''' goes first, so each reads the lower derivatives unchanged.
-_PRE_STEPS = [tuple(step.split(" = ")) for step in (
-    "t1 = d ** 2; q = m._pre_constants[3]; t1 = q / t1; t2 = d ** 3; q2 = m._pre_constants[4]; t2 = q2 / t2; "
-    "t3 = d ** 4; q3 = m._pre_constants[5]; t3 = q3 / t3; "
-    # f''' = f3 t1^3 + 3.0 f2 t1 t2 + f1 t3, f'' = f2 t1 t1 + f1 t2, f' = f1 t1
-    "h = t1 ** 3; h = f3 * h; k = 3.0 * f2; k = k * t1; k = k * t2; h = h + k; t3 = f1 * t3; f3 = h + t3; "
-    "k = f2 * t1; k = k * t1; t2 = f1 * t2; f2 = k + t2; f1 = f1 * t1"
-).split("; ")]
-_POST_STEPS = [("s", "m.post[0]"), ("f1", "s * f1"), ("f2", "s * f2"), ("f3", "s * f3")]
-# and of the request: P tau' + tau''/tau' (= -2 conj(a)/d) and S tau'^2 (tau has S = 0)
-_PS_STEPS = [tuple(step.split(" = ")) for step in (
-    "t1 = d ** 2; q = m._pre_constants[3]; t1 = q / t1; P = P * t1; c = -2.0 * m._pre_constants[2]; c = c / d; "
-    "P = P + c; t1 = t1 * t1; S = S * t1").split("; ")]
+# The chain rule of s F(tau(z)) + b, once: f1, P and S enter as F', F''/F' and
+# the Schwarzian of F at tau(z) and leave as the composed map's.  t1 is tau' =
+# q/d^2, tau''/tau' = -2 conj(a)/d, and tau has S = 0; s scales f' alone.  Each
+# step keeps the association and operand order that fix the bits (complex
+# products of arrays do not commute bit for bit).
+_CHAIN_STEPS = [tuple(step.split(" = ")) for step in (
+    "t1 = d ** 2; q = m._pre_constants[3]; t1 = q / t1; f1 = f1 * t1; P = P * t1; c = -2.0 * m._pre_constants[2]; "
+    "c = c / d; P = P + c; t1 = t1 * t1; S = S * t1").split("; ")]
+_POST_STEPS = [("s", "m.post[0]"), ("f1", "s * f1")]
+# f'' = f' P and f''' = f' (S + 1.5 P^2), each product with f' first (see the jets above)
+_FULL_STEPS = [("f2", "f1 * P"), ("t", "1.5 * P"), ("t", "t * P"), ("t", "t + S"), ("f3", "f1 * t")]
+_REQUESTS = {"f1": ("f1",), "PS": ("P", "S"), "f1PS": ("f1", "P", "S")}
 
 
 @functools.cache
-def _composition(count, pre: bool, post: bool, in_place: bool):
-    """The chain rule (``pre``) and the postcomposition scale (``post``),
-    compiled by ``_compiled``: a function of a map and the list [f1, (f2,
-    f3,) (d)], or [P, S, d] for the count "PS", which it empties, returning
-    the dict of the composed values, in the operator form or the in-place form."""
-    outs = ("P", "S") if count == "PS" else ("f1", "f2", "f3")[:count]
-    steps = _PS_STEPS if count == "PS" else _PRE_STEPS * pre + _POST_STEPS * post
-    return _compiled(steps, outs + ("d",) * pre, outs, "m, jets", handover=True, in_place=in_place)
+def _composition(names: tuple, pre: bool, post: bool, in_place: bool):
+    """The chain rule (``pre``) and the postcomposition scale (``post``) of
+    the values ``names`` (some of f1, P and S), compiled by ``_compiled``: a
+    function of a map and the list of those values (and d with ``pre``),
+    which it empties, returning the dict of the composed values, in the
+    operator form or the in-place form."""
+    steps = _CHAIN_STEPS * pre + _POST_STEPS * post
+    return _compiled(steps, names + ("d",) * pre, names, "m, jets", handover=True, in_place=in_place)
 
 
-def _jets(m: MapSpec, where, count=3):
-    """(z, f, f', ..., f^(count)) of the composed map at the points z it
-    evaluated, f a callable that a caller reading only derivatives never
-    calls; ``count`` is 1 or 3 (a map with nothing to compose may give three
-    derivatives whatever the count), or the request "PS" for (z, P, S), P =
-    f''/f' and the Schwarzian S: closed forms give them before f' is formed,
-    series maps by the kernel's lines (SingularPoint where f' vanishes).
-    The one function that picks a route:
-    - a Python complex on a series map with nothing composed: ``certify``,
-      then one running product (``point_columns``), all Python complex;
-    - a GridSpec of a series map with no precomposition: ``series.eval_grid``;
-    - anything else at z = ``grid_points(where)``, a point as a 0-d array.
-    Only a Python complex counts as a point: ``np.complex128`` subclasses it,
-    and the closed forms round differently on a NumPy scalar.  The base
-    map's jets at the moved points and d go to ``_composition``: its
-    operator form for a 0-d or one-element array, which NumPy iterates with
-    stride 0 (a complex product written over an operand then rounds as a
-    scalar product does), its in-place form for more points."""
-    ps = count == "PS"
-    if type(where) is complex and m.series is not None and m.pre is None and m.post is None and not ps:
-        certify(m.series, abs(where))
-        f0, *jet = point_columns(m.series.table, where)
-        return (where, lambda: f0, *jet)
-    z = grid_points(where)
-    spectral = m.series is not None and m.pre is None and isinstance(where, GridSpec)
-    w, d = (where if spectral else z, None) if m.pre is None else _moved(m, z)
-    if m.series is None:
-        jets = _CLOSED_FORMS[m.kind](w, m, True) if ps else _CLOSED_FORMS[m.kind](w, m)
-    elif ps:
-        from .functionals import _kernel  # deferred: functionals imports this module
-        jets = series_jet_fields(m.series, w)[1:]
-        if np.any(jets[0] == 0):
-            raise SingularPoint("f' vanishes on the evaluation grid")
-        jets = _kernel(("P", "S"), True)([z, *jets]).values()
+@functools.cache
+def _full(in_place: bool):
+    return _compiled(_FULL_STEPS, ("f1", "P", "S"), ("f2", "f3"), "f1, P, S", in_place=in_place)
+
+
+@functools.cache
+def _series_ps():
+    from .functionals import _JET, _kernel  # deferred: functionals imports this module
+    return _kernel(("f1", "P", "S"), True, _JET)
+
+
+def _jets_series(w, z, s: PowerSeries, request: str):
+    """A series as a base map at the points w (moved from z): (f, f', P, S),
+    P and S by the kernel's lines (SingularPoint where f' vanishes), or for
+    the request "f1" f' alone."""
+    if z.ndim == 0:  # one running product, in Python complex
+        certify(s, abs(w))
+        f0, *jet = point_columns(s.table, complex(w))
+        f = lambda: f0
     else:
-        jets = series_jet_fields(m.series, w, count)
-    if m.pre is None and (m.post is None or ps):  # nothing to compose (a postcomposition leaves P and S)
-        return (z, *jets)
-    f, *jets = [None, *jets] if ps else jets[: count + 1]
+        f, *jet = series_jet_fields(s, w, 1 if request == "f1" else 3)
+    if request == "f1":
+        return f, lambda: jet[0], None, None
+    if (jet[0] == 0) if z.ndim == 0 else (jet[0] == 0).any():
+        raise SingularPoint(f"f' vanishes at z = {complex(z)}" if z.ndim == 0 else "f' vanishes on the evaluation grid")
+    f1, P, S = _series_ps()([z, *jet]).values()
+    return f, lambda: f1, P, S
+
+
+def _jets(m: MapSpec, where, request="f1PS"):
+    """What ``request`` names at the points z evaluated: (z, f, f') for "f1",
+    (z, P, S) for "PS" (f' never formed), (z, f, f', P, S) for "f1PS", f a
+    callable.  The one function that picks a route: a series map with no
+    precomposition takes a GridSpec through ``series.eval_grid`` and a point
+    as it is; anything else goes at z = ``grid_points(where)``, a point as a
+    0-d array.  The base map's values at the moved points and d go to
+    ``_composition``: its operator form for a 0-d or one-element array,
+    which NumPy iterates with stride 0 (a complex product written over an
+    operand then rounds as a scalar product does), its in-place form for
+    more points."""
+    names = _REQUESTS[request]
+    z = grid_points(where)
+    w, d = (z, None) if m.pre is None else _moved(m, z)
+    if m.series is not None and m.pre is None and not isinstance(where, np.ndarray):
+        w = where
+    f, f1, P, S = _CLOSED_FORMS[m.kind](w, m) if m.series is None else _jets_series(w, z, m.series, request)
+    jets = ([f1()] if "f1" in names else []) + ([P, S] if "P" in names else [])
     jets += [] if d is None else [d]
-    del w, d
-    jets = _composition(count, m.pre is not None, m.post is not None, z.size > 1)(m, jets).values()
+    del w, d, f1, P, S
+    if m.pre is not None or m.post is not None and "f1" in names:
+        jets = _composition(names, m.pre is not None, m.post is not None, z.size > 1)(m, jets).values()
+    if request == "PS":
+        return (z, *jets)
     if m.post is not None:
         s, b = m.post
         f = lambda f0=f: s * f0() + b
-    return (z, *jets) if ps else (z, f, *jets)
+    return (z, f, *jets)
+
+
+def _full_jet(f1, P, S):
+    """(f', f'', f''') from (f', P, S), the one place that builds the full
+    jet (in ``_full``'s operator form for one element)."""
+    return (f1, *_full(np.size(f1) > 1)(f1, P, S).values())
 
 
 def jet_fields(m: MapSpec, z):
     """Arrays (f, f', f'', f''') of the composed map at scalar or array z."""
-    _, f, f1, f2, f3 = _jets(m, z)
-    return f(), f1, f2, f3
+    _, f, *jet = _jets(m, z)
+    return (f(), *_full_jet(*jet))
 
 
 def jet_derivatives(m: MapSpec, z):
     """(f', f'', f''') of the composed map at scalar or array z, or over the
     points of a GridSpec in ``GridSpec.points`` order, without computing f
     (see ``_jets``)."""
-    return _jets(m, z)[2:]
+    return _full_jet(*_jets(m, z)[2:])
 
 
 def certified_rmax(m: MapSpec) -> float:
@@ -521,27 +517,27 @@ def certified_points(m: MapSpec, z) -> np.ndarray:
 
 
 def _jet_at(m: MapSpec, z: complex):
-    """(f, f', f'', f''') at one point from ``_jets``, the derivatives
-    as Python complex and f as a callable.  The single-point rules live
-    here, for ``jet_of`` and the tracer alike: ValueError at |z| >= 1 or on
-    a non-finite derivative, then SingularPoint where f' vanishes."""
+    """(f, f', P, S) at one point from ``_jets``, f', P and S as Python
+    complex and f as a callable.  The single-point rules live here, for
+    ``jet_of`` and the tracer alike: ValueError at |z| >= 1 or on a
+    non-finite f', P or S, then SingularPoint where f' vanishes."""
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
-    _, f, f1, f2, f3 = _jets(m, z)
-    f1, f2, f3 = complex(f1), complex(f2), complex(f3)
-    if not (cmath.isfinite(f1) and cmath.isfinite(f2) and cmath.isfinite(f3)):
-        name = next(n for n, v in (("f1", f1), ("f2", f2), ("f3", f3)) if not cmath.isfinite(v))
+    _, f, f1, P, S = _jets(m, z)
+    f1, P, S = complex(f1), complex(P), complex(S)
+    if not (cmath.isfinite(f1) and cmath.isfinite(P) and cmath.isfinite(S)):
+        name = next(n for n, v in (("f1", f1), ("P", P), ("S", S)) if not cmath.isfinite(v))
         raise ValueError(f"jet component {name} is not finite at z = {z}")
     if f1 == 0:
         raise SingularPoint(f"f' vanishes at z = {z}")
-    return f, f1, f2, f3
+    return f, f1, P, S
 
 
 def jet_of(m: MapSpec, z: complex) -> Jet:
     """Third-order jet at one point, held to the rules of ``_jet_at``."""
     z = complex(z)
-    f, f1, f2, f3 = _jet_at(m, z)
-    return Jet(z, f(), f1, f2, f3)
+    f, *jet = _jet_at(m, z)
+    return Jet(z, f(), *_full_jet(*jet))
 
 
 def series_eval_jet(s: PowerSeries, z: complex) -> Jet:

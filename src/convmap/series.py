@@ -230,8 +230,8 @@ def series_jet_fields(s: PowerSeries, z, count: int = 3):
     the points of a GridSpec through ``eval_grid``, with f as a callable
     as ``maps._jets`` returns it.  The running products give f with the
     derivatives; Horner and the grid route evaluate only the derivatives
-    until f is called.  A scalar z (a point that a precomposition moved)
-    takes ``point_columns`` through ``eval_table``.
+    until f is called.  A scalar z takes ``point_columns`` through
+    ``eval_table``.
 
     Points outside ``in_radius`` raise RadiusExceeded.
     """

@@ -2,8 +2,10 @@
 
 Closed forms are evaluated in mpmath at 50 digits; derivatives come from a
 five-point stencil on a circle of radius h, which recovers f', f'', f''' of
-an analytic function to near machine precision at h = 1e-4.  Nothing here
-imports the package's series or jet machinery, so agreement is meaningful.
+an analytic function to near machine precision at h = 1e-4, or, for
+(f', P, S) of a composed map, from mpmath's own numerical derivatives to 40
+digits.  Nothing here imports the package's series or jet machinery, so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -34,6 +36,27 @@ def closed_form(name: str, alpha: float = 0.5, n: int = 5):
     if name == "koebe":
         return lambda z: z / (1 - z) ** 2
     raise ValueError(f"unknown closed form {name!r}")
+
+
+def polynomial(coeffs):
+    """The polynomial with these coefficients (constant term first) as a plain
+    mpmath callable."""
+    c = [mp.mpc(complex(x)) for x in reversed(coeffs)]
+    return lambda z: mp.polyval(c, z)
+
+
+def composed_jet(f, z, pre=None, scale=1.0):
+    """(f', P = f''/f', S) at z of scale * f(tau(z)) + offset, to 40 digits:
+    tau(z) = e^{i theta} (z + a) / (1 + conj(a) z) for pre = (a, theta), the
+    identity for None.  The derivatives are mpmath's numerical derivatives
+    (``mp.diffs``) of the composed function, so no chain rule is written."""
+    g = f
+    if pre is not None:
+        a, e = mp.mpc(pre[0]), mp.expj(pre[1])
+        g = lambda w: f(e * (w + a) / (1 + mp.conj(a) * w))
+    _, d1, d2, d3 = mp.diffs(g, mp.mpc(z), 3)
+    P = d2 / d1
+    return complex(scale * d1), complex(P), complex(d3 / d1 - mp.mpf(3) / 2 * P**2)
 
 
 def fd_jet(f, z, h: float = FD_STEP):

@@ -54,7 +54,7 @@ def written_normal_derivatives(z, f1, f2, f3):
     formula table's p, pz and pzb."""
     P = f2 / f1
     om = 1.0 - abs(z) ** 2
-    dP = f3 / f1 - P * P
+    dP = (f3 / f1 - 1.5 * P * P) + 0.5 * P * P  # P' = S + P^2/2
     return z.conjugate() - 0.5 * om * P, 0.5 * (z.conjugate() * P - om * dP), 1.0 + 0.5 * z * P
 
 

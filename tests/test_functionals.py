@@ -352,12 +352,11 @@ def request_fields(m, where, keys=REQUEST_KEYS) -> dict:
 
 
 def full_route_phi_grid(m, where):
-    """``phi_grid`` on the full jet: phi from f' and f'', NaN where 2 + z P
-    is (numerically) zero."""
-    z = where.points() if isinstance(where, cm.GridSpec) else np.asarray(where)
-    f1, f2, f3 = cm.jet_derivatives(m, where)
+    """``phi_grid`` on the kernel's inputs (z, f', P, S) that
+    ``grid_functionals`` reads: NaN where 2 + z P is (numerically) zero."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = cm.fields(z, f1, f2, f3, ("den", "phi"))
+        vals = cm.grid_functionals(m, where, ("z", "den", "phi"))
+        z = vals["z"]
         bad = ~np.isfinite(vals["den"]) | (abs(vals["den"]) < cm.functionals.DEGENERATE_EPS)
         return z, np.where(bad, complex(np.nan, np.nan), vals["phi"])
 
@@ -413,9 +412,15 @@ class TestPSRequest:
             np.testing.assert_array_equal(cm.phi_values(m, grid), full_route_phi_grid(m, grid)[1])
 
     def test_refuses_what_needs_f1(self):
-        for key in ("f1", "g", "density", "kappa", "dP", "pz"):
+        grid = cm.GridSpec(4, 8, 0.5)
+        for key in ("f1", "g", "density", "kappa"):
             with pytest.raises(ValueError, match=f"no field {key} from"):
-                request_fields(cm.sector(0.5), cm.GridSpec(4, 8, 0.5), ("lhs1", key))
+                request_fields(cm.sector(0.5), grid, ("lhs1", key))
+        # P' is read from S, so the derivatives of p need no f'
+        got = request_fields(cm.sector(0.5), grid, ("dP", "pz"))
+        want = cm.grid_functionals(cm.sector(0.5), grid, ("dP", "pz"))
+        for key in ("dP", "pz"):
+            np.testing.assert_array_equal(got[key], want[key])
 
     def test_checks(self):
         # a series map keeps SingularPoint where f' vanishes; a P that is not

@@ -9,7 +9,7 @@ import pytest
 import convmap as cm
 import convmap.levelset as levelset
 import convmap.maps as maps
-from convmap.functionals import _level, fields_at
+from convmap.functionals import _level
 from convmap.levelset import CSV_HEADER, RESIDUAL_TARGET
 
 
@@ -261,12 +261,12 @@ class TestCorrector:
     def test_point_data_come_from_the_accepted_jet(self, m, jet_count):
         curve = ring_trace(m)
         traced = jet_count[0]
-        # w, p, k and kappa are the values at each point's own jet, to the
-        # bit, and the curve costs no jets beyond those of the march
+        # w, p, k and kappa are the values at each point's own (f', P, S),
+        # to the bit, and the curve costs no jets beyond those of the march
         for i, z in enumerate(curve.z.tolist()):
-            j = cm.jet_of(m, z)
-            fld = fields_at(j, ("p", "k", "kappa"))
-            assert (curve.w[i], curve.p[i]) == (j.f0, fld["p"])
+            f, f1, P, S = maps._jet_at(m, z)
+            fld = levelset.curvature_fields(z, f1, P, S)
+            assert (curve.w[i], curve.p[i]) == (cm.jet_of(m, z).f0, fld["p"])
             assert (curve.k[i], curve.kappa[i]) == (fld["k"], fld["kappa"])
         assert traced <= 2 * len(curve) + 1
 
@@ -305,15 +305,16 @@ class TestCorrector:
 
 
 def patch_identity(monkeypatch, component: int, value):
-    """Make the identity's jet component ``component`` (0 for f, a callable)
-    take ``value`` everywhere but at z = 0.5, the start point."""
+    """Make the identity's base-map component ``component`` of (f, f', P, S)
+    (f and f' callables) take ``value`` everywhere but at z = 0.5, the start
+    point."""
     real = maps._CLOSED_FORMS["identity"]
 
     def patched(z, m):
         jet = list(real(z, m))
-        if component == 0:
-            f = jet[0]
-            jet[0] = lambda: np.where(z == 0.5, f(), value)
+        if component < 2:
+            formed = jet[component]
+            jet[component] = lambda: np.where(z == 0.5, formed(), value)
         else:
             jet[component] = np.where(z == 0.5, jet[component], value)
         return tuple(jet)
@@ -322,15 +323,16 @@ def patch_identity(monkeypatch, component: int, value):
 
 
 class TestIterateChecks:
-    """A Newton iterate's derivatives, and the f of an accepted point, are
+    """A Newton iterate's f', P and S, and the f of an accepted point, are
     held to the rules of ``jet_of``: both take the one checked point route."""
 
     CALLS = (lambda: cm.trace_level_set(cm.identity(), 0.5), lambda: cm.jet_of(cm.identity(), 0.3))
 
     def test_nonfinite_second_derivative(self, monkeypatch):
+        # the route reads the second derivative as P = f''/f'
         patch_identity(monkeypatch, 2, np.nan)
         for call in self.CALLS:
-            with pytest.raises(ValueError, match="jet component f2 is not finite at z = "):
+            with pytest.raises(ValueError, match="jet component P is not finite at z = "):
                 call()
 
     def test_vanishing_first_derivative(self, monkeypatch):

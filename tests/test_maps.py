@@ -12,7 +12,7 @@ import convmap.maps as maps
 from convmap.grid import grid_points
 from convmap.maps import phi_to_json
 
-from .oracles import closed_form, fd_jet, random_phi_coeffs, random_disk_points
+from .oracles import closed_form, composed_jet, fd_jet, polynomial, random_phi_coeffs, random_disk_points
 
 ZOO = [
     ("identity", cm.identity(), {}),
@@ -157,40 +157,27 @@ class TestDerivativeJets:
                     np.testing.assert_array_equal(_bits(g), _bits(w))
 
 
-def per_jet_automorphism(z, a, theta):
-    """The automorphism as computed afresh at every jet, every constant
-    inline: the oracle for the constants a map computes once."""
-    ab = a.conjugate()
-    e = np.exp(1j * theta)
-    d = 1.0 + ab * z
-    q = e * (1.0 - abs(a) ** 2)
-    return e * (z + a) / d, lambda: (q / d**2, -2.0 * ab * q / d**3, 6.0 * ab * ab * q / d**4)
-
-
-def written_chain_rule(m: cm.MapSpec, where):
-    """(f, f', f'', f''') of a composed map with the chain rule written out
-    over the per-jet automorphism, every operation into a new array: the
-    oracle for both compiled forms of the rule.  The base jets are the map's
-    own kind at the moved points, or over the grid where ``_jets`` takes the
-    spectral route."""
-    if isinstance(where, cm.GridSpec) and m.series is not None and m.pre is None:
-        f, g1, g2, g3 = maps.series_jet_fields(m.series, where)
+def mp_oracle(m: cm.MapSpec, z: complex):
+    """(f', P, S) of a closed form or series map, plain or composed, at z
+    to 40 digits (``oracles.composed_jet``): the oracle of the chain rule."""
+    if m.series is None:
+        f = closed_form(m.kind, **{k: v for k, v in (("alpha", m.alpha), ("n", m.n)) if v is not None})
     else:
-        z = grid_points(where)
-        w, derivatives = (z, None) if m.pre is None else per_jet_automorphism(z, *m.pre)
-        f, g1, g2, g3 = maps.series_jet_fields(m.series, w) if m.series is not None else maps._CLOSED_FORMS[m.kind](w, m)
-        if derivatives is not None:
-            t1, t2, t3 = derivatives()
-            g1, g2, g3 = g1 * t1, g2 * t1 * t1 + g1 * t2, g3 * t1**3 + 3.0 * g2 * t1 * t2 + g1 * t3
-    f = f()
-    if m.post is not None:
-        s, b = m.post
-        f, g1, g2, g3 = s * f + b, s * g1, s * g2, s * g3
-    return f, g1, g2, g3
+        f = polynomial(m.series.coeffs)
+    return composed_jet(f, z, m.pre, 1.0 if m.post is None else m.post[0])
+
+
+def assert_oracle(m: cm.MapSpec, z: complex, got) -> None:
+    """(f', P, S) at z within 1e-13 relative of ``mp_oracle`` (a P or S of
+    0 exactly where it is 0)."""
+    np.testing.assert_allclose(np.array(got, dtype=complex), mp_oracle(m, z), rtol=1e-13, atol=1e-30,
+                               err_msg=f"{m} at {z}")
 
 
 class TestPointJets:
-    """What the tracer and ``jet_of`` read at one point keeps every bit."""
+    """What the tracer and ``jet_of`` read at one point: (f', P, S) of every
+    composition against the 40-digit oracle, and the same bits through
+    ``_jet_at``, ``jet_of`` and ``level_value``."""
 
     @pytest.mark.parametrize(
         "m",
@@ -198,18 +185,15 @@ class TestPointJets:
         ids=[name for name, _, _ in ZOO] + ["series"],
     )
     def test_composed_jets_equal_the_per_jet_automorphism(self, m):
-        zs = [complex(z) for z in random_disk_points(np.random.default_rng(8), 20, 0.45)]
-        for variant in _composed_variants(m)[1:]:  # pre, post, pre and post
-            got, want = [], []
+        zs = [complex(z) for z in random_disk_points(np.random.default_rng(8), 3, 0.45)]
+        for variant in _composed_variants(m):  # plain, pre, post, pre and post
             for z in zs:
-                f, *derivatives = levelset._jet_at(variant, z)
+                f, f1, P, S = levelset._jet_at(variant, z)
+                assert_oracle(variant, z, [f1, P, S])
                 jet = cm.jet_of(variant, z)
-                got += [complex(f()), *derivatives, jet.f0, jet.f1, jet.f2, jet.f3]
-                got.append(complex(cm.level_value(variant, z)))
-                written = written_chain_rule(variant, np.asarray(z))
-                want += [*written, *written]
-                want.append(complex(levelset._level(np.asarray(z), written[1])["g"]))
-            np.testing.assert_array_equal(_bits(got), _bits(want))
+                want = [f(), *maps._full_jet(f1, P, S)]
+                assert _bits([jet.f0, jet.f1, jet.f2, jet.f3]).tolist() == _bits(want).tolist()
+                assert cm.level_value(variant, z) == levelset._level(np.asarray(z), f1)["g"]
 
     def test_identity_point_jets_are_python_complex(self):
         for m in _composed_variants(cm.identity()):
@@ -286,64 +270,112 @@ COMPOSED_BASES = [m for _, m, _ in ZOO] + [gen_quiet(cm.PhiSpec.polynomial([0.2,
 COMPOSED_IDS = [name for name, _, _ in ZOO] + ["series"]
 
 
+def operator_form(m: cm.MapSpec, where) -> list:
+    """(f', P, S) of a composed map from the base map's values at the moved
+    points through the operator form of ``_composition``: the reference of
+    its in-place form."""
+    z = grid_points(where)
+    spectral = isinstance(where, cm.GridSpec) and m.series is not None and m.pre is None
+    w, d = (where if spectral else z, None) if m.pre is None else maps._moved(m, z)
+    _, f1, P, S = maps._CLOSED_FORMS[m.kind](w, m) if m.series is None else maps._jets_series(w, z, m.series, "f1PS")
+    jets = [f1(), P, S] + ([] if d is None else [d])
+    return list(maps._composition(("f1", "P", "S"), m.pre is not None, m.post is not None, False)(m, jets).values())
+
+
 class TestComposedArrayJets:
-    """The chain rule's in-place form writes into arrays of its own with the
-    bits of the rule written out, and leaves the base jets alone."""
+    """The composition's in-place form writes into arrays of its own with the
+    bits of its operator form, leaves the base values alone, and agrees with
+    the 40-digit oracle; every request reads the bits of the full one."""
 
     @pytest.mark.parametrize("m", COMPOSED_BASES, ids=COMPOSED_IDS)
     def test_equals_the_written_chain_rule(self, m, monkeypatch):
         wheres = _array_inputs(np.random.default_rng(15))
         base_jets = []  # (array, copy) for every array the base map hands over
 
-        def recorded(jets):
+        def recorded(base):
             def wrapped(*args):
-                jet = jets(*args)
-                base_jets.extend((v, v.copy()) for v in jet[1:] if isinstance(v, np.ndarray))
-                return jet
+                f, f1, P, S = base(*args)
+
+                def formed():
+                    v = f1()
+                    base_jets.extend([(v, v.copy())] if isinstance(v, np.ndarray) else [])
+                    return v
+
+                base_jets.extend((v, v.copy()) for v in (P, S) if isinstance(v, np.ndarray))
+                return f, formed, P, S
             return wrapped
 
         if m.series is None:
             monkeypatch.setitem(maps._CLOSED_FORMS, m.kind, recorded(maps._CLOSED_FORMS[m.kind]))
         else:
-            monkeypatch.setattr(maps, "series_jet_fields", recorded(maps.series_jet_fields))
+            monkeypatch.setattr(maps, "_jets_series", recorded(maps._jets_series))
         in_place = []  # the form of every composition called
         compiled = maps._composition
         monkeypatch.setattr(maps, "_composition", lambda *key: in_place.append(key[-1]) or compiled(*key))
         for variant in _composed_variants(m)[1:]:  # pre, post, pre and post
             for where in wheres:
-                want = written_chain_rule(variant, where)
                 for _ in range(2):  # a second call finds nothing changed
                     in_place.clear()
-                    got = [*cm.jet_derivatives(variant, where), *maps._jets(variant, where)[2:]]
-                    expect = [*want[1:], *want[1:]]
-                    if not isinstance(where, cm.GridSpec):
-                        _, f, *derivatives = maps._jets(variant, where)
-                        got += [f(), *derivatives, maps._jets(variant, where, 1)[2], *cm.jet_fields(variant, where)]
-                        expect += [*want, want[1], *want]
-                    np.testing.assert_array_equal(_bits(got), _bits(expect))
+                    z, f, *jet = maps._jets(variant, where)
                     # two or more points take the in-place form, others the operator form
-                    assert in_place and set(in_place) == {grid_points(where).size > 1}
-        if m.kind == "identity":  # its f'' and f''' are one zeros array
+                    assert in_place and set(in_place) == {z.size > 1}
+                    assert _bits(jet).tolist() == _bits(operator_form(variant, where)).tolist()
+                    got = [*cm.jet_derivatives(variant, where), maps._jets(variant, where, "f1")[2],
+                           *maps._jets(variant, where, "PS")[1:]]
+                    assert _bits(got).tolist() == _bits([*maps._full_jet(*jet), *jet]).tolist()
+                    if not isinstance(where, cm.GridSpec):
+                        want = [f(), *maps._full_jet(*jet)]
+                        assert _bits(cm.jet_fields(variant, where)).tolist() == _bits(want).tolist()
+                for i in (0, z.size // 2, z.size - 1):  # three of the points (one for a lone point)
+                    assert_oracle(variant, complex(z.flat[i]), [v.flat[i] for v in np.broadcast_arrays(*jet)])
+        if m.kind == "identity":  # its P and S are one zeros array
             assert any(a is b for (a, _), (b, _) in zip(base_jets, base_jets[1:]))
         for v, before in base_jets:
             np.testing.assert_array_equal(_bits(v), _bits(before))
 
     @pytest.mark.parametrize("m", COMPOSED_BASES, ids=COMPOSED_IDS)
     def test_count_one_computes_neither_t2_nor_t3(self, m):
+        # a report's composition reads no f' (nor the scale, which only f'
+        # takes), and the f'-only composition forms neither P nor S
         for pre in (False, True):
             for post in (False, True):
                 for in_place in (False, True):
-                    names = set(maps._composition(1, pre, post, in_place).__code__.co_varnames)
-                    assert not names & {"t2", "t3", "q2", "q3", "f2", "f3"}, (pre, post, in_place)
-                    if pre:
-                        assert {"t2", "t3"} <= set(maps._composition(3, pre, post, in_place).__code__.co_varnames)
+                    names = set(maps._composition(("P", "S"), pre, post, in_place).__code__.co_varnames)
+                    assert not names & {"f1", "s"}, (pre, post, in_place)
+                    names = set(maps._composition(("f1",), pre, post, in_place).__code__.co_varnames)
+                    assert not names & {"P", "S", "c"}, (pre, post, in_place)
         for variant in _composed_variants(m)[1:]:
             for where in _array_inputs(np.random.default_rng(15)):
-                spectral = isinstance(where, cm.GridSpec) and m.series is not None and variant.pre is None
-                z = where if spectral else grid_points(where)
-                got, want = maps._jets(variant, z, 1), maps._jets(variant, z)
-                assert len(got) == 3
-                np.testing.assert_array_equal(_bits(got[2]), _bits(want[2]))
+                z, _, *jet = maps._jets(variant, where)
+                got = [maps._jets(variant, where, "f1")[2], *maps._jets(variant, where, "PS")[1:]]
+                assert _bits(got).tolist() == _bits(jet).tolist()
+
+    @pytest.mark.parametrize("m", [m for _, m, _ in ZOO], ids=[name for name, _, _ in ZOO])
+    def test_a_report_never_forms_f1(self, m, monkeypatch):
+        base = maps._CLOSED_FORMS[m.kind]
+
+        def no_f1(*args):
+            f, _, P, S = base(*args)
+            return f, lambda: pytest.fail("a report formed f'"), P, S
+
+        monkeypatch.setitem(maps._CLOSED_FORMS, m.kind, no_f1)
+        for variant in _composed_variants(m):
+            cm.convexity_report(variant, cm.GridSpec(8, 12, 0.9))
+            cm.phi_values(variant, np.array([0.1, 0.2j]))
+
+
+class TestBatchSize:
+    """A point's full jet has the same bits in a batch of any size."""
+
+    @pytest.mark.parametrize("m", [m for _, m, _ in ZOO], ids=[name for name, _, _ in ZOO])
+    def test_a_slice_keeps_the_bits_of_the_whole_grid(self, m):
+        # from 16,384 points NumPy elides the temporaries of an expression
+        # and may swap the operands of a complex product
+        z = cm.GridSpec(400, 400, 0.9).points()
+        for variant in (m, m.precomposed(0.2 - 0.1j, 0.7)):
+            whole, part = cm.jet_fields(variant, z), cm.jet_fields(variant, z[:4096])
+            for a, b in zip(whole, part):
+                np.testing.assert_array_equal(_bits(a[:4096]), _bits(b))
 
 
 class TestComposition:

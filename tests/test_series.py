@@ -9,6 +9,7 @@ from numpy.polynomial import polynomial as npoly
 
 import convmap as cm
 import convmap.levelset as levelset
+import convmap.maps as maps
 from convmap.functionals import _level
 from convmap.series import MIN_ORDER, RADIUS_SLACK, derivative_table, eval_grid, eval_table
 
@@ -213,8 +214,10 @@ class TestScalarFastPath:
 
 class TestPointJets:
     """A point of a series map with nothing to compose takes one running
-    product: the tracer's jets, ``jet_of`` and the scalar ``level_value``
-    equal eval_table's running products on a one-point batch bit for bit."""
+    product: the tracer's f, f', P and S, ``jet_of`` and the scalar
+    ``level_value`` are eval_table's running products on a one-point batch,
+    with P and S by the kernel's lines and the full jet by ``_full_jet``,
+    bit for bit."""
 
     @staticmethod
     def bits(vals) -> list:
@@ -229,14 +232,16 @@ class TestPointJets:
         u = np.exp(0.7j)
         # |z| = rmax + RADIUS_SLACK exactly on the imaginary axis
         for z in (0j, complex(0.5 * s.rmax * u), complex(s.rmax * u), 1j * (s.rmax + RADIUS_SLACK)):
-            want = [col[0] for col in eval_table(s.table, np.array([z]))]
+            f0, f1, f2, f3 = [complex(col[0]) for col in eval_table(s.table, np.array([z]))]
+            P, S = cm.fields(z, f1, f2, f3, ("P", "S")).values()
             f, *derivatives = levelset._jet_at(m, z)
             jet = cm.jet_of(m, z)
-            for got in ([f(), *derivatives], [jet.f0, jet.f1, jet.f2, jet.f3]):
+            for got, want in (([f(), *derivatives], [f0, f1, P, S]),
+                              ([jet.f0, jet.f1, jet.f2, jet.f3], [f0, *maps._full_jet(f1, P, S)])):
                 assert all(type(v) is complex for v in got)
                 assert self.bits(got) == self.bits(want)
             g = cm.level_value(m, z)
-            assert np.float64(g).view(np.uint64) == np.float64(_level(np.asarray(z), want[1])["g"]).view(np.uint64)
+            assert np.float64(g).view(np.uint64) == np.float64(_level(np.asarray(z), f1)["g"]).view(np.uint64)
         beyond = 1j * (s.rmax + 2.0 * RADIUS_SLACK)
         for call in (levelset._jet_at, cm.jet_of, cm.level_value):
             with pytest.raises(cm.RadiusExceeded):
