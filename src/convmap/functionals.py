@@ -2,14 +2,17 @@
 ``_FORMULAS`` holds every formula once, from the derivatives of p that the
 critical search's Newton steps read to the curvatures and the generator phi.
 They use only arithmetic, ``abs``, ``.conjugate()`` and ``.real``, so the
-same lines run on Python complex scalars and on NumPy arrays.  The grid,
-search and tracer users feed it (z, f', P, S) from ``maps._jets``, with
-P = f''/f' and S the Schwarzian, a report and phi (z, P, S); ``fields`` and
-the scalar views feed it a jet (z, f', f'', f''').  ``maps._compiled``,
-which also compiles the chain rule of a composed map, turns the formulas a
-caller names into one straight-line function that frees every other array
-right after its last use: on a 10,000-point grid each is 80-160 KB, and
-paging in fresh memory costs more than the arithmetic on it.
+same lines run on Python complex scalars and on NumPy arrays.  The keys
+pick the jets: ``grid_functionals``, the one checked batch entry of every
+report, scan, search and phi, asks ``maps._jets`` for those of f', P =
+f''/f' and the Schwarzian S that its keys read, so a report, which reads P
+and S, never forms f'.  The tracer feeds it (z, f', P, S) at one point;
+``fields`` and the scalar views feed it a jet (z, f', f'', f''').
+``maps._compiled``, which also compiles the chain rule of a composed map,
+turns the formulas a caller names into one straight-line function that
+frees every other array right after its last use: on a 10,000-point grid
+each is 80-160 KB, and paging in fresh memory costs more than the
+arithmetic on it.
 
 Sign conventions: slackN = lhsN - rhsN, so convexity means slack1 >= 0 and
 the strengthened bounds mean slack2, slack3 >= 0.  With P = f''/f' and
@@ -58,14 +61,13 @@ UNIMODULAR = _Unimodular()
 
 
 _JET = ("z", "f1", "f2", "f3")  # a full jet, as ``fields`` takes it
-_F1PS = ("z", "f1", "P", "S")  # what ``maps._jets`` gives, f aside
-_PS = ("z", "P", "S")  # what ``maps._jets`` gives on its request "PS"
+_F1PS = ("z", "f1", "P", "S")  # what ``maps._jets`` can give, f aside
 
 # Every formula of the kernel, once: an expression in the inputs and in the
 # fields above it, so that the order is an order of evaluation.  P and S
 # come first, so that f'' and f''' of a full jet can go before anything else
-# is formed; the other inputs give them.  P' (dP) is read from S, so (z, P,
-# S) gives every key that does not read f'.  pz and pzb are dp/dz and
+# is formed; the other inputs give them.  P' (dP) is read from S, so only
+# f1, g, density and kappa read f'.  pz and pzb are dp/dz and
 # dp/dzbar (p holds conj(z)).  k and kappa divide by |p| and phi and dphi by
 # 2 + z P: FIELDS leaves them and ap, re and den out.
 # No key is named as an attribute (``real``): ``_compiled`` reads co_names.
@@ -102,20 +104,16 @@ GRID_KEYS = ("z", "f1", *FIELDS)
 
 @functools.cache
 def _kernel(keys: tuple, handover: bool = False, inputs: tuple = _F1PS):
-    """The field kernel for ``keys`` (names in _JET and _FORMULAS): the
-    formulas keys need, compiled by ``maps._compiled`` into a function of
-    the ``inputs``, (z, f', P, S), _JET or _PS, that returns the dict of
-    keys.  With ``handover`` it takes the inputs as one list and empties it,
-    so that they are freed too; a grid caller does this.  With _PS it
-    refuses a key that reads f'."""
-    unknown = set(keys).difference(_JET, _FORMULAS)
+    """The field kernel for ``keys`` (names in ``inputs`` and _FORMULAS):
+    the formulas keys need, compiled by ``maps._compiled`` into a function
+    of the ``inputs``, (z, f', P, S) or _JET, that returns the dict of keys.
+    Its ``reads`` names the inputs after z that the keys read.  With
+    ``handover`` it takes z and those as one list and empties it, so that
+    they are freed too; ``grid_functionals`` does this."""
+    unknown = set(keys).difference(inputs, _FORMULAS)
     if unknown:
         raise ValueError(f"no field named {', '.join(sorted(unknown))}")
     steps = [(name, expr) for name, expr in _FORMULAS.items() if name not in inputs]
-    absent = set(_JET).difference(inputs)  # then each formula that reads one, in table order
-    absent.update(name for name, expr in steps if absent and absent.intersection(compile(expr, name, "eval").co_names))
-    if absent.intersection(keys):
-        raise ValueError(f"no field {', '.join(sorted(absent.intersection(keys)))} from (z, P, S): it reads f'")
     params = "jets" if handover else "z, " + ", ".join(f"{x}=None" for x in inputs[1:])
     return _compiled(steps, inputs, keys, params, handover=handover)
 
@@ -216,37 +214,31 @@ def grid_functionals(m: MapSpec, zs, keys=GRID_KEYS) -> dict:
     points of a GridSpec zs (in ``GridSpec.points`` order).
 
     Returns the dict of ``keys``: by default the ``fields`` dict plus z (the
-    points) and f1; f is never computed.  A caller names the keys it reads,
-    and every other array is freed as soon as the kernel is done with it.
-    Raises SingularPoint if f' vanishes anywhere and ValueError if a jet
-    component is not finite.
+    points) and f1; f is never computed.  The keys pick the jets: of f', P
+    and S, ``maps._jets`` evaluates those that the kernel ``reads``, and
+    every other array is freed as soon as the kernel is done with it.
+    Raises ValueError if one of them is not finite anywhere, then
+    SingularPoint if f' is read and vanishes anywhere.
     """
-    jets = list(_jets(m, zs))
+    kernel = _kernel(tuple(keys), handover=True)
+    jets = list(_jets(m, zs, kernel.reads))
     del jets[1]  # f, which holds the base map's arrays
-    check_jets(_F1PS, jets)
-    return _kernel(tuple(keys), handover=True)(jets)
-
-
-def check_jets(names, jets) -> None:
-    """Reject a batch of jets (z, f', P, S) or (z, P, S), named by
-    ``names``, on the evaluation grid as ``maps._jet_at``, the checked point
-    route of ``jet_of`` and the tracer, rejects one: ValueError on a
-    non-finite component, then SingularPoint where f' vanishes."""
-    for name, vals in zip(names[1:], jets[1:]):
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"jet component {name} is not finite on the evaluation grid")
-    if names[1] == "f1" and np.any(jets[1] == 0):
+    # a comprehension, so that no name here holds an array the kernel frees
+    bad = [name for name, vals in zip(kernel.reads, jets[1:]) if not np.isfinite(vals).all()]
+    if bad:
+        raise ValueError(f"jet component {bad[0]} is not finite on the evaluation grid")
+    if "f1" in kernel.reads and np.any(jets[1] == 0):
         raise SingularPoint("f' vanishes on the evaluation grid")
+    return kernel(jets)
 
 
 def phi_grid(m: MapSpec, where):
     """(z, phi): the points of a GridSpec or an array, and ``phi_values``
-    there, from the (P, S) request of ``maps._jets``."""
-    z, P, _ = _jets(m, where, "PS")
+    there, from ``grid_functionals``, which evaluates P alone."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _kernel(("den", "phi"), False, _PS)(z, P)
+        vals = grid_functionals(m, where, ("z", "den", "phi"))
         bad = ~np.isfinite(vals["den"]) | (abs(vals["den"]) < DEGENERATE_EPS)
-        return z, np.where(bad, complex(np.nan, np.nan), vals["phi"])
+        return vals["z"], np.where(bad, complex(np.nan, np.nan), vals["phi"])
 
 
 def phi_values(m: MapSpec, z):
@@ -316,9 +308,7 @@ def convexity_report(m: MapSpec, grid: GridSpec | None = None, tol: float | None
 
     grid = grid or default_grid(m)
     tol = slack_tolerance(m) if tol is None else float(tol)
-    jets = list(_jets(m, grid, "PS"))  # the report reads z, P and S alone
-    check_jets(_PS, jets)
-    vals = _kernel(("z", "lhs1", "slack3", "km", "nehari"), True, _PS)(jets)
+    vals = grid_functionals(m, grid, ("z", "lhs1", "slack3", "km", "nehari"))  # they read P and S
     zs = vals["z"]
     slack1 = vals["lhs1"]  # the classical bound compares against zero
     slack3 = vals["slack3"]

@@ -19,6 +19,7 @@ class GridSpec:
         for name in ("nr", "ntheta"):  # 2.5 rings would put one outside rmax
             if not float(getattr(self, name)).is_integer():
                 raise ValueError(f"grid {name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.nr < 1 or self.ntheta < 1:
             raise ValueError("grid counts must be positive")
         if not 0.0 < self.rmax < 1.0:

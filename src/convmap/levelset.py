@@ -47,7 +47,7 @@ CSV_HEADER = "s,Re z,Im z,Re w,Im w,|p|,k,kappa,residual"
 def level_value(m: MapSpec, z):
     """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z, from f' alone."""
     z = np.asarray(z, dtype=complex)
-    return _level(z, _jets(m, z, "f1")[2])["g"]
+    return _level(z, _jets(m, z, ("f1",))[2])["g"]
 
 
 def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEFAULT_TRACE_RMAX) -> complex:

@@ -331,13 +331,16 @@ _UFUNCS = {ast.Add: "add", ast.Mult: "multiply", ast.Div: "divide", ast.Pow: "po
 def _compiled(steps, inputs, outputs, params: str, handover=False, in_place=False):
     """(name, expression) ``steps`` in evaluation order (a name may be bound
     again) compiled into the straight-line function of ``params`` that runs
-    the steps the ``outputs`` read and returns the dict of outputs.  The
-    values ``inputs`` are parameters, or with ``handover`` one list ``jets``
-    that the function unpacks and empties, so that the caller holds no
-    reference.  A step may read other parameters (``s = m.post[0]``), which
-    binds a constant where the steps place it; every value but the outputs
-    is deleted after its last reader.  So a single point pays only its
-    arithmetic; a loop over the steps would cost three times that.
+    the steps the ``outputs`` read and returns the dict of outputs; its
+    ``reads`` names the inputs after the first (the points z of a field
+    kernel) that those steps or the outputs read.  The values ``inputs`` are
+    parameters, or with ``handover`` one list ``jets`` of the first input
+    and the ``reads``, which the function unpacks and empties, so that the
+    caller holds no reference.  A step may read other parameters
+    (``s = m.post[0]``), which binds a constant where the steps place it;
+    every value but the outputs is deleted after its last reader.  So a
+    single point pays only its arithmetic; a loop over the steps would cost
+    three times that.
 
     ``in_place`` runs each one-operator step as a ufunc call (``** 2`` is
     np.square, as for the operator) with ``out=`` the array its name held if
@@ -351,8 +354,9 @@ def _compiled(steps, inputs, outputs, params: str, handover=False, in_place=Fals
             live.discard(name)
             live.update(reads)
             body.insert(0, (name, expr, reads))
-    lines = [f"{', '.join(inputs)}, = jets", "jets.clear()"] if handover else []
-    lines += [f"del {x}" for x in inputs if x not in live and x not in outputs]
+    needs = tuple(x for x in inputs[1:] if x in live)
+    lines = [f"{', '.join(inputs[:1] + needs)}, = jets", "jets.clear()"] if handover else []
+    lines += [f"del {x}" for x in (inputs[:1] if handover else inputs) if x not in live]
 
     def next_use(x, i):  # "read" or "write" at the first later step naming x
         return next(("read" if x in r else "write" for n, _, r in body[i + 1 :] if x in (n, *r)), None)
@@ -381,6 +385,7 @@ def _compiled(steps, inputs, outputs, params: str, handover=False, in_place=Fals
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"np": np}
     exec(compile(source, filename, "exec"), namespace)
+    namespace["compiled"].reads = needs
     return namespace["compiled"]
 
 
@@ -403,7 +408,6 @@ _CHAIN_STEPS = [tuple(step.split(" = ")) for step in (
 _POST_STEPS = [("s", "m.post[0]"), ("f1", "s * f1")]
 # f'' = f' P and f''' = f' (S + 1.5 P^2), each product with f' first (see the jets above)
 _FULL_STEPS = [("f2", "f1 * P"), ("t", "1.5 * P"), ("t", "t * P"), ("t", "t + S"), ("f3", "f1 * t")]
-_REQUESTS = {"f1": ("f1",), "PS": ("P", "S"), "f1PS": ("f1", "P", "S")}
 
 
 @functools.cache
@@ -428,17 +432,18 @@ def _series_ps():
     return _kernel(("f1", "P", "S"), True, _JET)
 
 
-def _jets_series(w, z, s: PowerSeries, request: str):
+def _jets_series(w, z, s: PowerSeries, names: tuple):
     """A series as a base map at the points w (moved from z): (f, f', P, S),
-    P and S by the kernel's lines (SingularPoint where f' vanishes), or for
-    the request "f1" f' alone."""
+    P and S by the kernel's lines (SingularPoint where f' vanishes), or f'
+    alone when ``names`` asks for neither P nor S."""
+    ps = "P" in names or "S" in names
     if z.ndim == 0:  # one running product, in Python complex
         certify(s, abs(w))
         f0, *jet = point_columns(s.table, complex(w))
         f = lambda: f0
     else:
-        f, *jet = series_jet_fields(s, w, 1 if request == "f1" else 3)
-    if request == "f1":
+        f, *jet = series_jet_fields(s, w, 3 if ps else 1)
+    if not ps:
         return f, lambda: jet[0], None, None
     if (jet[0] == 0) if z.ndim == 0 else (jet[0] == 0).any():
         raise SingularPoint(f"f' vanishes at z = {complex(z)}" if z.ndim == 0 else "f' vanishes on the evaluation grid")
@@ -446,30 +451,33 @@ def _jets_series(w, z, s: PowerSeries, request: str):
     return f, lambda: f1, P, S
 
 
-def _jets(m: MapSpec, where, request="f1PS"):
-    """What ``request`` names at the points z evaluated: (z, f, f') for "f1",
-    (z, P, S) for "PS" (f' never formed), (z, f, f', P, S) for "f1PS", f a
-    callable.  The one function that picks a route: a series map with no
-    precomposition takes a GridSpec through ``series.eval_grid`` and a point
-    as it is; anything else goes at z = ``grid_points(where)``, a point as a
-    0-d array.  The base map's values at the moved points and d go to
-    ``_composition``: its operator form for a 0-d or one-element array,
-    which NumPy iterates with stride 0 (a complex product written over an
-    operand then rounds as a scalar product does), its in-place form for
-    more points."""
-    names = _REQUESTS[request]
+def _jets(m: MapSpec, where, names=("f1", "P", "S")):
+    """(z, f, *values): the points z evaluated, f as a callable, and the
+    values ``names`` asks for, some of f', P and S in that order; f' is
+    formed only when named.  The one function that picks a route: a series
+    map with no precomposition takes a GridSpec through ``series.eval_grid``
+    and a point as it is; anything else goes at z = ``grid_points(where)``,
+    a point as a 0-d array.  The base map's values at the moved points and d
+    go to ``_composition``: its operator form for a 0-d or one-element
+    array, which NumPy iterates with stride 0 (a complex product written
+    over an operand then rounds as a scalar product does), its in-place form
+    for more points."""
     z = grid_points(where)
     w, d = (z, None) if m.pre is None else _moved(m, z)
     if m.series is not None and m.pre is None and not isinstance(where, np.ndarray):
         w = where
-    f, f1, P, S = _CLOSED_FORMS[m.kind](w, m) if m.series is None else _jets_series(w, z, m.series, request)
-    jets = ([f1()] if "f1" in names else []) + ([P, S] if "P" in names else [])
-    jets += [] if d is None else [d]
+    f, f1, P, S = _CLOSED_FORMS[m.kind](w, m) if m.series is None else _jets_series(w, z, m.series, names)
+    # appends: a comprehension would cost each point of the tracer 0.17 us more
+    jets = [f1()] if "f1" in names else []
+    if "P" in names:
+        jets.append(P)
+    if "S" in names:
+        jets.append(S)
+    if d is not None:
+        jets.append(d)
     del w, d, f1, P, S
     if m.pre is not None or m.post is not None and "f1" in names:
         jets = _composition(names, m.pre is not None, m.post is not None, z.size > 1)(m, jets).values()
-    if request == "PS":
-        return (z, *jets)
     if m.post is not None:
         s, b = m.post
         f = lambda f0=f: s * f0() + b

@@ -152,19 +152,15 @@ def _takes_products(size: int, rows: int) -> bool:
     return size <= 2 * rows and size * rows <= RUNNING_PRODUCT_ENTRIES
 
 
-def eval_table(table: np.ndarray, z):
-    """Evaluate every column of the stacked polynomials at scalar or array z.
+def eval_table(table: np.ndarray, z: np.ndarray):
+    """Evaluate every column of the stacked polynomials at array z.
 
-    A scalar z takes ``point_columns`` and gives Python complex values.  A
-    batch of at most twice as many points as the table has rows and at most
-    RUNNING_PRODUCT_ENTRIES entries in its matrix of powers takes the same
-    running products of 1, z, z**2, ... and one matrix product over all
-    columns; other arrays use Horner, each column to the same bits whatever
-    the other columns of the table.
+    A batch of at most twice as many points as the table has rows and at
+    most RUNNING_PRODUCT_ENTRIES entries in its matrix of powers takes the
+    running products of 1, z, z**2, ... of ``point_columns`` and one matrix
+    product over all columns; other arrays use Horner, each column to the
+    same bits whatever the other columns of the table.
     """
-    z = np.asarray(z)
-    if z.ndim == 0:
-        return tuple(point_columns(table, z))
     n = table.shape[0]
     if not _takes_products(z.size, n):
         return tuple(npoly.polyval(z, table))
@@ -226,22 +222,16 @@ def certify(s: PowerSeries, worst: float) -> None:
 
 
 def series_jet_fields(s: PowerSeries, z, count: int = 3):
-    """(f, f', ..., f^(count)) of the series at scalar or array z, or over
-    the points of a GridSpec through ``eval_grid``, with f as a callable
-    as ``maps._jets`` returns it.  The running products give f with the
+    """(f, f', ..., f^(count)) of the series at array z, or over the points
+    of a GridSpec through ``eval_grid``, with f as a callable as
+    ``maps._jets`` returns it.  The running products give f with the
     derivatives; Horner and the grid route evaluate only the derivatives
-    until f is called.  A scalar z takes ``point_columns`` through
-    ``eval_table``.
+    until f is called.
 
     Points outside ``in_radius`` raise RadiusExceeded.
     """
     grid = isinstance(z, GridSpec)
-    if grid:
-        worst = z.rmax
-    else:
-        z = np.asarray(z)
-        worst = abs(complex(z)) if z.ndim == 0 else float(np.abs(z).max(initial=0.0))
-    certify(s, worst)
+    certify(s, z.rmax if grid else float(np.abs(z).max(initial=0.0)))
     table = s.table
     if grid:
         return (lambda: eval_grid(table[:, :1], z)[0], *eval_grid(table[:, 1 : count + 1], z))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convmap as cm
+from convmap.grid import grid_points
 
 from .oracles import random_disk_points, random_phi_coeffs
 
@@ -315,8 +316,8 @@ class TestReport:
             cm.convexity_report(m.precomposed(0.95))
 
     def test_reduces_the_full_grid_fields(self):
-        # the report asks the kernel for four fields of the (P, S) request;
-        # its figures must be the bits that the same reductions of those
+        # the report asks grid_functionals for four fields, which read P and
+        # S; its figures must be the bits that the same reductions of those
         # fields give
         zoo = CONVEX_ZOO + [cm.koebe()]
         composed = [m.precomposed(0.3 - 0.2j, 0.7).postcomposed(1.5 - 0.5j, 1 + 1j) for m in zoo]
@@ -324,7 +325,7 @@ class TestReport:
         keys = ("z", "lhs1", "slack3", "km", "nehari")
         for m in zoo + composed + [gen384()]:
             rep = cm.convexity_report(m, grid)
-            vals = cm.functionals._kernel(keys, False, cm.functionals._PS)(*cm.maps._jets(m, grid, "PS"))
+            vals = cm.grid_functionals(m, grid, keys)
             zs, slack3 = vals["z"], vals["slack3"]
             eq = np.flatnonzero(np.abs(slack3) <= rep.tolerance)
             want = (
@@ -346,24 +347,24 @@ CLOSED_KINDS = [cm.identity(), cm.halfplane(), cm.strip(), cm.sector(0.5), cm.po
 REQUEST_KEYS = ("lhs1", "slack3", "km", "nehari", "den", "phi")
 
 
-def request_fields(m, where, keys=REQUEST_KEYS) -> dict:
-    """The kernel's fields from the (P, S) request of ``maps._jets``."""
-    return cm.functionals._kernel(keys, False, cm.functionals._PS)(*cm.maps._jets(m, where, "PS"))
+def full_jet_fields(m, where, keys) -> dict:
+    """The kernel's fields of the full jet (z, f1, f2, f3) of
+    ``jet_derivatives``: the reference of the batches that read P and S."""
+    return cm.fields(grid_points(where), *cm.jet_derivatives(m, where), keys)
 
 
 def full_route_phi_grid(m, where):
-    """``phi_grid`` on the kernel's inputs (z, f', P, S) that
-    ``grid_functionals`` reads: NaN where 2 + z P is (numerically) zero."""
+    """``phi_grid`` on the full jet: NaN where 2 + z P is (numerically) zero."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = cm.grid_functionals(m, where, ("z", "den", "phi"))
-        z = vals["z"]
+        vals = full_jet_fields(m, where, ("den", "phi"))
         bad = ~np.isfinite(vals["den"]) | (abs(vals["den"]) < cm.functionals.DEGENERATE_EPS)
-        return z, np.where(bad, complex(np.nan, np.nan), vals["phi"])
+        return grid_points(where), np.where(bad, complex(np.nan, np.nan), vals["phi"])
 
 
 class TestPSRequest:
-    """Reports and phi read P and S from the request "PS" of ``maps._jets``;
-    the full jet's fields are the reference."""
+    """Reports and phi read P and S alone: their keys ask ``maps._jets`` for
+    no f'.  The full jet's fields are the reference, and asking for f' too
+    changes no bit."""
 
     def test_exact_schwarzians(self):
         grid = cm.GridSpec(100, 100, 0.9)
@@ -371,14 +372,13 @@ class TestPSRequest:
         assert cm.convexity_report(cm.identity().precomposed(0.3 - 0.2j, 0.7), grid).nehari_max == 0.0
         grid = cm.GridSpec(30, 40, 0.9)
         for m in CLOSED_KINDS:
-            _, P, S = cm.maps._jets(m, grid, "PS")
-            full = cm.grid_functionals(m, grid, ("P", "S"))
-            np.testing.assert_allclose(P, full["P"], rtol=1e-12, atol=0)
+            got, full = cm.grid_functionals(m, grid, ("P", "S")), full_jet_fields(m, grid, ("P", "S"))
+            np.testing.assert_allclose(got["P"], full["P"], rtol=1e-12, atol=0)
             if m.kind in ("identity", "halfplane"):
-                assert not np.any(S)  # exactly 0, where the full jet reads roundoff
+                assert not np.any(got["S"])  # exactly 0, where the full jet reads roundoff
                 assert np.abs(full["S"]).max() < 1e-12
             else:
-                np.testing.assert_allclose(S, full["S"], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got["S"], full["S"], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("m", CLOSED_KINDS, ids=lambda m: m.kind)
     def test_agrees_with_the_full_jet(self, m, monkeypatch):
@@ -387,7 +387,7 @@ class TestPSRequest:
                     m.precomposed(0.9 * np.exp(1.1j), 0.3)]
         for v in variants:
             for grid in (cm.GridSpec(), cm.GridSpec(100, 100, 0.9)):
-                got, want = request_fields(v, grid), cm.grid_functionals(v, grid, REQUEST_KEYS)
+                got, want = cm.grid_functionals(v, grid, REQUEST_KEYS), full_jet_fields(v, grid, REQUEST_KEYS)
                 for key in REQUEST_KEYS:
                     np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-13, err_msg=f"{v} {key}")
                 rep, full = cm.convexity_report(v, grid), cm.grid_functionals(v, grid)
@@ -405,20 +405,22 @@ class TestPSRequest:
             warnings.simplefilter("ignore", cm.TruncationTail)
             maps = [cm.gen_herglotz(cm.PhiSpec.polynomial(random_phi_coeffs(rng)), 384, 0.9) for _ in range(20)]
         for m in maps:
-            for where in (grid, grid.points()):
-                got, want = request_fields(m, where), cm.grid_functionals(m, where, REQUEST_KEYS)
+            for where in (grid.points(), grid):
+                got, want = cm.grid_functionals(m, where, REQUEST_KEYS), cm.grid_functionals(m, where, REQUEST_KEYS + ("f1",))
                 for key in REQUEST_KEYS:
                     np.testing.assert_array_equal(got[key], want[key])
-            np.testing.assert_array_equal(cm.phi_values(m, grid), full_route_phi_grid(m, grid)[1])
+            np.testing.assert_array_equal(cm.phi_values(m, grid), want["phi"])
 
-    def test_refuses_what_needs_f1(self):
-        grid = cm.GridSpec(4, 8, 0.5)
+    def test_reads_f1_only_for_a_key_that_needs_it(self):
+        kernel = cm.functionals._kernel
+        assert kernel(("lhs1",), True).reads == ("P",)
         for key in ("f1", "g", "density", "kappa"):
-            with pytest.raises(ValueError, match=f"no field {key} from"):
-                request_fields(cm.sector(0.5), grid, ("lhs1", key))
+            assert "f1" in kernel(("lhs1", key), True).reads, key
         # P' is read from S, so the derivatives of p need no f'
-        got = request_fields(cm.sector(0.5), grid, ("dP", "pz"))
-        want = cm.grid_functionals(cm.sector(0.5), grid, ("dP", "pz"))
+        assert kernel(("dP", "pz"), True).reads == ("P", "S")
+        grid = cm.GridSpec(4, 8, 0.5)
+        got = cm.grid_functionals(cm.sector(0.5), grid, ("dP", "pz"))
+        want = cm.grid_functionals(cm.sector(0.5), grid, ("dP", "pz", "f1"))
         for key in ("dP", "pz"):
             np.testing.assert_array_equal(got[key], want[key])
 
@@ -442,6 +444,13 @@ class TestGridSpec:
     def test_takes_integral_counts_of_any_type(self):
         assert cm.GridSpec(np.int64(40), np.int32(7), 0.9).points().size == 280
         assert cm.GridSpec(4.0, 5, 0.9).radii().tolist() == cm.GridSpec(4, 5, 0.9).radii().tolist()
+        # the counts are stored as int, which the FFT route of a series grid needs
+        grid = cm.GridSpec(10, 16.0, 0.8)
+        assert (type(grid.nr), type(grid.ntheta)) == (int, int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cm.TruncationTail)
+            m = cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), order=64)
+        assert repr(cm.convexity_report(m, grid)) == repr(cm.convexity_report(m, cm.GridSpec(10, 16, 0.8)))
 
     def test_fit_phi_polynomial_refuses_fractional_samples(self):
         with pytest.raises(ValueError, match="ntheta must be an integer"):

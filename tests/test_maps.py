@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -253,6 +254,31 @@ class TestOneEntryPoint:
             use()
             assert calls
 
+    def test_the_keys_pick_the_jets(self, calls):
+        # each batch asks for the values of f', P and S that its keys read;
+        # the points of jet_of ask for all three by default
+        from convmap.cli import _curvature_columns
+
+        m, z, grid = self.SERIES, np.array([0.1, 0.2j, -0.3]), cm.GridSpec(4, 8, 0.5)
+        f1PS, f1P, PS, P = ("f1", "P", "S"), ("f1", "P"), ("P", "S"), ("P",)
+
+        def asked(use) -> list:
+            calls.clear()
+            use()
+            return [args[2] for args in calls if len(args) == 3]
+
+        assert asked(lambda: cm.convexity_report(m, grid)) == [PS, P]  # then classify_phi
+        assert asked(lambda: cm.phi_values(m, z)) == [P]
+        assert asked(lambda: cm.classify_phi(m)) == [P]
+        assert asked(lambda: _curvature_columns(m, grid)) == [f1PS]
+        assert asked(lambda: cm.level_value(m, z)) == [("f1",)]
+        # the scan reads g, lhs1, km and slack3, a Newton batch p, pz and pzb
+        scan, *newton = asked(lambda: cm.find_critical_point(cm.polygon(5)))
+        assert scan == f1PS and newton and set(newton) == {PS}
+        # the ascent of g from the rim of a half plane reads g and p
+        scan, *ascent = asked(lambda: cm.find_critical_point(cm.halfplane()))
+        assert scan == f1PS and ascent and set(ascent) == {f1P}
+
 
 def _array_inputs(rng) -> list:
     """A point, one-element and larger arrays, a 2-d array and a grid."""
@@ -277,7 +303,7 @@ def operator_form(m: cm.MapSpec, where) -> list:
     z = grid_points(where)
     spectral = isinstance(where, cm.GridSpec) and m.series is not None and m.pre is None
     w, d = (where if spectral else z, None) if m.pre is None else maps._moved(m, z)
-    _, f1, P, S = maps._CLOSED_FORMS[m.kind](w, m) if m.series is None else maps._jets_series(w, z, m.series, "f1PS")
+    _, f1, P, S = maps._CLOSED_FORMS[m.kind](w, m) if m.series is None else maps._jets_series(w, z, m.series, ("f1", "P", "S"))
     jets = [f1(), P, S] + ([] if d is None else [d])
     return list(maps._composition(("f1", "P", "S"), m.pre is not None, m.post is not None, False)(m, jets).values())
 
@@ -285,7 +311,8 @@ def operator_form(m: cm.MapSpec, where) -> list:
 class TestComposedArrayJets:
     """The composition's in-place form writes into arrays of its own with the
     bits of its operator form, leaves the base values alone, and agrees with
-    the 40-digit oracle; every request reads the bits of the full one."""
+    the 40-digit oracle; every subset of f', P and S reads the bits of the
+    full jet."""
 
     @pytest.mark.parametrize("m", COMPOSED_BASES, ids=COMPOSED_IDS)
     def test_equals_the_written_chain_rule(self, m, monkeypatch):
@@ -320,8 +347,8 @@ class TestComposedArrayJets:
                     # two or more points take the in-place form, others the operator form
                     assert in_place and set(in_place) == {z.size > 1}
                     assert _bits(jet).tolist() == _bits(operator_form(variant, where)).tolist()
-                    got = [*cm.jet_derivatives(variant, where), maps._jets(variant, where, "f1")[2],
-                           *maps._jets(variant, where, "PS")[1:]]
+                    got = [*cm.jet_derivatives(variant, where), maps._jets(variant, where, ("f1",))[2],
+                           *maps._jets(variant, where, ("P", "S"))[2:]]
                     assert _bits(got).tolist() == _bits([*maps._full_jet(*jet), *jet]).tolist()
                     if not isinstance(where, cm.GridSpec):
                         want = [f(), *maps._full_jet(*jet)]
@@ -336,19 +363,24 @@ class TestComposedArrayJets:
     @pytest.mark.parametrize("m", COMPOSED_BASES, ids=COMPOSED_IDS)
     def test_count_one_computes_neither_t2_nor_t3(self, m):
         # a report's composition reads no f' (nor the scale, which only f'
-        # takes), and the f'-only composition forms neither P nor S
+        # takes), phi's no S, and the f'-only composition forms neither P nor S
         for pre in (False, True):
             for post in (False, True):
                 for in_place in (False, True):
                     names = set(maps._composition(("P", "S"), pre, post, in_place).__code__.co_varnames)
                     assert not names & {"f1", "s"}, (pre, post, in_place)
+                    names = set(maps._composition(("P",), pre, post, in_place).__code__.co_varnames)
+                    assert not names & {"f1", "s", "S"}, (pre, post, in_place)
                     names = set(maps._composition(("f1",), pre, post, in_place).__code__.co_varnames)
                     assert not names & {"P", "S", "c"}, (pre, post, in_place)
+        subsets = [names for k in (1, 2) for names in itertools.combinations(("f1", "P", "S"), k)]
         for variant in _composed_variants(m)[1:]:
             for where in _array_inputs(np.random.default_rng(15)):
                 z, _, *jet = maps._jets(variant, where)
-                got = [maps._jets(variant, where, "f1")[2], *maps._jets(variant, where, "PS")[1:]]
-                assert _bits(got).tolist() == _bits(jet).tolist()
+                full = dict(zip(("f1", "P", "S"), jet))
+                for names in subsets:
+                    got = maps._jets(variant, where, names)[2:]
+                    assert _bits(got).tolist() == _bits([full[x] for x in names]).tolist(), names
 
     @pytest.mark.parametrize("m", [m for _, m, _ in ZOO], ids=[name for name, _, _ in ZOO])
     def test_a_report_never_forms_f1(self, m, monkeypatch):
@@ -362,6 +394,20 @@ class TestComposedArrayJets:
         for variant in _composed_variants(m):
             cm.convexity_report(variant, cm.GridSpec(8, 12, 0.9))
             cm.phi_values(variant, np.array([0.1, 0.2j]))
+
+    @pytest.mark.parametrize("m, points", [(cm.polygon(5), 2), (cm.koebe(), 0)], ids=["polygon", "koebe"])
+    def test_a_newton_batch_never_forms_f1(self, m, points, monkeypatch):
+        # f' is formed by the scan, which reads g, and at the points of
+        # jet_of that check and measure a root, never by a Newton batch
+        base, formed = maps._CLOSED_FORMS[m.kind], []
+
+        def counted(w, m):
+            f, f1, P, S = base(w, m)
+            return f, lambda: formed.append(np.shape(w)) or f1(), P, S
+
+        monkeypatch.setitem(maps._CLOSED_FORMS, m.kind, counted)
+        cm.find_critical_point(m)
+        assert formed == [(cm.GridSpec().nr * cm.GridSpec().ntheta,)] + [()] * points
 
 
 class TestBatchSize:

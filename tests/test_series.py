@@ -11,7 +11,7 @@ import convmap as cm
 import convmap.levelset as levelset
 import convmap.maps as maps
 from convmap.functionals import _level
-from convmap.series import MIN_ORDER, RADIUS_SLACK, derivative_table, eval_grid, eval_table
+from convmap.series import MIN_ORDER, RADIUS_SLACK, derivative_table, eval_grid, eval_table, point_columns
 
 from .oracles import fd_jet
 
@@ -130,7 +130,7 @@ class TestEvaluation:
 
         for z in (0.3, -0.2 + 0.1j, 0.25j):
             jet = cm.series_eval_jet(s, z)
-            cols = eval_table(table, z)
+            cols = point_columns(table, z)
             oracle = [complex(v) for v in fd_jet(f, z)]
             got = [jet.f0, jet.f1, jet.f2, jet.f3]
             np.testing.assert_allclose(got, oracle, rtol=1e-10)
@@ -152,7 +152,7 @@ class TestScalarFastPath:
         zs = np.concatenate([[0j], 0.5 * s.rmax * angles, s.rmax * angles])
         cols = npoly.polyval(zs, s.table)  # Horner, the large-array route
         for i, z in enumerate(zs):
-            scalar = np.asarray(eval_table(s.table, complex(z)))
+            scalar = np.asarray(point_columns(s.table, complex(z)))
             np.testing.assert_allclose(scalar, cols[:, i], rtol=1e-13, atol=0)
         # a batch, here in a 2-d shape: running products from order 8 up,
         # Horner at order 3 (17 points are more than twice 4 coefficients)
