@@ -254,6 +254,8 @@ def _phi_from_args(args) -> PhiSpec:
     degree = int(args.phi_random)
     if degree < 0:
         raise _UsageError("--phi-random needs a nonnegative degree")
+    if not args.target >= 0.0:
+        raise _UsageError(f"malformed generator spec: --target must be nonnegative, got {args.target:g}")
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     phi = PhiSpec.polynomial(coeffs)
@@ -266,9 +268,9 @@ def _phi_from_args(args) -> PhiSpec:
 def cmd_gen(args, m=None) -> int:
     try:
         phi = _phi_from_args(args)
-    except ValueError as exc:  # a PhiSpec refusing its data
+        generated = gen_herglotz(phi, order=args.order, rmax=args.gen_rmax)
+    except ValueError as exc:  # a PhiSpec, the order or the radius refusing its data
         raise _UsageError(f"malformed generator spec: {exc}") from None
-    generated = gen_herglotz(phi, order=args.order, rmax=args.gen_rmax)
     text = json.dumps(map_to_json(generated), indent=2)
     with open(args.out, "w", encoding="utf-8") as fp:
         fp.write(text + "\n")

@@ -2,12 +2,13 @@
 ``_FORMULAS`` holds every formula once, from the derivatives of p that the
 critical search's Newton steps read to the curvatures and the generator phi.
 They use only arithmetic, ``abs``, ``.conjugate()`` and ``.real``, so the
-same lines run on Python complex scalars and on NumPy arrays.  The keys
-pick the jets: ``grid_functionals``, the one checked batch entry of every
-report, scan, search and phi, asks ``maps._jets`` for those of f', P =
-f''/f' and the Schwarzian S that its keys read, so a report, which reads P
-and S, never forms f'.  The tracer feeds it (z, f', P, S) at one point;
-``fields`` and the scalar views feed it a jet (z, f', f'', f''').
+same lines run on Python complex scalars and on NumPy arrays.  The kernel
+reads (z, f', P = f''/f', S) alone, S the Schwarzian, and the keys pick
+the jets: ``grid_functionals``, the one checked batch entry of every
+report, scan, search and phi, asks ``maps._jets`` for those of f', P and S
+that its keys read (a report never forms f').  The tracer feeds it one
+point; ``fields`` and the scalar views form P and S from a full jet
+(z, f', f'', f''') by ``maps._PS_STEPS``.
 ``maps._compiled``, which also compiles the chain rule of a composed map,
 turns the formulas a caller names into one straight-line function that
 frees every other array right after its last use: on a 10,000-point grid
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import DegenerateDenominator, SingularPoint
 from .grid import GridSpec
 from .jet import Jet
-from .maps import MapSpec, _compiled, _jets, certified_rmax
+from .maps import _PS, MapSpec, _compiled, _jets, certified_rmax
 
 UNIMODULAR_EPS = 1e-10
 DEGENERATE_EPS = 1e-12
@@ -60,20 +61,15 @@ def _unimodular_instance():
 UNIMODULAR = _Unimodular()
 
 
-_JET = ("z", "f1", "f2", "f3")  # a full jet, as ``fields`` takes it
-_F1PS = ("z", "f1", "P", "S")  # what ``maps._jets`` can give, f aside
+_INPUTS = ("z", "f1", "P", "S")  # the kernel's one vocabulary: what ``maps._jets`` gives, f aside
 
-# Every formula of the kernel, once: an expression in the inputs and in the
-# fields above it, so that the order is an order of evaluation.  P and S
-# come first, so that f'' and f''' of a full jet can go before anything else
-# is formed; the other inputs give them.  P' (dP) is read from S, so only
-# f1, g, density and kappa read f'.  pz and pzb are dp/dz and
-# dp/dzbar (p holds conj(z)).  k and kappa divide by |p| and phi and dphi by
-# 2 + z P: FIELDS leaves them and ap, re and den out.
+# Every formula of the kernel, once: an expression in the _INPUTS and in the
+# fields above it, so that the order is an order of evaluation.  P' (dP) is
+# read from S, so only f1, g, density and kappa read f'.  pz and pzb are
+# dp/dz and dp/dzbar (p holds conj(z)).  k and kappa divide by |p| and phi
+# and dphi by 2 + z P: FIELDS leaves them and ap, re and den out.
 # No key is named as an attribute (``real``): ``_compiled`` reads co_names.
 _FORMULAS = {
-    "P": "f2 / f1",
-    "S": "f3 / f1 - 1.5 * P * P",
     "dP": "S + 0.5 * P * P",
     "om": "1.0 - abs(z) ** 2",
     "g": "om * abs(f1)",
@@ -103,19 +99,18 @@ GRID_KEYS = ("z", "f1", *FIELDS)
 
 
 @functools.cache
-def _kernel(keys: tuple, handover: bool = False, inputs: tuple = _F1PS):
-    """The field kernel for ``keys`` (names in ``inputs`` and _FORMULAS):
-    the formulas keys need, compiled by ``maps._compiled`` into a function
-    of the ``inputs``, (z, f', P, S) or _JET, that returns the dict of keys.
-    Its ``reads`` names the inputs after z that the keys read.  With
-    ``handover`` it takes z and those as one list and empties it, so that
-    they are freed too; ``grid_functionals`` does this."""
-    unknown = set(keys).difference(inputs, _FORMULAS)
+def _kernel(keys: tuple, handover: bool = False):
+    """The field kernel for ``keys`` (names in _INPUTS and _FORMULAS): the
+    formulas keys need, compiled by ``maps._compiled`` into a function of
+    (z, f', P, S) that returns the dict of keys.  Its ``reads`` names the
+    inputs after z that the keys read.  With ``handover`` it takes z and
+    those as one list and empties it, so that they are freed too;
+    ``grid_functionals`` does this."""
+    unknown = set(keys).difference(_INPUTS, _FORMULAS)
     if unknown:
         raise ValueError(f"no field named {', '.join(sorted(unknown))}")
-    steps = [(name, expr) for name, expr in _FORMULAS.items() if name not in inputs]
-    params = "jets" if handover else "z, " + ", ".join(f"{x}=None" for x in inputs[1:])
-    return _compiled(steps, inputs, keys, params, handover=handover)
+    params = "jets" if handover else "z, f1=None, P=None, S=None"
+    return _compiled(list(_FORMULAS.items()), _INPUTS, keys, params, handover=handover)
 
 
 def fields(z, f1, f2, f3, keys=FIELDS) -> dict:
@@ -123,8 +118,11 @@ def fields(z, f1, f2, f3, keys=FIELDS) -> dict:
     the jet (z, f', f'', f''') at a point or an array: om = 1 - |z|^2,
     g = om |f'|, P = f''/f', S, p, lhs1, rhs2, rhs3, slack3 = lhs1 - rhs3,
     km, nehari and density, each documented at its scalar view below, or any
-    other key of ``_FORMULAS``.  f' must not vanish."""
-    return _kernel(tuple(keys), False, _JET)(z, f1, f2, f3)
+    other key of ``_FORMULAS``.  Of P and S, ``maps._PS_STEPS`` forms only
+    those that the keys read.  f' must not vanish."""
+    kernel = _kernel(tuple(keys))
+    ps = _PS["S" in kernel.reads](f1, f2, f3) if "P" in kernel.reads or "S" in kernel.reads else {}
+    return kernel(z, f1, **ps)
 
 
 # the kernels of the scalar hot loops, on (z, f', P, S): the level function

@@ -408,6 +408,8 @@ _CHAIN_STEPS = [tuple(step.split(" = ")) for step in (
 _POST_STEPS = [("s", "m.post[0]"), ("f1", "s * f1")]
 # f'' = f' P and f''' = f' (S + 1.5 P^2), each product with f' first (see the jets above)
 _FULL_STEPS = [("f2", "f1 * P"), ("t", "1.5 * P"), ("t", "t * P"), ("t", "t + S"), ("f3", "f1 * t")]
+# and back, for a series base map and ``functionals.fields``: P and S of a full jet
+_PS_STEPS = [("P", "f2 / f1"), ("S", "f3 / f1 - 1.5 * P * P")]
 
 
 @functools.cache
@@ -421,34 +423,29 @@ def _composition(names: tuple, pre: bool, post: bool, in_place: bool):
     return _compiled(steps, names + ("d",) * pre, names, "m, jets", handover=True, in_place=in_place)
 
 
-@functools.cache
-def _full(in_place: bool):
-    return _compiled(_FULL_STEPS, ("f1", "P", "S"), ("f2", "f3"), "f1, P, S", in_place=in_place)
-
-
-@functools.cache
-def _series_ps():
-    from .functionals import _JET, _kernel  # deferred: functionals imports this module
-    return _kernel(("f1", "P", "S"), True, _JET)
+_full = _compiled(_FULL_STEPS, ("f1", "P", "S"), ("f2", "f3"), "f1, P, S")
+# _PS[False] forms P alone from (f', f''), _PS[True] P and S from (f', f'', f''')
+_PS = [_compiled(_PS_STEPS, ("f1", "f2", "f3"), names, "f1, f2, f3=None") for names in (("P",), ("P", "S"))]
 
 
 def _jets_series(w, z, s: PowerSeries, names: tuple):
     """A series as a base map at the points w (moved from z): (f, f', P, S),
-    P and S by the kernel's lines (SingularPoint where f' vanishes), or f'
-    alone when ``names`` asks for neither P nor S."""
-    ps = "P" in names or "S" in names
+    P and S by ``_PS_STEPS`` when ``names`` asks for them (SingularPoint
+    where f' vanishes); an array evaluates f''' only for S."""
+    count = 3 if "S" in names else 2 if "P" in names else 1
     if z.ndim == 0:  # one running product, in Python complex
         certify(s, abs(w))
         f0, *jet = point_columns(s.table, complex(w))
         f = lambda: f0
     else:
-        f, *jet = series_jet_fields(s, w, 3 if ps else 1)
-    if not ps:
-        return f, lambda: jet[0], None, None
-    if (jet[0] == 0) if z.ndim == 0 else (jet[0] == 0).any():
+        f, *jet = series_jet_fields(s, w, count)
+    f1 = jet[0]
+    if count == 1:
+        return f, lambda: f1, None, None
+    if (f1 == 0) if z.ndim == 0 else (f1 == 0).any():
         raise SingularPoint(f"f' vanishes at z = {complex(z)}" if z.ndim == 0 else "f' vanishes on the evaluation grid")
-    f1, P, S = _series_ps()([z, *jet]).values()
-    return f, lambda: f1, P, S
+    ps = _PS[count == 3](*jet)
+    return f, lambda: f1, ps["P"], ps.get("S")
 
 
 def _jets(m: MapSpec, where, names=("f1", "P", "S")):
@@ -485,9 +482,8 @@ def _jets(m: MapSpec, where, names=("f1", "P", "S")):
 
 
 def _full_jet(f1, P, S):
-    """(f', f'', f''') from (f', P, S), the one place that builds the full
-    jet (in ``_full``'s operator form for one element)."""
-    return (f1, *_full(np.size(f1) > 1)(f1, P, S).values())
+    """(f', f'', f''') from (f', P, S): the one place that builds a full jet."""
+    return (f1, *_full(f1, P, S).values())
 
 
 def jet_fields(m: MapSpec, z):

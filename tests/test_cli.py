@@ -325,6 +325,25 @@ class TestGen:
         )
         assert rc == 5
 
+    def test_target_above_one_exits_five(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "gen", "--phi-random", "2", "--target", "1.5", "--out", str(tmp_path / "x.json"))
+        assert rc == 5
+        assert "exceeds 1" in err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("phi", [
+        {"coeffs": [[0.2, 0.0]]},
+        {"kind": "spline", "coeffs": [[0.2, 0.0]]},
+        {"kind": "poly", "coeffs": [[0.2, 0.0, 0.1]]},
+    ], ids=["no-kind", "unknown-kind", "bad-pair"])
+    def test_malformed_phi_json_exits_one(self, capsys, tmp_path, phi):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({"type": "herglotz", "params": {"phi": phi, "order": 16}}))
+        rc, out, err = run(capsys, "check", "--map", str(spec))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: malformed map spec")
+
     def test_nonunimodular_constant_is_usage_error(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "gen", "--phi-const", "0.5", "--out", str(tmp_path / "x.json")
@@ -356,6 +375,10 @@ class TestGen:
         ("--phi-poly", "nan"),
         ("--phi-blaschke", "0.2", "--phi-theta", "nan"),
         ("--phi-poly", "0.2,1e400"),
+        ("--phi-poly", "0.2", "--order", "1"),
+        ("--phi-poly", "0.2", "--gen-rmax", "1.5"),
+        # a negative target would flip the sign of phi and keep sup |phi| = 1
+        ("--phi-random", "2", "--target", "-1"),
     ])
     def test_malformed_generator_exits_one(self, tmp_path, argv):
         proc = run_in_tree("-m", "convmap", "gen", *argv, "--out", str(tmp_path / "x.json"), timeout=60)

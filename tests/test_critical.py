@@ -331,6 +331,82 @@ class TestTheoremPath:
         assert fast[-3].kind == "unique"
 
 
+def theorem_then_seed_scan(monkeypatch, m, grid=None):
+    """(what ``_theorem_search`` returned, the scan it was given, the result
+    of ``find_critical_point``, the result of the seed scan alone)."""
+    real, seen = critical._theorem_search, []
+
+    def recorded(m, vals, floor):
+        seen.append((real(m, vals, floor), vals))
+        return seen[-1][0]
+
+    monkeypatch.setattr(critical, "_theorem_search", recorded)
+    res = cm.find_critical_point(m, grid)
+    monkeypatch.setattr(critical, "_theorem_search", lambda *args: None)
+    scan = cm.find_critical_point(m, grid)
+    monkeypatch.setattr(critical, "_theorem_search", real)
+    (decided, vals), = seen
+    return decided, vals, res, scan
+
+
+def assert_same_result(a, b):
+    assert (a.kind, a.residual_floor, len(a.locus)) == (b.kind, b.residual_floor, len(b.locus))
+    if a.kind == "unique":
+        assert abs(a.z - b.z) <= 1e-9
+        assert a.density_min == pytest.approx(b.density_min, rel=1e-9)
+
+
+class TestTheoremFallbacks:
+    """Each way out of ``_theorem_search`` ends where the seed scan alone
+    does."""
+
+    def test_no_room_past_the_rim(self, monkeypatch):
+        # a series half-plane: g grows to the rim, and the default grid's
+        # outer ring is the certified radius, the edge of the climb
+        m = gen_quiet(cm.PhiSpec.unimodular_constant(0.0), order=384, rmax=0.9)
+        decided, vals, res, scan = theorem_then_seed_scan(monkeypatch, m)
+        assert decided is None
+        assert abs(vals["z"][np.argmax(vals["g"])]) >= certified_rmax(m)
+        assert_same_result(res, scan)
+        assert res.kind == "none"
+
+    def test_a_zero_of_p_at_the_grid_maximum_of_g(self, monkeypatch):
+        # the zero of p sits on a point of the default grid's outer ring:
+        # there is nothing to climb
+        w = complex(cm.GridSpec().points()[-33])
+        m = cm.identity().precomposed(-w)
+        decided, vals, res, scan = theorem_then_seed_scan(monkeypatch, m)
+        i = np.argmax(vals["g"])
+        assert vals["z"][i] == w and abs(vals["p"][i]) <= NEWTON_TOL
+        assert decided == res
+        assert_same_result(res, scan)
+        assert res.kind == "unique" and res.z == w
+
+    def test_a_climb_longer_than_its_steps(self, monkeypatch):
+        # the ascent toward the sector's point at infinity needs 17 geodesics
+        m = cm.sector(0.1).precomposed(0.95 * np.exp(0.75j * np.pi))
+        decided, vals, res, scan = theorem_then_seed_scan(monkeypatch, m)
+        assert decided is None
+        calls = counting_batches(monkeypatch)
+        assert critical._theorem_search(m, vals, res.residual_floor) is None
+        assert calls[0] == critical.ASCENT_STEPS  # every batch an ascent, no Newton seed
+        assert_same_result(res, scan)
+        assert res.kind == "none"
+
+    def test_a_failed_seed(self, monkeypatch):
+        # the grid maximum of g lies inside the scan, and the zero of p at
+        # 0.9995 past INTERIOR_CAP: the one Newton seed leaves the disk
+        m = cm.identity().precomposed(-0.9995)
+        pts = np.append(0.5 * np.exp(2j * np.pi * np.arange(8) / 8), [-0.6, -0.7j])
+        decided, vals, res, scan = theorem_then_seed_scan(monkeypatch, m, pts)
+        assert decided is None
+        w = vals["z"][np.argmax(vals["g"])]
+        assert abs(w) == 0.5
+        assert not np.isfinite(_newton_zeros(m, [w])[1]).any()
+        assert_same_result(res, scan)
+        assert res.kind == "none"
+
+
 class TestPhiClassification:
     def test_halfplane_is_unimodular_constant(self):
         cls = cm.classify_phi(cm.halfplane())

@@ -9,6 +9,7 @@ import pytest
 import convmap as cm
 import convmap.levelset as levelset
 import convmap.maps as maps
+from convmap.cli import main
 from convmap.functionals import _level
 from convmap.levelset import CSV_HEADER, RESIDUAL_TARGET
 
@@ -320,6 +321,50 @@ def patch_identity(monkeypatch, component: int, value):
         return tuple(jet)
 
     monkeypatch.setitem(maps._CLOSED_FORMS, "identity", patched)
+
+
+class TestStepHalving:
+    """A prediction the corrector gives back halves the step, HALVINGS_MAX
+    times at most; then the march stalls with a ConvmapError."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch) -> list:
+        """The predictions that the corrector gives back."""
+        refused, real = [], levelset._correct
+
+        def recorded(m, z, c, rmax):
+            accepted = real(m, z, c, rmax)
+            if accepted is None:
+                refused.append(z)
+            return accepted
+
+        monkeypatch.setattr(levelset, "_correct", recorded)
+        return refused
+
+    @pytest.mark.parametrize("m, c, step, rmax, newton_max", [
+        # near the ends of the curve an iterate steps past the tracing radius
+        (cm.koebe(), 1.2, 0.3, 0.95, levelset.NEWTON_MAX),
+        # two Newton steps do not bring a long prediction back to the level
+        (cm.polygon(5), 0.8, 0.2, 0.78, 2),
+    ], ids=["past-the-radius", "newton-budget"])
+    def test_a_refused_prediction_halves_the_step(self, monkeypatch, refused, m, c, step, rmax, newton_max):
+        monkeypatch.setattr(levelset, "NEWTON_MAX", newton_max)
+        curve = cm.trace_level_set(m, cm.find_level_start(m, c, rmax=rmax), step=step, rmax=rmax)
+        assert refused
+        assert curve.residual.max() <= RESIDUAL_TARGET
+        assert np.abs(np.diff(curve.z)).min() < 0.6 * step  # a halved step was taken
+
+    def test_a_stalled_corrector_raises(self, monkeypatch, refused, capsys, tmp_path):
+        # no residual meets a negative target, so every prediction is given back
+        monkeypatch.setattr(levelset, "RESIDUAL_TARGET", -1.0)
+        m = cm.polygon(5)
+        with pytest.raises(cm.ConvmapError, match="corrector stalled near z = "):
+            cm.trace_level_set(m, cm.find_level_start(m, 0.8))
+        assert len(refused) == levelset.HALVINGS_MAX
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--map", "polygon", "--n", "5", "--c", "0.8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: corrector stalled near z = ")
+        assert not out.exists()
 
 
 class TestIterateChecks:

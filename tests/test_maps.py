@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import convmap as cm
 import convmap.functionals as functionals
 import convmap.levelset as levelset
 import convmap.maps as maps
 from convmap.grid import grid_points
-from convmap.maps import phi_to_json
+from convmap.maps import phi_from_json, phi_to_json
 
 from .oracles import closed_form, composed_jet, fd_jet, polynomial, random_phi_coeffs, random_disk_points
 
@@ -483,6 +485,17 @@ class TestPhi:
         assert cm.PhiSpec.unimodular_constant(1.2).boundary_sup() == 1.0
         assert cm.PhiSpec.polynomial([0.0, 0.5]).boundary_sup() == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("phi", [
+        cm.PhiSpec.blaschke([0.4, -0.2j, 0.5 + 0.5j], theta=0.3),
+        cm.PhiSpec.unimodular_constant(0.7),
+    ], ids=["blaschke", "const"])
+    def test_values_of_a_bounded_phi(self, phi):
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)
+        np.testing.assert_allclose(np.abs(phi.values(circle)), 1.0, rtol=0, atol=1e-14)
+        z = random_disk_points(np.random.default_rng(12), 32, 0.5)
+        series = npoly.polyval(z, phi.series(200).coeffs)
+        np.testing.assert_allclose(phi.values(z), series, rtol=0, atol=1e-13)
+
     def test_unimodular_series_is_constant(self):
         s = cm.PhiSpec.unimodular_constant(0.25).series(8)
         assert s.coeffs[0] == pytest.approx(np.exp(0.25j))
@@ -625,6 +638,31 @@ class TestJson:
         assert back.phi is not None
         assert back.phi.kind == "blaschke"
         np.testing.assert_array_equal(back.series.coeffs, m.series.coeffs)
+
+    @pytest.mark.parametrize("phi", [
+        cm.PhiSpec.polynomial([0.2, 0.3j, -0.1]),
+        cm.PhiSpec.blaschke([0.4, -0.2j], theta=0.3),
+        cm.PhiSpec.unimodular_constant(0.7),
+    ], ids=["poly", "blaschke", "const"])
+    def test_herglotz_round_trip_for_each_phi_kind(self, phi):
+        m = cm.herglotz_map(phi, order=64, rmax=0.5)
+        spec = cm.map_to_json(m)
+        back = cm.map_from_json(json.loads(json.dumps(spec)))
+        assert back.phi == phi
+        assert cm.map_to_json(back) == spec
+        np.testing.assert_array_equal(back.series.coeffs, m.series.coeffs)
+
+    @pytest.mark.parametrize("phi", [
+        {"coeffs": [[0.2, 0.0]]},
+        {"kind": "spline", "coeffs": [[0.2, 0.0]]},
+        {"kind": "poly", "coeffs": [[0.2, 0.0, 0.1]]},
+        {"kind": "blaschke", "zeros": [0.3]},
+    ], ids=["no-kind", "unknown-kind", "bad-pair", "bare-number"])
+    def test_malformed_phi(self, phi):
+        with pytest.raises(ValueError):
+            phi_from_json(phi)
+        with pytest.raises(ValueError):
+            cm.map_from_json({"type": "herglotz", "params": {"phi": phi, "order": 16}})
 
     def test_malformed_payloads(self):
         with pytest.raises(ValueError):
