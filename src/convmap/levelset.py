@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished
-from .functionals import _level, _normal, curvature_fields, fields_at
+from .functionals import _level, _normal, curvature_fields, fields_at, grid_functionals
 from .jet import Jet
-from .maps import MapSpec, _jet_at, _jets, certified_rmax
+from .maps import MapSpec, _jet_at, certified_rmax
 
 P_MIN = 1e-4
 RESIDUAL_TARGET = 1e-12
@@ -45,9 +45,9 @@ CSV_HEADER = "s,Re z,Im z,Re w,Im w,|p|,k,kappa,residual"
 
 
 def level_value(m: MapSpec, z):
-    """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z, from f' alone."""
-    z = np.asarray(z, dtype=complex)
-    return _level(z, _jets(m, z, ("f1",))[2])["g"]
+    """g(z) = (1 - |z|^2) |f'(z)| at scalar or array z, from f' alone: a batch of
+    ``grid_functionals``, so ValueError where f' is not finite, then SingularPoint where it vanishes."""
+    return grid_functionals(m, np.asarray(z, dtype=complex), ("g",))["g"]
 
 
 def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEFAULT_TRACE_RMAX) -> complex:
@@ -263,7 +263,7 @@ def _march(m: MapSpec, pts: list, c: float, step: float, budget: int, rmax: floa
         if (
             direction == +1
             and len(pts) >= 3
-            and abs(point[0] - start[0]) < 0.5 * step
+            and abs(point[0] - start[0]) < 0.5 * h  # h, not step: halved steps stay near the start
             and (_tangent(point[2]) * t_start.conjugate()).real > 0.0
         ):
             return "closed"
@@ -302,8 +302,8 @@ def trace_level_set(
     the curve at the last accepted point, from its tangent -i conj(p)/|p|
     and its exact curvature k.  Corrector: Newton along the normal to
     residual 1e-12, with the step halved when 8 Newton steps fail to
-    converge.  A curve that returns within step/2 of z0 with an aligned
-    tangent is closed; otherwise both directions are traced from z0 and
+    converge.  A curve that returns within half its last step of z0 with an
+    aligned tangent is closed; otherwise both directions are traced from z0 and
     concatenated, ends stopping at |z| = rmax or at the point budget.
     Each point records in ``residual`` the |g - c| it was accepted on.
     Newton iterates evaluate only f', P and S; f, for ``w``, is computed

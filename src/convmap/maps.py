@@ -7,7 +7,6 @@ in this module differentiates numerically.
 
 from __future__ import annotations
 
-import ast
 import cmath
 import dataclasses
 import functools
@@ -325,10 +324,9 @@ _CLOSED_FORMS = {
 }
 
 _SOURCES = itertools.count()  # numbers the sources of ``_compiled`` in linecache
-_UFUNCS = {ast.Add: "add", ast.Mult: "multiply", ast.Div: "divide", ast.Pow: "power"}
 
 
-def _compiled(steps, inputs, outputs, params: str, handover=False, in_place=False):
+def _compiled(steps, inputs, outputs, params: str, handover=False):
     """(name, expression) ``steps`` in evaluation order (a name may be bound
     again) compiled into the straight-line function of ``params`` that runs
     the steps the ``outputs`` read and returns the dict of outputs; its
@@ -340,12 +338,7 @@ def _compiled(steps, inputs, outputs, params: str, handover=False, in_place=Fals
     (``s = m.post[0]``), which binds a constant where the steps place it;
     every value but the outputs is deleted after its last reader.  So a
     single point pays only its arithmetic; a loop over the steps would cost
-    three times that.
-
-    ``in_place`` runs each one-operator step as a ufunc call (``** 2`` is
-    np.square, as for the operator) with ``out=`` the array its name held if
-    the function made it, else an operand's that it made and nothing reads
-    again.  So it writes into no input, which the caller may share."""
+    three times that."""
     known = {*inputs, *(name for name, _ in steps)}  # the values
     body, live = [], set(outputs)  # (name, expression, values read) of the steps kept, found backwards
     for name, expr in reversed(steps):
@@ -361,29 +354,16 @@ def _compiled(steps, inputs, outputs, params: str, handover=False, in_place=Fals
     def next_use(x, i):  # "read" or "write" at the first later step naming x
         return next(("read" if x in r else "write" for n, _, r in body[i + 1 :] if x in (n, *r)), None)
 
-    own = set()  # names bound to an array the function made
     for i, (name, expr, reads) in enumerate(body):
         uses = {x: next_use(x, i) for x in reads}
-        dead = [x for x, use in uses.items() if use is None and x not in outputs]  # read here for the last time
-        tree = ast.parse(expr, mode="eval").body
-        operands = (tree.left, tree.right) if isinstance(tree, ast.BinOp) and type(tree.op) in _UFUNCS else ()
-        if in_place and operands and all(isinstance(x, (ast.Name, ast.Constant)) for x in operands):
-            out = name if name in own else next((x for x in dead if x in own), None)
-            own.discard(out)
-            a, b = map(ast.unparse, operands)
-            expr = f"np.square({a}" if isinstance(tree.op, ast.Pow) and b == "2" else f"np.{_UFUNCS[type(tree.op)]}({a}, {b}"
-            expr += f", out={out})" if out else ")"
-            own.add(name)
-        else:
-            own.discard(name)
         lines.append(f"{name} = {expr}")
-        # a name goes after its last reader, unless its array is to take a later result
-        lines += [f"del {x}" for x, use in uses.items() if x in dead or use == "write" and x not in own]
+        # a name goes after its last reader, or before it is bound again
+        lines += [f"del {x}" for x, use in uses.items() if use is None and x not in outputs or use == "write"]
     lines.append(f"return {{{', '.join(f'{x!r}: {x}' for x in outputs)}}}")
     source = f"def compiled({params}):\n    " + "\n    ".join(lines) + "\n"
     filename = f"<convmap._compiled {' '.join(outputs)} #{next(_SOURCES)}>"  # for a warning's line
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"np": np}
+    namespace = {}
     exec(compile(source, filename, "exec"), namespace)
     namespace["compiled"].reads = needs
     return namespace["compiled"]
@@ -413,14 +393,13 @@ _PS_STEPS = [("P", "f2 / f1"), ("S", "f3 / f1 - 1.5 * P * P")]
 
 
 @functools.cache
-def _composition(names: tuple, pre: bool, post: bool, in_place: bool):
+def _composition(names: tuple, pre: bool, post: bool):
     """The chain rule (``pre``) and the postcomposition scale (``post``) of
     the values ``names`` (some of f1, P and S), compiled by ``_compiled``: a
     function of a map and the list of those values (and d with ``pre``),
-    which it empties, returning the dict of the composed values, in the
-    operator form or the in-place form."""
+    which it empties, returning the dict of the composed values."""
     steps = _CHAIN_STEPS * pre + _POST_STEPS * post
-    return _compiled(steps, names + ("d",) * pre, names, "m, jets", handover=True, in_place=in_place)
+    return _compiled(steps, names + ("d",) * pre, names, "m, jets", handover=True)
 
 
 _full = _compiled(_FULL_STEPS, ("f1", "P", "S"), ("f2", "f3"), "f1, P, S")
@@ -455,10 +434,7 @@ def _jets(m: MapSpec, where, names=("f1", "P", "S")):
     map with no precomposition takes a GridSpec through ``series.eval_grid``
     and a point as it is; anything else goes at z = ``grid_points(where)``,
     a point as a 0-d array.  The base map's values at the moved points and d
-    go to ``_composition``: its operator form for a 0-d or one-element
-    array, which NumPy iterates with stride 0 (a complex product written
-    over an operand then rounds as a scalar product does), its in-place form
-    for more points."""
+    go to ``_composition``, which frees each of them after its last use."""
     z = grid_points(where)
     w, d = (z, None) if m.pre is None else _moved(m, z)
     if m.series is not None and m.pre is None and not isinstance(where, np.ndarray):
@@ -474,7 +450,7 @@ def _jets(m: MapSpec, where, names=("f1", "P", "S")):
         jets.append(d)
     del w, d, f1, P, S
     if m.pre is not None or m.post is not None and "f1" in names:
-        jets = _composition(names, m.pre is not None, m.post is not None, z.size > 1)(m, jets).values()
+        jets = _composition(names, m.pre is not None, m.post is not None)(m, jets).values()
     if m.post is not None:
         s, b = m.post
         f = lambda f0=f: s * f0() + b

@@ -465,8 +465,9 @@ def composed(m: cm.MapSpec) -> cm.MapSpec:
 class TestReportMemory:
     # tracemalloc counts the bytes NumPy allocates, so unlike the page
     # faults that a higher peak costs, these bounds do not depend on the host.
-    # A composed map's chain rule runs in place: its report peaks at
-    # 1,408-1,877 KB here, where new arrays for every term read 2,190-2,659.
+    # A composed map's chain rule deletes each array after its last reader:
+    # its report peaks at 1,095-1,251 KB here, where new arrays for every
+    # term of the old third-order rule read 2,190-2,659.
     @pytest.mark.parametrize("m, bound_kb", [
         (cm.identity(), 1200),
         (gen384(), 1300),

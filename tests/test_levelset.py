@@ -129,6 +129,14 @@ class TestLevelStart:
             want = _level(z, cm.jet_fields(m, z)[1])["g"]
             assert np.array_equal(cm.level_value(m, z), want)
 
+    def test_level_value_is_a_checked_batch(self, monkeypatch):
+        # f' = 1 - 2z vanishes at 0.5
+        with pytest.raises(cm.SingularPoint, match="f' vanishes"):
+            cm.level_value(cm.from_series([0, 1, -1]), 0.5)
+        patch_identity(monkeypatch, 1, np.nan)
+        with pytest.raises(ValueError, match="jet component f1 is not finite"):
+            cm.level_value(cm.identity(), np.array([0.5, 0.3]))
+
     def test_positive_level_required(self):
         with pytest.raises(ValueError):
             cm.find_level_start(cm.identity(), -0.2)
@@ -353,6 +361,17 @@ class TestStepHalving:
         assert refused
         assert curve.residual.max() <= RESIDUAL_TARGET
         assert np.abs(np.diff(curve.z)).min() < 0.6 * step  # a halved step was taken
+
+    @pytest.mark.parametrize("m, c, step", [(cm.sector(0.5), 1.5, 0.05), (cm.koebe(), 1.2, 0.1)],
+                             ids=["sector", "koebe"])
+    def test_halved_steps_near_the_start_do_not_close_the_curve(self, monkeypatch, refused, m, c, step):
+        # with one Newton step the first predictions are halved, and the third
+        # point lies within step/2 of the start on an open curve
+        monkeypatch.setattr(levelset, "NEWTON_MAX", 1)
+        curve = cm.trace_level_set(m, cm.find_level_start(m, c, rmax=0.95), step=step, rmax=0.95)
+        assert refused
+        assert not curve.closed and curve.termination == "radius"
+        assert len(curve) > 100
 
     def test_a_stalled_corrector_raises(self, monkeypatch, refused, capsys, tmp_path):
         # no residual meets a negative target, so every prediction is given back

@@ -220,7 +220,7 @@ class TestOneEntryPoint:
             calls.append(args)
             return jets(*args)
 
-        for module in (maps, functionals, levelset):
+        for module in (maps, functionals):
             monkeypatch.setattr(module, "_jets", counted)
         return calls
 
@@ -298,23 +298,21 @@ COMPOSED_BASES = [m for _, m, _ in ZOO] + [gen_quiet(cm.PhiSpec.polynomial([0.2,
 COMPOSED_IDS = [name for name, _, _ in ZOO] + ["series"]
 
 
-def operator_form(m: cm.MapSpec, where) -> list:
+def written_chain_rule(m: cm.MapSpec, where) -> list:
     """(f', P, S) of a composed map from the base map's values at the moved
-    points through the operator form of ``_composition``: the reference of
-    its in-place form."""
+    points through ``_composition``, called here rather than by ``_jets``."""
     z = grid_points(where)
     spectral = isinstance(where, cm.GridSpec) and m.series is not None and m.pre is None
     w, d = (where if spectral else z, None) if m.pre is None else maps._moved(m, z)
     _, f1, P, S = maps._CLOSED_FORMS[m.kind](w, m) if m.series is None else maps._jets_series(w, z, m.series, ("f1", "P", "S"))
     jets = [f1(), P, S] + ([] if d is None else [d])
-    return list(maps._composition(("f1", "P", "S"), m.pre is not None, m.post is not None, False)(m, jets).values())
+    return list(maps._composition(("f1", "P", "S"), m.pre is not None, m.post is not None)(m, jets).values())
 
 
 class TestComposedArrayJets:
-    """The composition's in-place form writes into arrays of its own with the
-    bits of its operator form, leaves the base values alone, and agrees with
-    the 40-digit oracle; every subset of f', P and S reads the bits of the
-    full jet."""
+    """The composition of ``_jets`` has the bits of the chain rule called
+    on its own, leaves the base values alone, and agrees with the 40-digit
+    oracle; every subset of f', P and S reads the bits of the full jet."""
 
     @pytest.mark.parametrize("m", COMPOSED_BASES, ids=COMPOSED_IDS)
     def test_equals_the_written_chain_rule(self, m, monkeypatch):
@@ -338,17 +336,11 @@ class TestComposedArrayJets:
             monkeypatch.setitem(maps._CLOSED_FORMS, m.kind, recorded(maps._CLOSED_FORMS[m.kind]))
         else:
             monkeypatch.setattr(maps, "_jets_series", recorded(maps._jets_series))
-        in_place = []  # the form of every composition called
-        compiled = maps._composition
-        monkeypatch.setattr(maps, "_composition", lambda *key: in_place.append(key[-1]) or compiled(*key))
         for variant in _composed_variants(m)[1:]:  # pre, post, pre and post
             for where in wheres:
                 for _ in range(2):  # a second call finds nothing changed
-                    in_place.clear()
                     z, f, *jet = maps._jets(variant, where)
-                    # two or more points take the in-place form, others the operator form
-                    assert in_place and set(in_place) == {z.size > 1}
-                    assert _bits(jet).tolist() == _bits(operator_form(variant, where)).tolist()
+                    assert _bits(jet).tolist() == _bits(written_chain_rule(variant, where)).tolist()
                     got = [*cm.jet_derivatives(variant, where), maps._jets(variant, where, ("f1",))[2],
                            *maps._jets(variant, where, ("P", "S"))[2:]]
                     assert _bits(got).tolist() == _bits([*maps._full_jet(*jet), *jet]).tolist()
@@ -368,13 +360,12 @@ class TestComposedArrayJets:
         # takes), phi's no S, and the f'-only composition forms neither P nor S
         for pre in (False, True):
             for post in (False, True):
-                for in_place in (False, True):
-                    names = set(maps._composition(("P", "S"), pre, post, in_place).__code__.co_varnames)
-                    assert not names & {"f1", "s"}, (pre, post, in_place)
-                    names = set(maps._composition(("P",), pre, post, in_place).__code__.co_varnames)
-                    assert not names & {"f1", "s", "S"}, (pre, post, in_place)
-                    names = set(maps._composition(("f1",), pre, post, in_place).__code__.co_varnames)
-                    assert not names & {"P", "S", "c"}, (pre, post, in_place)
+                names = set(maps._composition(("P", "S"), pre, post).__code__.co_varnames)
+                assert not names & {"f1", "s"}, (pre, post)
+                names = set(maps._composition(("P",), pre, post).__code__.co_varnames)
+                assert not names & {"f1", "s", "S"}, (pre, post)
+                names = set(maps._composition(("f1",), pre, post).__code__.co_varnames)
+                assert not names & {"P", "S", "c"}, (pre, post)
         subsets = [names for k in (1, 2) for names in itertools.combinations(("f1", "P", "S"), k)]
         for variant in _composed_variants(m)[1:]:
             for where in _array_inputs(np.random.default_rng(15)):

@@ -94,8 +94,8 @@ for name in identity halfplane strip sector0.5 koebe; do
 done
 run closed-check-sector0.5-post-100 check --map closed-sector0.5-post.json --nr 100 --ntheta 100
 # composed traces of the other closed kinds (the identity's is above): each
-# march point takes the chain rule's operator form, the 2,048-point start
-# scan its in-place form at count 1; then a postcomposition alone
+# march point and the 2,048-point start scan, which reads f' alone, take
+# the compiled chain rule; then a postcomposition alone
 run closed-trace-halfplane-composed trace --map closed-halfplane-composed.json --c 1.0 \
     --out closed-trace-halfplane-composed.csv
 run closed-trace-strip-composed trace --map closed-strip-composed.json --c 1.0 \
