@@ -42,6 +42,7 @@ from .levelset import (
     trace_level_set,
 )
 from .maps import (
+    DEFAULT_ORDER,
     DEFAULT_RMAX,
     MapSpec,
     PhiSpec,
@@ -53,11 +54,6 @@ from .maps import (
 )
 
 CURVATURE_MAP_HEADER = "Re z,Im z,slack1,slack3,km,kappa"
-
-# default generation order for the CLI: high enough that a check over the
-# default grid (r <= 0.9) sees only ~1e-9 of truncation in the slacks, so
-# generated maps always verify as Convex
-GEN_ORDER = 384
 
 
 class _UsageError(Exception):
@@ -313,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phi-random", default=None, metavar="DEGREE", help="random polynomial of this degree")
     p.add_argument("--seed", type=int, default=0, help="seed for --phi-random")
     p.add_argument("--target", type=float, default=0.95, help="boundary sup for --phi-random")
-    p.add_argument("--order", type=int, default=GEN_ORDER)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--gen-rmax", type=float, default=DEFAULT_RMAX)
     p.add_argument("--out", default="map.json")
     p.set_defaults(func=cmd_gen, needs_map=False)

@@ -51,11 +51,7 @@ class _Unimodular:
         return "UNIMODULAR"
 
     def __reduce__(self):
-        return (_unimodular_instance, ())
-
-
-def _unimodular_instance():
-    return UNIMODULAR
+        return "UNIMODULAR"  # pickle resolves the module global of that name
 
 
 UNIMODULAR = _Unimodular()
@@ -133,9 +129,7 @@ curvature_fields = _kernel(("p", "k", "kappa"))
 
 
 def fields_at(j: Jet, keys=FIELDS) -> dict:
-    """``fields`` at one jet; raises SingularPoint if f' vanishes."""
-    if j.f1 == 0:
-        raise SingularPoint(f"f' vanishes at z = {j.z}")
+    """``fields`` at one jet, which checked itself: a Jet refuses f' = 0."""
     return fields(j.z, j.f1, j.f2, j.f3, keys)
 
 

@@ -8,11 +8,12 @@ osculating circle of the curve at the last accepted point (tangent
 Newton along the normal conj(p)/|p|, where g decreases, brings it back to
 the level.  A Newton iterate evaluates only f', P = f''/f' and the
 Schwarzian S through the jet core of ``convmap.maps``; f, for the image
-point, is computed once per accepted point, and the start search evaluates
-f' alone.  Every jet of the march comes from ``maps._jet_at``, the one
-checked single-point route, which ``jet_of`` takes too; on a series map
-with nothing composed it is one running product of the powers of z
-against the derivative table.
+point, is computed once per accepted point.  Every single point, from a
+Newton iterate to a bisection point of the start search, comes from
+``maps._jet_at``, the one checked point route, which ``jet_of`` takes
+too; on a series map with nothing composed it is one running product of
+the powers of z against the derivative table.  The start search's scan
+of the ray is one batch of f' alone (``level_value``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def level_value(m: MapSpec, z):
 
 def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEFAULT_TRACE_RMAX) -> complex:
     """First point on the ray arg z = theta (r increasing from 0 to rmax)
-    where g(z) = c, located by scan plus bisection to residual <= 1e-12.
+    where g(z) = c, located by a scan, one ``level_value`` batch, plus
+    bisection by ``_jet_at`` points to residual <= 1e-12.
 
     Raises ValueError unless c is positive and finite, theta is finite and
     rmax > 0, and LevelNotOnRay when no sign change of g - c shows up among
@@ -69,10 +71,6 @@ def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEF
     u = np.exp(1j * theta)
     rs = np.linspace(0.0, rmax, _START_SAMPLES)
     err = level_value(m, rs * u) - c
-
-    def g_err(r: float) -> float:
-        return float(level_value(m, complex(r * u)) - c)
-
     if abs(err[0]) <= RESIDUAL_TARGET:
         return 0j
     hits = np.flatnonzero(err[:-1] * err[1:] <= 0.0)
@@ -88,9 +86,10 @@ def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEF
         return complex(lo * u)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = g_err(mid)
+        z = complex(mid * u)
+        fmid = _level(z, _jet_at(m, z)[1])["g"] - c  # as _correct reads g
         if abs(fmid) <= RESIDUAL_TARGET:
-            return complex(mid * u)
+            return z
         if flo * fmid < 0.0:
             hi = mid
         else:

@@ -64,6 +64,8 @@ class PhiSpec:
             raise ValueError("phi coefficients, zeros and theta must be finite")
         if self.kind == "poly" and not self.coeffs:
             raise ValueError("polynomial phi needs at least one coefficient")
+        if self.kind == "const" and self.zeros:
+            raise ValueError("a unimodular constant phi has no zeros")
         if self.kind == "blaschke":
             if not self.zeros:
                 raise ValueError("Blaschke phi needs at least one zero")
@@ -89,8 +91,6 @@ class PhiSpec:
         if self.kind == "poly":
             return npoly.polyval(z, np.asarray(self.coeffs))
         out = np.full(z.shape, np.exp(1j * self.theta), dtype=complex)
-        if self.kind == "const":
-            return out
         for a in self.zeros:
             out = out * (z - a) / (1.0 - a.conjugate() * z)
         return out
@@ -498,9 +498,10 @@ def certified_points(m: MapSpec, z) -> np.ndarray:
 
 def _jet_at(m: MapSpec, z: complex):
     """(f, f', P, S) at one point from ``_jets``, f', P and S as Python
-    complex and f as a callable.  The single-point rules live here, for
-    ``jet_of`` and the tracer alike: ValueError at |z| >= 1 or on a
-    non-finite f', P or S, then SingularPoint where f' vanishes."""
+    complex and f as a callable: the one point route, of ``jet_of``, the
+    tracer and the start search.  Its rules, which a ``Jet`` holds too:
+    ValueError at |z| >= 1 or on a non-finite f', P or S, then
+    SingularPoint where f' vanishes."""
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
     _, f, f1, P, S = _jets(m, z)
@@ -518,11 +519,6 @@ def jet_of(m: MapSpec, z: complex) -> Jet:
     z = complex(z)
     f, *jet = _jet_at(m, z)
     return Jet(z, f(), *_full_jet(*jet))
-
-
-def series_eval_jet(s: PowerSeries, z: complex) -> Jet:
-    """Jet of the series at z: ``jet_of`` on the series map of ``s``."""
-    return jet_of(from_series(s), z)
 
 
 # ---------------------------------------------------------------------------

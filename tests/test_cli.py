@@ -294,6 +294,11 @@ class TestGen:
         assert rc == 0
         assert json.loads(out)["verdict"] == "Convex"
 
+    def test_default_order_is_the_library_default(self, capsys, tmp_path):
+        spec = tmp_path / "map.json"
+        assert run(capsys, "gen", "--phi-poly", "0.3", "--out", str(spec))[0] == 0
+        assert cm.map_from_json(json.loads(spec.read_text())).series.order == cm.DEFAULT_ORDER
+
     def test_constant_phi_writes_halfplane_series(self, capsys, tmp_path):
         spec = tmp_path / "hp.json"
         rc, _, _ = run(capsys, "gen", "--phi-const", "1", "--out", str(spec))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import linecache
+import pickle
 import tracemalloc
 import warnings
 
@@ -89,6 +90,9 @@ class TestSpotValues:
 class TestSchwarzPick:
     def test_halfplane_is_unimodular(self):
         assert cm.schwarz_pick_slack(jet(cm.halfplane(), 0.3)) is cm.UNIMODULAR
+
+    def test_unimodular_pickles_by_name(self):
+        assert pickle.loads(pickle.dumps(cm.UNIMODULAR)) is cm.UNIMODULAR
 
     def test_automorphism_phi_has_zero_slack(self):
         for m in (cm.strip(), cm.sector(0.5)):

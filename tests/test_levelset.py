@@ -67,9 +67,12 @@ def ring_maps() -> list[cm.MapSpec]:
 
 @pytest.fixture
 def jet_count(monkeypatch):
-    """Counts what the tracer evaluates: [derivative jets, values of f]."""
+    """Counts what the march evaluates: [derivative jets, values of f].  The
+    start search's bisection takes ``_jet_at`` too, so the counts are
+    restored across ``cm.find_level_start``."""
     calls = [0, 0]
     real = levelset._jet_at
+    real_start = cm.find_level_start
 
     def counted(m, z):
         calls[0] += 1
@@ -81,7 +84,15 @@ def jet_count(monkeypatch):
 
         return (counted_f, *derivatives)
 
+    def uncounted_start(*args, **kwargs):
+        before = calls[:]
+        try:
+            return real_start(*args, **kwargs)
+        finally:
+            calls[:] = before
+
     monkeypatch.setattr(levelset, "_jet_at", counted)
+    monkeypatch.setattr(cm, "find_level_start", uncounted_start)
     return calls
 
 
@@ -128,6 +139,24 @@ class TestLevelStart:
         for z in (rs, rs[1000]):
             want = _level(z, cm.jet_fields(m, z)[1])["g"]
             assert np.array_equal(cm.level_value(m, z), want)
+
+    @pytest.mark.parametrize("m, c", [
+        (cm.polygon(5), 0.7),
+        (cm.sector(0.5).precomposed(0.3j, 0.4).postcomposed(2.0), 0.9),
+        (gen_quiet([0.3, 0.2j, -0.25]), 0.8),
+    ])
+    def test_one_batch_then_the_point_route(self, m, c, monkeypatch):
+        # the scan is one batch; each bisection point takes _jet_at, the
+        # route of the march's Newton iterates, and the start sits on the
+        # level as that route reads it
+        batches, points = [], []
+        real_batch, real_point = levelset.grid_functionals, levelset._jet_at
+        monkeypatch.setattr(levelset, "grid_functionals", lambda *a: batches.append(a) or real_batch(*a))
+        monkeypatch.setattr(levelset, "_jet_at", lambda m, z: points.append(z) or real_point(m, z))
+        z0 = cm.find_level_start(m, c, theta=0.3, rmax=0.78)
+        assert len(batches) == 1 and batches[0][1].shape == (levelset._START_SAMPLES,)
+        assert len(points) > 10 and points[-1] == z0
+        assert abs(_level(z0, maps._jet_at(m, z0)[1])["g"] - c) <= RESIDUAL_TARGET
 
     def test_level_value_is_a_checked_batch(self, monkeypatch):
         # f' = 1 - 2z vanishes at 0.5

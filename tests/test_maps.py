@@ -100,6 +100,14 @@ class TestClosedFormJets:
         with pytest.raises(cm.SingularPoint):
             cm.jet_of(m, 0.5)
 
+    def test_a_jet_checks_itself(self):
+        # a Jet holds the rules of the point route, so its views check nothing
+        with pytest.raises(cm.SingularPoint, match="f' vanishes at z = "):
+            cm.Jet(0.3, 0, 0, 1, 1)
+        j = cm.Jet(0.3, 0, 1, 0, 0)
+        assert all(type(v) is complex for v in (j.z, j.f0, j.f1, j.f2, j.f3))
+        assert cm.Jet(0.3, 0.3, 1, 0, 0) == cm.jet_of(cm.identity(), 0.3)
+
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_polygon_scalar_matches_array(self, n):
         # a single point takes the Python-complex route, arrays the NumPy one
@@ -600,6 +608,21 @@ class TestGenerator:
     def test_phi_rejects_non_finite_data(self, kw):
         with pytest.raises(ValueError, match="finite"):
             cm.PhiSpec("poly" if "coeffs" in kw else "blaschke", **kw)
+
+    def test_constant_phi_has_no_zeros(self):
+        # its values would be the constant, its series and the generated map
+        # a Blaschke product, and its JSON would drop the zeros
+        with pytest.raises(ValueError, match="no zeros"):
+            cm.PhiSpec("const", zeros=(0.5,), theta=0.3)
+
+    def test_default_order_reads_convex(self):
+        # at order 64 this map's truncation read NotConvex (min slack3 -117,
+        # max km 46) and its phi "strict"
+        m = cm.gen_herglotz(cm.PhiSpec.unimodular_constant(0.3))
+        assert m.order == cm.DEFAULT_ORDER
+        report = cm.convexity_report(m)
+        assert report.verdict == "Convex"
+        assert report.phi_class.kind == "unimodular_const"
 
 
 class TestJson:

@@ -129,7 +129,7 @@ class TestEvaluation:
             return mp.polyval(desc, w)
 
         for z in (0.3, -0.2 + 0.1j, 0.25j):
-            jet = cm.series_eval_jet(s, z)
+            jet = cm.jet_of(cm.from_series(s), z)
             cols = point_columns(table, z)
             oracle = [complex(v) for v in fd_jet(f, z)]
             got = [jet.f0, jet.f1, jet.f2, jet.f3]
@@ -139,7 +139,7 @@ class TestEvaluation:
     def test_jet_outside_radius(self):
         s = geometric(10, 0.5)
         with pytest.raises(cm.RadiusExceeded):
-            cm.series_eval_jet(s, 0.6)
+            cm.jet_of(cm.from_series(s), 0.6)
 
 
 class TestScalarFastPath:
@@ -192,10 +192,9 @@ class TestScalarFastPath:
     def test_eval_jet_shares_the_radius_slack(self):
         s = geometric(10, 0.5)
         # the outer ring of a grid may land an ulp outside rmax
-        cm.series_eval_jet(s, 0.5 * (1.0 + 1e-15))
         cm.jet_of(cm.from_series(s), 0.5 * (1.0 + 1e-15))
         with pytest.raises(cm.RadiusExceeded):
-            cm.series_eval_jet(s, 0.5 + 1e-9)
+            cm.jet_of(cm.from_series(s), 0.5 + 1e-9)
 
     def test_jet_of_rejects_nonfinite_jet(self):
         m = cm.from_series([0.0, 1.0, 1e308, 1e308], 0.9)

@@ -9,13 +9,13 @@ CHECKOUT (default: the checkout holding this script) supplies src/; the
 package runs from it with no install, through its public API only, so the
 script runs on older checkouts too.  Each map NAME gets NAME.txt with the
 repr of its ``convexity_report``, ``find_critical_point`` and
-``classify_phi`` results, for one traced level curve its level, point
-count, closure, termination, arc length, largest residual and a SHA-256 of
-its arrays (z, w, p, k, kappa, residual, s), and the repr of every public
-pointwise view at each of POINTS.  A call that raises writes its exception
-type and message instead.  Names start with "closed-lib-" for closed-form
-maps, whose bytes must not change between checkouts, and with "series-lib-"
-for series maps.
+``classify_phi`` results, for one traced level curve its level, start
+point, point count, closure, termination, arc length, largest residual and
+a SHA-256 of its arrays (z, w, p, k, kappa, residual, s), and the repr of
+every public pointwise view at each of POINTS.  A call that raises writes
+its exception type and message instead.  Names start with "closed-lib-" for
+closed-form maps, whose bytes must not change between checkouts, and with
+"series-lib-" for series maps.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def trace(cm, np, m) -> str:
     digest = hashlib.sha256()
     for name in ("z", "w", "p", "k", "kappa", "residual", "s"):
         digest.update(np.ascontiguousarray(getattr(curve, name)).tobytes())
-    return (f"c={curve.c!r} points={len(curve)} closed={curve.closed} termination={curve.termination} "
+    return (f"c={curve.c!r} z0={z0!r} points={len(curve)} closed={curve.closed} termination={curve.termination} "
             f"length={float(curve.s[-1])!r} max_residual={float(curve.residual.max())!r} sha256={digest.hexdigest()}")
 
 
