@@ -290,7 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", type=float, default=0.0, help="ray angle for the starting point")
     p.add_argument("--step", type=float, default=DEFAULT_STEP, help="arclength step")
     p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
-    p.add_argument("--trace-rmax", type=float, default=DEFAULT_TRACE_RMAX, help="stop radius")
+    p.add_argument("--trace-rmax", type=float, default=DEFAULT_TRACE_RMAX, help="stop radius, in (0, 1)")
     p.add_argument("--out", default="trace.csv")
     p.add_argument("--svg", default=None, help="write a two-panel SVG here")
     p.set_defaults(func=cmd_trace, needs_map=True)

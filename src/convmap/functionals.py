@@ -7,7 +7,8 @@ reads (z, f', P = f''/f', S) alone, S the Schwarzian, and the keys pick
 the jets: ``grid_functionals``, the one checked batch entry of every
 report, scan, search and phi, asks ``maps._jets`` for those of f', P and S
 that its keys read (a report never forms f').  The tracer feeds it one
-point; ``fields`` and the scalar views form P and S from a full jet
+point, and the scalar views a ``Jet``, which holds the core's own P and
+S; only the public ``fields`` forms P and S from a full jet
 (z, f', f'', f''') by ``maps._PS_STEPS``.
 ``maps._compiled``, which also compiles the chain rule of a composed map,
 turns the formulas a caller names into one straight-line function that
@@ -34,8 +35,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, SingularPoint
 from .grid import GridSpec
-from .jet import Jet
-from .maps import _PS, MapSpec, _compiled, _jets, certified_rmax
+from .maps import _PS, Jet, MapSpec, _compiled, _jets, certified_rmax
 
 UNIMODULAR_EPS = 1e-10
 DEGENERATE_EPS = 1e-12
@@ -129,8 +129,9 @@ curvature_fields = _kernel(("p", "k", "kappa"))
 
 
 def fields_at(j: Jet, keys=FIELDS) -> dict:
-    """``fields`` at one jet, which checked itself: a Jet refuses f' = 0."""
-    return fields(j.z, j.f1, j.f2, j.f3, keys)
+    """The fields named by ``keys`` at one jet, from its z, f', P and S as
+    the jet core gave them; a Jet checked itself, and refuses f' = 0."""
+    return _kernel(tuple(keys))(j.z, j.f1, j.P, j.S)
 
 
 def pre_schwarzian(j: Jet) -> complex:

@@ -13,7 +13,8 @@ Newton iterate to a bisection point of the start search, comes from
 ``maps._jet_at``, the one checked point route, which ``jet_of`` takes
 too; on a series map with nothing composed it is one running product of
 the powers of z against the derivative table.  The start search's scan
-of the ray is one batch of f' alone (``level_value``).
+of the ray is one batch of f' alone (``level_value``).  A search or
+tracing radius lies in (0, 1).  The curvatures of a ``Jet`` read its P and S.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished
-from .functionals import _level, _normal, curvature_fields, fields_at, grid_functionals
-from .jet import Jet
-from .maps import MapSpec, _jet_at, certified_rmax
+from .functionals import _level, _normal, curvature_fields, grid_functionals
+from .maps import Jet, MapSpec, _jet_at, certified_rmax
 
 P_MIN = 1e-4
 RESIDUAL_TARGET = 1e-12
@@ -57,16 +57,16 @@ def find_level_start(m: MapSpec, c: float, theta: float = 0.0, rmax: float = DEF
     bisection by ``_jet_at`` points to residual <= 1e-12.
 
     Raises ValueError unless c is positive and finite, theta is finite and
-    rmax > 0, and LevelNotOnRay when no sign change of g - c shows up among
-    the ray samples.
+    0 < rmax < 1, and LevelNotOnRay when no sign change of g - c shows up
+    among the ray samples.
     """
     c, theta, rmax = float(c), float(theta), float(rmax)
     if not 0.0 < c < math.inf:
         raise ValueError(f"level constant must be positive and finite, got {c:g}")
     if not math.isfinite(theta):
         raise ValueError(f"the ray angle theta must be finite, got {theta:g}")
-    if not rmax > 0.0:  # a NaN too: a reversed bracket ends on the opposite ray
-        raise ValueError(f"the search radius rmax must be positive, got {rmax:g}")
+    if not 0.0 < rmax < 1.0:  # a NaN too: a reversed bracket ends on the opposite ray
+        raise ValueError(f"the search radius rmax must be positive and below 1, got {rmax:g}")
     rmax = min(rmax, certified_rmax(m))
     u = np.exp(1j * theta)
     rs = np.linspace(0.0, rmax, _START_SAMPLES)
@@ -155,12 +155,12 @@ def _curvatures(z: complex, f1: complex, P: complex, S: complex) -> dict:
 
 def disk_curvature(j: Jet) -> float:
     """Signed curvature at j.z of the level curve of g through that point."""
-    return _curvatures(j.z, j.f1, *fields_at(j, ("P", "S")).values())["k"]
+    return _curvatures(j.z, j.f1, j.P, j.S)["k"]
 
 
 def image_curvature(j: Jet) -> float:
     """Signed curvature of the image of the level curve at f(j.z)."""
-    return _curvatures(j.z, j.f1, *fields_at(j, ("P", "S")).values())["kappa"]
+    return _curvatures(j.z, j.f1, j.P, j.S)["kappa"]
 
 
 def discrete_curvature(curve, image_plane: bool = False, closed: bool | None = None) -> np.ndarray:
@@ -308,9 +308,10 @@ def trace_level_set(
     Newton iterates evaluate only f', P and S; f, for ``w``, is computed
     once per accepted point.
 
-    If c is given, g(z0) must match it to 1e-8; otherwise c is inferred from
-    z0.  When |p| falls to 1e-4 the tracer raises NormalVanished carrying the
-    partial curve built so far.
+    The radius rmax must lie in (0, 1); it is clamped to the certified
+    radius.  If c is given, g(z0) must match it to 1e-8; otherwise c is
+    inferred from z0.  When |p| falls to 1e-4 the tracer raises
+    NormalVanished carrying the partial curve built so far.
     """
     z0 = complex(z0)
     step = float(step)
@@ -318,11 +319,12 @@ def trace_level_set(
         raise ValueError(f"step must be positive and finite, got {step:g}")
     if max_points < 2:
         raise ValueError("max_points must be at least 2")
-    rmax = min(float(rmax), certified_rmax(m))
+    given = float(rmax)
+    rmax = min(given, certified_rmax(m))
     if not abs(z0) <= rmax:  # a NaN rmax too
         raise ValueError(f"|z0| = {abs(z0):.6g} is outside the tracing radius {rmax:g}")
-    if not rmax > 0.0:
-        raise ValueError(f"the tracing radius rmax must be positive, got {rmax:g}")
+    if not 0.0 < given < 1.0:
+        raise ValueError(f"the tracing radius rmax must be positive and below 1, got {given:g}")
     f, f1, P, S = _jet_at(m, z0)
     g0 = _level(z0, f1)["g"]
     if c is None:

@@ -19,7 +19,6 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvmapError, PhiOutOfRange, RadiusExceeded, SingularPoint
 from .grid import grid_points
-from .jet import Jet
 from .series import (
     DEFAULT_ORDER,
     DEFAULT_RMAX,
@@ -62,10 +61,12 @@ class PhiSpec:
         object.__setattr__(self, "theta", float(self.theta))
         if not all(map(cmath.isfinite, (*self.coeffs, *self.zeros, self.theta))):
             raise ValueError("phi coefficients, zeros and theta must be finite")
+        # a field its kind ignores would make equal phi unequal
+        ignored = {"poly": ("zeros", "theta"), "blaschke": ("coeffs",), "const": ("coeffs", "zeros")}[self.kind]
+        if any(getattr(self, name) for name in ignored):
+            raise ValueError(f"a {self.kind} phi has no {' or '.join(ignored)}")
         if self.kind == "poly" and not self.coeffs:
             raise ValueError("polynomial phi needs at least one coefficient")
-        if self.kind == "const" and self.zeros:
-            raise ValueError("a unimodular constant phi has no zeros")
         if self.kind == "blaschke":
             if not self.zeros:
                 raise ValueError("Blaschke phi needs at least one zero")
@@ -239,8 +240,9 @@ def builtin_map(name: str, alpha: float | None = None, n: int | None = None) -> 
 # ---------------------------------------------------------------------------
 # jets, in one vocabulary: f', P = f''/f' and the Schwarzian S.  Each closed
 # form gives (f, f', P, S) at the points z, f and f' as callables, so that a
-# convexity report, which reads P and S, never forms f'.  The full jet f'' =
-# f' P, f''' = f' (S + 1.5 P^2) is built in one place, ``_full_jet``, in steps
+# convexity report, which reads P and S, never forms f', and a ``Jet`` holds
+# (f, f', P, S) at one point.  The full jet f'' = f' P,
+# f''' = f' (S + 1.5 P^2) is built in one place, ``_full_jet``, in steps
 # that keep their operands in order: from 16,384 points NumPy elides the
 # temporary of f1 * (S + 1.5 * P * P) and computes (S + 1.5 * P * P) * f1,
 # which rounds differently with FMA, so a point's bits would depend on the
@@ -496,29 +498,61 @@ def certified_points(m: MapSpec, z) -> np.ndarray:
     return in_radius(m.series, z if m.pre is None else _moved(m, z)[0])
 
 
-def _jet_at(m: MapSpec, z: complex):
-    """(f, f', P, S) at one point from ``_jets``, f', P and S as Python
-    complex and f as a callable: the one point route, of ``jet_of``, the
-    tracer and the start search.  Its rules, which a ``Jet`` holds too:
-    ValueError at |z| >= 1 or on a non-finite f', P or S, then
-    SingularPoint where f' vanishes."""
-    if abs(z) >= 1.0:
+def _checked(z: complex, f1: complex, P: complex, S: complex) -> None:
+    """The rule of a point, of ``_jet_at`` and of every ``Jet``: ValueError
+    at |z| >= 1 (a NaN z too) or on a non-finite f', P or S, then
+    SingularPoint where f' vanishes, so every view of a point may divide
+    by f'."""
+    if not abs(z) < 1.0:
         raise ValueError(f"need |z| < 1, got |z| = {abs(z):.6g}")
-    _, f, f1, P, S = _jets(m, z)
-    f1, P, S = complex(f1), complex(P), complex(S)
     if not (cmath.isfinite(f1) and cmath.isfinite(P) and cmath.isfinite(S)):
         name = next(n for n, v in (("f1", f1), ("P", P), ("S", S)) if not cmath.isfinite(v))
         raise ValueError(f"jet component {name} is not finite at z = {z}")
     if f1 == 0:
         raise SingularPoint(f"f' vanishes at z = {z}")
+
+
+def _jet_at(m: MapSpec, z: complex):
+    """(f, f', P, S) at one point from ``_jets``, f', P and S as Python
+    complex and f as a callable, held to ``_checked``: the one point
+    route, of ``jet_of``, the tracer and the start search.  Off the disk
+    nothing is evaluated, and the rule refuses z itself."""
+    _, f, f1, P, S = _jets(m, z) if abs(z) < 1.0 else (z, None, 1.0, 0.0, 0.0)
+    f1, P, S = complex(f1), complex(P), complex(S)
+    _checked(z, f1, P, S)
     return f, f1, P, S
 
 
+@dataclass(frozen=True)
+class Jet:
+    """A map at one base point z: its value f0, f' (f1), P = f''/f' and the
+    Schwarzian S, just what ``_jet_at`` gives.  The constructor refuses a
+    non-finite f0 with ValueError and holds the rest to ``_checked``; f2
+    and f3, the second and third derivatives, are formed on reading, by
+    ``_full_jet``."""
+
+    z: complex
+    f0: complex
+    f1: complex
+    P: complex
+    S: complex
+
+    def __post_init__(self):
+        z, f0, f1, P, S = map(complex, (self.z, self.f0, self.f1, self.P, self.S))
+        if not cmath.isfinite(f0):
+            raise ValueError(f"jet component f0 is not finite at z = {z}")
+        _checked(z, f1, P, S)
+        self.__dict__.update(z=z, f0=f0, f1=f1, P=P, S=S)
+
+    f2 = property(lambda self: _full_jet(self.f1, self.P, self.S)[1])
+    f3 = property(lambda self: _full_jet(self.f1, self.P, self.S)[2])
+
+
 def jet_of(m: MapSpec, z: complex) -> Jet:
-    """Third-order jet at one point, held to the rules of ``_jet_at``."""
+    """The ``Jet`` of the map at one point, from ``_jet_at``."""
     z = complex(z)
     f, *jet = _jet_at(m, z)
-    return Jet(z, f(), *_full_jet(*jet))
+    return Jet(z, f(), *jet)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,19 @@ class TestTrace:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rmax", ["1.0", "1.5"])
+    def test_trace_radius_below_one(self, capsys, tmp_path, rmax):
+        # the start scan's last sample would sit on the circle, where the
+        # half-plane's f' is infinite: the radius is refused before NumPy
+        # evaluates anything there, so no RuntimeWarning is printed
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run(capsys, "trace", "--map", "halfplane", "--c", "3", "--trace-rmax", rmax, "--out", str(out))
+        assert rc == 2
+        assert err.splitlines() == [f"error: the search radius rmax must be positive and below 1, got {float(rmax):g}"]
+        assert not out.exists()
+
     def test_vanishing_normal_at_start(self, capsys, tmp_path):
         out = tmp_path / "none.csv"
         rc, _, err = run(

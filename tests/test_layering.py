@@ -1,8 +1,8 @@
-"""The import layers of the package: the modules under the field kernel
-import nothing from the modules built on it, the one import cycle is the
-deferred ``classify_phi`` of ``functionals.convexity_report``, and only
-``functionals``, the one checked batch entry, imports the jet entry
-``maps._jets``."""
+"""The import layers of the package: the modules under the field kernel,
+``maps`` with its ``Jet`` among them, import nothing from the modules
+built on it, the one import cycle is the deferred ``classify_phi`` of
+``functionals.convexity_report``, and only ``functionals``, the one
+checked batch entry, imports the jet entry ``maps._jets``."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import pytest
 import convmap
 
 PACKAGE = Path(convmap.__file__).parent
-LOWER = ("errors", "grid", "jet", "series", "maps")
+LOWER = ("errors", "grid", "series", "maps")
 UPPER = ("functionals", "levelset", "critical", "cli")
 
 

@@ -176,13 +176,15 @@ class TestLevelStart:
             with pytest.raises(ValueError, match="theta must be finite"):
                 cm.find_level_start(cm.identity(), 0.75, theta=theta)
 
-    @pytest.mark.parametrize("rmax", [-0.9, 0.0, float("nan")])
+    @pytest.mark.parametrize("rmax", [-0.9, 0.0, float("nan"), 1.0, 1.5])
     def test_positive_search_radius_required(self, rmax):
         # with rmax = -0.9 the scan runs over the opposite ray, and its
         # reversed bracket ends the bisection at once, near -0.5 with a
-        # residual of 1.2e-5
-        with pytest.raises(ValueError, match="rmax must be positive"):
-            cm.find_level_start(cm.identity(), 0.75, theta=0.0, rmax=rmax)
+        # residual of 1.2e-5; from rmax = 1 the scan's last sample sits on
+        # the circle, where the half-plane's f' is infinite
+        for m, c in ((cm.identity(), 0.75), (cm.halfplane(), 0.5)):
+            with pytest.raises(ValueError, match="rmax must be positive"):
+                cm.find_level_start(m, c, theta=0.0, rmax=rmax)
 
 
 class TestIdentityTrace:
@@ -512,6 +514,9 @@ class TestValidation:
         # no step fits in a zero radius: once a one-point curve ending in "radius"
         with pytest.raises(ValueError, match="tracing radius rmax must be positive"):
             cm.trace_level_set(cm.halfplane(), 0j, rmax=0.0)
+        for rmax in (1.0, 1.5):  # a march would reach the circle
+            with pytest.raises(ValueError, match="tracing radius rmax must be positive and below 1"):
+                cm.trace_level_set(cm.halfplane(), 0.3, rmax=rmax)
         with pytest.raises(ValueError, match="does not sit on the level c = nan"):
             cm.trace_level_set(cm.identity(), 0.5, c=float("nan"))
 

@@ -108,6 +108,28 @@ class TestClosedFormJets:
         assert all(type(v) is complex for v in (j.z, j.f0, j.f1, j.f2, j.f3))
         assert cm.Jet(0.3, 0.3, 1, 0, 0) == cm.jet_of(cm.identity(), 0.3)
 
+    def test_a_jet_holds_the_core_values(self):
+        # positions 4 and 5 are P and S; f'' and f''' are formed on reading
+        j = cm.Jet(0.3, 0, 1, 2, 3)
+        assert (j.P, j.S) == (2, 3)
+        assert (j.f2, j.f3) == maps._full_jet(1, 2, 3)[1:]
+
+    @pytest.mark.parametrize("m", [cm.halfplane(), cm.identity().precomposed(0.4 - 0.3j, 0.7)],
+                             ids=["halfplane", "identity-precomposed"])
+    def test_views_read_the_core_schwarzian(self, m):
+        # the core gives S = 0 exactly, and so do the views, which read it;
+        # f'''/f' - 1.5 (f''/f')^2 of the full jet reads about 1e-15
+        for z in (0.3 + 0.2j, -0.5j, 0.7, -0.6 + 0.6j):
+            j = cm.jet_of(m, z)
+            assert cm.schwarzian(j) == 0
+            assert cm.nehari_value(j) == 0.0
+
+    def test_the_point_route_refuses_a_nan_point(self):
+        # the rule of _jet_at and of a Jet is one function, so they agree
+        for call in (lambda z: maps._jet_at(cm.identity(), z), lambda z: cm.Jet(z, 0, 1, 0, 0)):
+            with pytest.raises(ValueError, match=r"need \|z\| < 1, got \|z\| = nan"):
+                call(complex("nan"))
+
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_polygon_scalar_matches_array(self, n):
         # a single point takes the Python-complex route, arrays the NumPy one
@@ -609,11 +631,20 @@ class TestGenerator:
         with pytest.raises(ValueError, match="finite"):
             cm.PhiSpec("poly" if "coeffs" in kw else "blaschke", **kw)
 
-    def test_constant_phi_has_no_zeros(self):
-        # its values would be the constant, its series and the generated map
-        # a Blaschke product, and its JSON would drop the zeros
-        with pytest.raises(ValueError, match="no zeros"):
-            cm.PhiSpec("const", zeros=(0.5,), theta=0.3)
+    @pytest.mark.parametrize("kind, kw, message", [
+        # a constant's values would be the constant, its series and the
+        # generated map a Blaschke product, and its JSON would drop the zeros
+        ("const", {"zeros": (0.5,), "theta": 0.3}, "no coeffs or zeros"),
+        ("const", {"coeffs": (0.3,)}, "no coeffs or zeros"),
+        # the ignored field would survive no JSON round trip, so the phi
+        # read back would not equal the phi written
+        ("poly", {"coeffs": (0.3,), "zeros": (0.5,)}, "no zeros or theta"),
+        ("poly", {"coeffs": (0.3,), "theta": 1.0}, "no zeros or theta"),
+        ("blaschke", {"coeffs": (0.3,), "zeros": (0.5,)}, "no coeffs"),
+    ], ids=["const-zeros", "const-coeffs", "poly-zeros", "poly-theta", "blaschke-coeffs"])
+    def test_phi_refuses_fields_its_kind_ignores(self, kind, kw, message):
+        with pytest.raises(ValueError, match=message):
+            cm.PhiSpec(kind, **kw)
 
     def test_default_order_reads_convex(self):
         # at order 64 this map's truncation read NotConvex (min slack3 -117,
