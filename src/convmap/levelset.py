@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvmapError, LevelNotOnRay, NormalVanished
 from .functionals import _level, _normal, curvature_fields, grid_functionals
-from .maps import Jet, MapSpec, _jet_at, certified_rmax
+from .maps import Jet, MapSpec, _checked_value, _jet_at, certified_rmax
 
 P_MIN = 1e-4
 RESIDUAL_TARGET = 1e-12
@@ -199,12 +199,11 @@ def _tangent(p: complex) -> complex:
 
 def _record(z: complex, f, f1: complex, P: complex, S: complex, r: float):
     """What the curve keeps of an accepted point: (z, f, p, k, kappa, |g - c|),
-    all from the jet it was accepted on; f is computed here, and checked
-    as ``jet_of`` checks it."""
+    all from the jet it was accepted on; f is computed here, and held to
+    ``maps._checked_value``, the rule of a ``Jet``'s f0."""
     fld = _curvatures(z, f1, P, S)
     w = complex(f())
-    if not cmath.isfinite(w):
-        raise ValueError(f"jet component f0 is not finite at z = {z}")
+    _checked_value(z, w)
     return (z, w, fld["p"], fld["k"], fld["kappa"], r)
 
 

@@ -15,16 +15,16 @@ import linecache
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvmapError, PhiOutOfRange, RadiusExceeded, SingularPoint
-from .grid import grid_points
+from .grid import GridSpec, grid_points
 from .series import (
     DEFAULT_ORDER,
     DEFAULT_RMAX,
     MIN_ORDER,
     PowerSeries,
     certify,
+    certify_points,
     in_radius,
     point_columns,
     series_exp,
@@ -73,6 +73,7 @@ class PhiSpec:
             for a in self.zeros:
                 if abs(a) >= 1.0:
                     raise ValueError(f"Blaschke zero must satisfy |a| < 1, got {a}")
+        object.__setattr__(self, "_unit", complex(np.exp(1j * self.theta)))  # what ``jet`` starts from
 
     @classmethod
     def polynomial(cls, coeffs) -> "PhiSpec":
@@ -86,15 +87,33 @@ class PhiSpec:
     def unimodular_constant(cls, theta: float = 0.0) -> "PhiSpec":
         return cls("const", theta=theta)
 
-    def values(self, z):
-        """Evaluate at scalar or array z."""
-        z = np.asarray(z, dtype=complex)
-        if self.kind == "poly":
-            return npoly.polyval(z, np.asarray(self.coeffs))
-        out = np.full(z.shape, np.exp(1j * self.theta), dtype=complex)
+    def jet(self, z):
+        """(phi, phi') at a Python complex z or an array z.  A polynomial
+        takes one Horner loop for both, begun and ordered as
+        ``numpy.polynomial.polynomial.polyval`` is, so that phi has its
+        bits; a Blaschke product takes the product rule factor by factor,
+        because phi'/phi would divide by zero at its zeros; a unimodular
+        constant has phi' = 0."""
+        if self.kind == "poly":  # in place on arrays: fresh temporaries cost more than the arithmetic
+            c = self.coeffs
+            v, d = c[-1] + z * 0, z * 0
+            for ck in c[-2::-1]:
+                d *= z
+                d += v
+                v *= z
+                v += ck
+            return v, d
+        array = isinstance(z, np.ndarray)
+        v = np.full(z.shape, self._unit) if array else self._unit
+        d = np.zeros(z.shape, dtype=complex) if array else 0j
         for a in self.zeros:
-            out = out * (z - a) / (1.0 - a.conjugate() * z)
-        return out
+            q, den = 1.0 - abs(a) ** 2, 1.0 - a.conjugate() * z
+            v, d = v * (z - a) / den, (d * (z - a) + v * q / den) / den
+        return v, d
+
+    def values(self, z):
+        """phi at scalar or array z: the value column of ``jet``."""
+        return self.jet(np.asarray(z, dtype=complex))[0]
 
     def boundary_sup(self) -> float:
         """sup |phi| over the unit circle: exactly 1 for the bounded shapes,
@@ -108,7 +127,7 @@ class PhiSpec:
         """Taylor coefficients through z**order."""
         if self.kind == "poly":
             return _padded(self.coeffs, order, rmax)
-        acc = _padded([np.exp(1j * self.theta)], order, rmax)  # a constant has no zeros
+        acc = _padded([self._unit], order, rmax)  # a constant has no zeros
         for a in self.zeros:
             den = series_inv(_padded([1.0, -a.conjugate()], order, rmax))
             acc = series_mul(acc, series_mul(_padded([-a, 1.0], order, rmax), den))
@@ -163,6 +182,11 @@ class MapSpec:
                 object.__setattr__(self, "order", DEFAULT_ORDER)
             if self.series is None:
                 object.__setattr__(self, "series", _herglotz_series(self.phi, self.order, DEFAULT_RMAX))
+        if self.phi is not None and self.series is None:
+            raise ValueError(f"a {self.kind} map takes no phi")
+        # the key of the base map's entry in ``_BASES``, the route table of ``_jets``
+        base = "generated" if self.phi is not None else "series" if self.series is not None else self.kind
+        object.__setattr__(self, "_base", base)
         for name, entries in (("pre", self.pre), ("post", self.post)):
             if entries is not None and not all(map(cmath.isfinite, map(complex, entries))):
                 raise ValueError(f"{name}composition entries must be finite, got {entries}")
@@ -238,10 +262,16 @@ def builtin_map(name: str, alpha: float | None = None, n: int | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# jets, in one vocabulary: f', P = f''/f' and the Schwarzian S.  Each closed
-# form gives (f, f', P, S) at the points z, f and f' as callables, so that a
-# convexity report, which reads P and S, never forms f', and a ``Jet`` holds
-# (f, f', P, S) at one point.  The full jet f'' = f' P,
+# jets, in one vocabulary: f', P = f''/f' and the Schwarzian S.  Every base
+# map is one entry of one route table, ``_BASES``, keyed by ``MapSpec._base``:
+# the six closed forms, a generated map (one that carries its phi) and a bare
+# series.  Each entry gives (f, f', P, S) at the points, f and f' as
+# callables, so that a convexity report, which reads P and S, never forms
+# f', and a ``Jet`` holds (f, f', P, S) at one point.  A closed form has P
+# and S as formulas; a generated map forms them from phi and phi' by
+# ``_PHI_STEPS`` and takes only f and f' from its series; a bare series has
+# them from its derivative table by ``_PS_STEPS``.  ``_jets`` composes the
+# values of any entry alike.  The full jet f'' = f' P,
 # f''' = f' (S + 1.5 P^2) is built in one place, ``_full_jet``, in steps
 # that keep their operands in order: from 16,384 points NumPy elides the
 # temporary of f1 * (S + 1.5 * P * P) and computes (S + 1.5 * P * P) * f1,
@@ -249,24 +279,24 @@ def builtin_map(name: str, alpha: float | None = None, n: int | None = None) -> 
 # size of its batch.
 
 
-def _jets_identity(z, m):
+def _jets_identity(z, m, *_):
     if np.ndim(z) == 0:
         return lambda: z, lambda: 1 + 0j, 0j, 0j
     zero = np.zeros_like(z)
     return lambda: z, lambda: np.ones_like(z), zero, zero
 
 
-def _jets_halfplane(z, m):
+def _jets_halfplane(z, m, *_):
     u = 1.0 / (1.0 - z)
     return lambda: z * u, lambda: u * u, 2.0 * u, np.zeros_like(u)
 
 
-def _jets_strip(z, m):
+def _jets_strip(z, m, *_):
     w = 1.0 - z * z
     return lambda: np.arctanh(z), lambda: 1.0 / w, 2.0 * z / w, 2.0 / w**2
 
 
-def _jets_sector(z, m):
+def _jets_sector(z, m, *_):
     alpha = m.alpha
     w = 1.0 - z * z
     # principal logs, once for f and f'; 1 +/- z stays in the right half plane for |z| < 1
@@ -276,7 +306,7 @@ def _jets_sector(z, m):
     return f, f1, (2.0 * alpha + 2.0 * z) / w, 2.0 * (1.0 - alpha * alpha) / w**2
 
 
-def _jets_koebe(z, m):
+def _jets_koebe(z, m, *_):
     w = 1.0 - z * z
     return lambda: z / (1.0 - z) ** 2, lambda: (1.0 + z) / (1.0 - z) ** 3, (4.0 + 2.0 * z) / w, -6.0 / w**2
 
@@ -304,7 +334,7 @@ def _polygon_f0(z, n):
     return z * acc
 
 
-def _jets_polygon(z, m):
+def _jets_polygon(z, m, *_):
     n = m.n
     # a single point runs on Python complex and cmath: on a 0-d array each
     # of the vertex series' hundreds of terms pays NumPy's per-call overhead
@@ -315,15 +345,6 @@ def _jets_polygon(z, m):
     f1 = lambda: lib.exp(-(2.0 / n) * lib.log(w))
     return lambda: _polygon_f0(z, n), f1, 2.0 * z ** (n - 1) / w, 2.0 * (n - 1.0) * z ** (n - 2) / w**2
 
-
-_CLOSED_FORMS = {
-    "identity": _jets_identity,
-    "halfplane": _jets_halfplane,
-    "strip": _jets_strip,
-    "sector": _jets_sector,
-    "polygon": _jets_polygon,
-    "koebe": _jets_koebe,
-}
 
 _SOURCES = itertools.count()  # numbers the sources of ``_compiled`` in linecache
 
@@ -392,6 +413,12 @@ _POST_STEPS = [("s", "m.post[0]"), ("f1", "s * f1")]
 _FULL_STEPS = [("f2", "f1 * P"), ("t", "1.5 * P"), ("t", "t * P"), ("t", "t + S"), ("f3", "f1 * t")]
 # and back, for a series base map and ``functionals.fields``: P and S of a full jet
 _PS_STEPS = [("P", "f2 / f1"), ("S", "f3 / f1 - 1.5 * P * P")]
+# a generated map's P and S from its phi and phi' at the points w, with
+# u = 1 - w phi: P = 2 phi/u and P' = 2 (phi' + phi^2)/u^2, so
+# S = P' - P^2/2 = 2 phi'/u^2, exactly 0 where phi is constant; one
+# division, r = 2/u, serves both (an array's division costs three products)
+_PHI_STEPS = [("u", "w * phi"), ("u", "1.0 - u"), ("r", "2.0 / u"), ("P", "phi * r"), ("S", "dphi * r"),
+              ("S", "S * r"), ("S", "0.5 * S")]
 
 
 @functools.cache
@@ -409,10 +436,19 @@ _full = _compiled(_FULL_STEPS, ("f1", "P", "S"), ("f2", "f3"), "f1, P, S")
 _PS = [_compiled(_PS_STEPS, ("f1", "f2", "f3"), names, "f1, f2, f3=None") for names in (("P",), ("P", "S"))]
 
 
-def _jets_series(w, z, s: PowerSeries, names: tuple):
-    """A series as a base map at the points w (moved from z): (f, f', P, S),
-    P and S by ``_PS_STEPS`` when ``names`` asks for them (SingularPoint
-    where f' vanishes); an array evaluates f''' only for S."""
+@functools.cache
+def _from_phi(names: tuple):
+    """Those of P and S that ``names`` asks for, by ``_PHI_STEPS``: a
+    function of the list of the points w, phi and phi' (as far as its
+    ``reads`` go), which it empties, returning the dict of them."""
+    return _compiled(_PHI_STEPS, ("w", "phi", "dphi"), tuple(x for x in names if x != "f1"), "jets", handover=True)
+
+
+def _jets_series(w, m: MapSpec, z, names: tuple):
+    """A bare series as a base map at the points w (moved from z): (f, f',
+    P, S), P and S by ``_PS_STEPS`` when ``names`` asks for them
+    (SingularPoint where f' vanishes); an array evaluates f''' only for S."""
+    s = m.series
     count = 3 if "S" in names else 2 if "P" in names else 1
     if z.ndim == 0:  # one running product, in Python complex
         certify(s, abs(w))
@@ -429,19 +465,57 @@ def _jets_series(w, z, s: PowerSeries, names: tuple):
     return f, lambda: f1, ps["P"], ps.get("S")
 
 
+def _jets_generated(w, m: MapSpec, z, names: tuple):
+    """A generated map, one that carries its phi, as a base map at the
+    points w (moved from z): P and S from phi and phi' by ``_from_phi``,
+    and f and f' from its series only when ``names`` asks for f' (or f is
+    called).  The series' radius check is made on every request, where
+    ``_jets_series`` makes it."""
+    s, at = m.series, z if isinstance(w, GridSpec) else w  # phi at the points of a grid
+    if z.ndim == 0:  # f and f' by one running product, in Python complex
+        w = at = complex(w)
+        certify(s, abs(w))
+        if "f1" in names:  # all four columns, as fast as two, and with the bits of a batch
+            f0, f1 = point_columns(s.table, w)[:2]
+            f = lambda: f0
+        else:
+            f, f1 = (lambda: point_columns(s.table, w)[0]), None
+    else:
+        certify_points(s, w)
+        f, f1 = series_jet_fields(s, w, 1) if "f1" in names else ((lambda: series_jet_fields(s, w, 1)[0]()), None)
+    if names == ("f1",):
+        return f, lambda: f1, None, None
+    ps = _from_phi(names)
+    ps = ps([at, *m.phi.jet(at)][: 1 + len(ps.reads)])
+    return f, lambda: f1, ps.get("P"), ps.get("S")
+
+
+_BASES = {
+    "identity": _jets_identity,
+    "halfplane": _jets_halfplane,
+    "strip": _jets_strip,
+    "sector": _jets_sector,
+    "polygon": _jets_polygon,
+    "koebe": _jets_koebe,
+    "generated": _jets_generated,
+    "series": _jets_series,
+}
+
+
 def _jets(m: MapSpec, where, names=("f1", "P", "S")):
     """(z, f, *values): the points z evaluated, f as a callable, and the
     values ``names`` asks for, some of f', P and S in that order; f' is
-    formed only when named.  The one function that picks a route: a series
-    map with no precomposition takes a GridSpec through ``series.eval_grid``
-    and a point as it is; anything else goes at z = ``grid_points(where)``,
-    a point as a 0-d array.  The base map's values at the moved points and d
+    formed only when named.  The one function that picks a route: the base
+    map is the entry ``_BASES[m._base]``, and a map with a series and no
+    precomposition hands its series a GridSpec (``series.eval_grid``) or a
+    point as it is; anything else goes at z = ``grid_points(where)``, a
+    point as a 0-d array.  The base map's values at the moved points and d
     go to ``_composition``, which frees each of them after its last use."""
     z = grid_points(where)
     w, d = (z, None) if m.pre is None else _moved(m, z)
     if m.series is not None and m.pre is None and not isinstance(where, np.ndarray):
         w = where
-    f, f1, P, S = _CLOSED_FORMS[m.kind](w, m) if m.series is None else _jets_series(w, z, m.series, names)
+    f, f1, P, S = _BASES[m._base](w, m, z, names)
     # appends: a comprehension would cost each point of the tracer 0.17 us more
     jets = [f1()] if "f1" in names else []
     if "P" in names:
@@ -512,6 +586,13 @@ def _checked(z: complex, f1: complex, P: complex, S: complex) -> None:
         raise SingularPoint(f"f' vanishes at z = {z}")
 
 
+def _checked_value(z: complex, f0: complex) -> None:
+    """The rule of a point's value, of every ``Jet`` and of each point the
+    tracer accepts: ValueError where f0 is not finite."""
+    if not cmath.isfinite(f0):
+        raise ValueError(f"jet component f0 is not finite at z = {z}")
+
+
 def _jet_at(m: MapSpec, z: complex):
     """(f, f', P, S) at one point from ``_jets``, f', P and S as Python
     complex and f as a callable, held to ``_checked``: the one point
@@ -526,10 +607,9 @@ def _jet_at(m: MapSpec, z: complex):
 @dataclass(frozen=True)
 class Jet:
     """A map at one base point z: its value f0, f' (f1), P = f''/f' and the
-    Schwarzian S, just what ``_jet_at`` gives.  The constructor refuses a
-    non-finite f0 with ValueError and holds the rest to ``_checked``; f2
-    and f3, the second and third derivatives, are formed on reading, by
-    ``_full_jet``."""
+    Schwarzian S, just what ``_jet_at`` gives.  The constructor holds f0 to
+    ``_checked_value`` and the rest to ``_checked``; f2 and f3, the second
+    and third derivatives, are formed on reading, by ``_full_jet``."""
 
     z: complex
     f0: complex
@@ -539,8 +619,7 @@ class Jet:
 
     def __post_init__(self):
         z, f0, f1, P, S = map(complex, (self.z, self.f0, self.f1, self.P, self.S))
-        if not cmath.isfinite(f0):
-            raise ValueError(f"jet component f0 is not finite at z = {z}")
+        _checked_value(z, f0)
         _checked(z, f1, P, S)
         self.__dict__.update(z=z, f0=f0, f1=f1, P=P, S=S)
 

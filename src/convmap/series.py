@@ -223,6 +223,11 @@ def certify(s: PowerSeries, worst: float) -> None:
         raise RadiusExceeded(f"|z| = {worst:.6g} exceeds the certified radius {s.rmax:g}")
 
 
+def certify_points(s: PowerSeries, z) -> None:
+    """``certify`` at the largest |z| of an array z, or at the rmax of a GridSpec z."""
+    certify(s, z.rmax if isinstance(z, GridSpec) else float(np.abs(z).max(initial=0.0)))
+
+
 def series_jet_fields(s: PowerSeries, z, count: int = 3):
     """(f, f', ..., f^(count)) of the series at array z, or over the points
     of a GridSpec through ``eval_grid``, with f as a callable as
@@ -232,10 +237,9 @@ def series_jet_fields(s: PowerSeries, z, count: int = 3):
 
     Points outside ``in_radius`` raise RadiusExceeded.
     """
-    grid = isinstance(z, GridSpec)
-    certify(s, z.rmax if grid else float(np.abs(z).max(initial=0.0)))
+    certify_points(s, z)
     table = s.table
-    if grid:
+    if isinstance(z, GridSpec):
         return (lambda: eval_grid(table[:, :1], z)[0], *eval_grid(table[:, 1 : count + 1], z))
     if _takes_products(z.size, table.shape[0]):
         jet = eval_table(table, z)  # one product gives every column

@@ -348,10 +348,10 @@ def patch_identity(monkeypatch, component: int, value):
     """Make the identity's base-map component ``component`` of (f, f', P, S)
     (f and f' callables) take ``value`` everywhere but at z = 0.5, the start
     point."""
-    real = maps._CLOSED_FORMS["identity"]
+    real = maps._BASES["identity"]
 
-    def patched(z, m):
-        jet = list(real(z, m))
+    def patched(z, *args):
+        jet = list(real(z, *args))
         if component < 2:
             formed = jet[component]
             jet[component] = lambda: np.where(z == 0.5, formed(), value)
@@ -359,7 +359,7 @@ def patch_identity(monkeypatch, component: int, value):
             jet[component] = np.where(z == 0.5, jet[component], value)
         return tuple(jet)
 
-    monkeypatch.setitem(maps._CLOSED_FORMS, "identity", patched)
+    monkeypatch.setitem(maps._BASES, "identity", patched)
 
 
 class TestStepHalving:
@@ -440,6 +440,16 @@ class TestIterateChecks:
         patch_identity(monkeypatch, 0, np.inf)
         with pytest.raises(ValueError, match="jet component f0 is not finite"):
             cm.trace_level_set(cm.identity(), 0.5)
+
+    def test_an_accepted_point_and_a_jet_share_the_rule_of_a_value(self, monkeypatch):
+        patch_identity(monkeypatch, 0, np.inf)
+        with pytest.raises(ValueError) as traced:
+            cm.trace_level_set(cm.identity(), 0.5)
+        z = complex(str(traced.value).rsplit("z = ", 1)[1])  # the repr of the accepted point
+        assert z != 0.5
+        with pytest.raises(ValueError) as built:
+            cm.Jet(z, complex(np.inf), 1.0, 0.0, 0.0)
+        assert str(traced.value) == str(built.value)
 
 
 class TestNormalVanishes:

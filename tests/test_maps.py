@@ -12,6 +12,7 @@ import convmap as cm
 import convmap.functionals as functionals
 import convmap.levelset as levelset
 import convmap.maps as maps
+import convmap.series as series
 from convmap.grid import grid_points
 from convmap.maps import phi_from_json, phi_to_json
 
@@ -72,6 +73,11 @@ class TestConstruction:
     def test_precompose_requires_interior_center(self):
         with pytest.raises(ValueError):
             cm.identity().precomposed(1.0)
+
+    def test_a_closed_form_takes_no_phi(self):
+        # a map that carries phi takes P and S from it, f and f' from its series
+        with pytest.raises(ValueError, match="a strip map takes no phi"):
+            cm.MapSpec("strip", phi=cm.PhiSpec.unimodular_constant())
 
 
 class TestClosedFormJets:
@@ -334,7 +340,7 @@ def written_chain_rule(m: cm.MapSpec, where) -> list:
     z = grid_points(where)
     spectral = isinstance(where, cm.GridSpec) and m.series is not None and m.pre is None
     w, d = (where if spectral else z, None) if m.pre is None else maps._moved(m, z)
-    _, f1, P, S = maps._CLOSED_FORMS[m.kind](w, m) if m.series is None else maps._jets_series(w, z, m.series, ("f1", "P", "S"))
+    _, f1, P, S = maps._BASES[m._base](w, m, z, ("f1", "P", "S"))
     jets = [f1(), P, S] + ([] if d is None else [d])
     return list(maps._composition(("f1", "P", "S"), m.pre is not None, m.post is not None)(m, jets).values())
 
@@ -362,10 +368,7 @@ class TestComposedArrayJets:
                 return f, formed, P, S
             return wrapped
 
-        if m.series is None:
-            monkeypatch.setitem(maps._CLOSED_FORMS, m.kind, recorded(maps._CLOSED_FORMS[m.kind]))
-        else:
-            monkeypatch.setattr(maps, "_jets_series", recorded(maps._jets_series))
+        monkeypatch.setitem(maps._BASES, m._base, recorded(maps._BASES[m._base]))
         for variant in _composed_variants(m)[1:]:  # pre, post, pre and post
             for where in wheres:
                 for _ in range(2):  # a second call finds nothing changed
@@ -407,13 +410,13 @@ class TestComposedArrayJets:
 
     @pytest.mark.parametrize("m", [m for _, m, _ in ZOO], ids=[name for name, _, _ in ZOO])
     def test_a_report_never_forms_f1(self, m, monkeypatch):
-        base = maps._CLOSED_FORMS[m.kind]
+        base = maps._BASES[m._base]
 
         def no_f1(*args):
             f, _, P, S = base(*args)
             return f, lambda: pytest.fail("a report formed f'"), P, S
 
-        monkeypatch.setitem(maps._CLOSED_FORMS, m.kind, no_f1)
+        monkeypatch.setitem(maps._BASES, m._base, no_f1)
         for variant in _composed_variants(m):
             cm.convexity_report(variant, cm.GridSpec(8, 12, 0.9))
             cm.phi_values(variant, np.array([0.1, 0.2j]))
@@ -422,13 +425,13 @@ class TestComposedArrayJets:
     def test_a_newton_batch_never_forms_f1(self, m, points, monkeypatch):
         # f' is formed by the scan, which reads g, and at the points of
         # jet_of that check and measure a root, never by a Newton batch
-        base, formed = maps._CLOSED_FORMS[m.kind], []
+        base, formed = maps._BASES[m._base], []
 
-        def counted(w, m):
-            f, f1, P, S = base(w, m)
+        def counted(w, *args):
+            f, f1, P, S = base(w, *args)
             return f, lambda: formed.append(np.shape(w)) or f1(), P, S
 
-        monkeypatch.setitem(maps._CLOSED_FORMS, m.kind, counted)
+        monkeypatch.setitem(maps._BASES, m._base, counted)
         cm.find_critical_point(m)
         assert formed == [(cm.GridSpec().nr * cm.GridSpec().ntheta,)] + [()] * points
 
@@ -516,6 +519,37 @@ class TestPhi:
         z = random_disk_points(np.random.default_rng(12), 32, 0.5)
         series = npoly.polyval(z, phi.series(200).coeffs)
         np.testing.assert_allclose(phi.values(z), series, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("degree", [0, 1, 3, 6, 12, 40])
+    def test_a_polynomial_has_the_bits_of_polyval(self, degree):
+        # values is the value column of jet; boundary_sup reads it on the circle
+        rng = np.random.default_rng(100 + degree)
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        phi = cm.PhiSpec.polynomial(coeffs)
+        circle = np.exp(2j * np.pi * np.arange(maps.PHI_BOUNDARY_SAMPLES) / maps.PHI_BOUNDARY_SAMPLES)
+        want = npoly.polyval(circle, coeffs)
+        assert _bits(phi.values(circle)).tolist() == _bits(want).tolist()
+        assert np.float64(phi.boundary_sup()).view(np.uint64) == np.max(np.abs(want)).view(np.uint64)
+
+    @pytest.mark.parametrize("phi", [
+        cm.PhiSpec.polynomial([0.3, 0.2j, -0.25, 0.1 - 0.05j]),
+        cm.PhiSpec.blaschke([0.4, -0.2j, 0.5 + 0.5j], theta=0.3),
+        cm.PhiSpec.unimodular_constant(0.7),
+    ], ids=["poly", "blaschke", "const"])
+    def test_jet_is_the_value_and_derivative(self, phi):
+        z = np.concatenate([random_disk_points(np.random.default_rng(13), 32, 0.6), list(phi.zeros)])
+        value, derivative = phi.jet(z)
+        s = phi.series(200)
+        np.testing.assert_allclose(value, npoly.polyval(z, s.coeffs), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(derivative, npoly.polyval(z, s.table[:, 1]), rtol=0, atol=1e-12)
+        # a point as Python complex gives the array's values; a Blaschke
+        # product's zeros divide by nothing
+        for i, w in enumerate(z.tolist()):
+            got = phi.jet(w)
+            assert all(type(v) is complex for v in got)
+            np.testing.assert_allclose(got, [value[i], derivative[i]], rtol=1e-15, atol=1e-16)
+        if phi.kind == "const":
+            assert not derivative.any() and phi.jet(0.3j)[1] == 0
 
     def test_unimodular_series_is_constant(self):
         s = cm.PhiSpec.unimodular_constant(0.25).series(8)
@@ -654,6 +688,125 @@ class TestGenerator:
         report = cm.convexity_report(m)
         assert report.verdict == "Convex"
         assert report.phi_class.kind == "unimodular_const"
+
+
+def loewner_tolerances(order: int, w, f1, P, S):
+    """Bounds on |P_series - P| and |S_series - S| at the base points w for
+    a generated map of this order, from its P and S, and the f' of its
+    series.  The map is convex and normalized, so Loewner's |a_n| <= 1 bounds
+    the tail of the j-th derivative at r = |w| by T_j = sum_{n > order}
+    n!/(n-j)! r^(n-j) (at order 384 and r = 0.9: 1.1e-14, 4.6e-12 and 2.0e-9
+    for j = 1, 2, 3), and the series' own rounding by E_j = 400 eps
+    sum_{n <= order} n!/(n-j)! r^(n-j), 400 bounding the operations each
+    term passes through.  With e_j = T_j + E_j, P = f''/f' and
+    f'''/f' = S + 3/2 P^2 are off by at most
+    dP = (e_2 + |P| e_1)/(|f'| - e_1) and
+    (e_3 + |S + 3/2 P^2| e_1)/(|f'| - e_1) + 3 |P| dP + 3/2 dP^2."""
+    k = np.arange(order + 600)  # r^600 < 1e-27 at r <= 0.9: the terms beyond weigh nothing
+    powers = np.ones((np.size(w), k.size))
+    powers[:, 1:] = np.abs(w).reshape(-1, 1)
+    np.multiply.accumulate(powers, axis=1, out=powers)  # r^k
+    e = []
+    for j in (1, 2, 3):
+        n = k + j
+        terms = np.prod([n - i for i in range(j)], axis=0) * powers  # n!/(n-j)! r^(n-j)
+        e.append(terms[:, n > order].sum(axis=1) + 400 * np.finfo(float).eps * terms[:, n <= order].sum(axis=1))
+    e1, e2, e3 = (v.reshape(np.shape(w)) for v in e)
+    scale = 1.0 / (np.abs(f1) - e1)
+    dP = (e2 + np.abs(P) * e1) * scale
+    dS = (e3 + np.abs(S + 1.5 * P * P) * e1) * scale + 3.0 * np.abs(P) * dP + 1.5 * dP**2
+    return dP, dS
+
+
+def closed_form_PS(phi: cm.PhiSpec, z):
+    """P and S of the map generated by a polynomial phi, as written in
+    the paper's terms: P = 2 phi/(1 - z phi), S = 2 (phi' + phi^2)/(1 - z phi)^2 - P^2/2."""
+    c = np.asarray(phi.coeffs)
+    v, d = npoly.polyval(z, c), npoly.polyval(z, npoly.polyder(c))
+    u = 1.0 - z * v
+    P = 2.0 * v / u
+    return P, 2.0 * (d + v * v) / u**2 - 0.5 * P * P
+
+
+GENERATED_PHI = [
+    cm.PhiSpec.polynomial([0.3, 0.2j, -0.25]),
+    cm.PhiSpec.blaschke([0.3 + 0.2j], 0.5),
+    cm.PhiSpec.unimodular_constant(0.3),
+]
+GENERATED_IDS = ["poly", "blaschke", "const"]
+
+
+class TestGeneratedRoute:
+    """A generated map takes P and S from its phi, f and f' from its series."""
+
+    @pytest.fixture
+    def series_calls(self, monkeypatch) -> list:
+        calls = []
+        for module, name in ((series, "eval_grid"), (series, "series_jet_fields"), (maps, "series_jet_fields")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("variant", range(4), ids=["plain", "pre", "post", "both"])
+    def test_a_report_and_classify_phi_evaluate_no_series(self, series_calls, variant):
+        m = _composed_variants(gen_quiet(cm.PhiSpec.polynomial([0.3, 0.2j, -0.25]), order=96))[variant]
+        cm.convexity_report(m)
+        cm.classify_phi(m)
+        cm.phi_values(m, np.array([0.1, 0.2j]))
+        assert series_calls == []
+        # a request that reads g reads f' from the series, once
+        cm.grid_functionals(m, cm.GridSpec(8, 12, 0.5), ("g", "lhs1"))
+        assert series_calls.count("series_jet_fields") == 1
+        assert series_calls.count("eval_grid") == (m.pre is None)
+
+    def test_a_low_order_map_has_the_closed_form_in_phi(self):
+        # order 8 truncates f' by about 0.8^9: the series route misses P and
+        # S by far more than the closed form's rounding
+        phi = GENERATED_PHI[0]
+        m = gen_quiet(phi, order=8)
+        grid = cm.GridSpec(8, 16, 0.8)
+        z = grid.points()
+        want = closed_form_PS(phi, z)
+        for where in (grid, z):
+            got = maps._jets(m, where, ("P", "S"))[2:]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        for i in range(0, z.size, 7):
+            jet = cm.jet_of(m, z[i])
+            np.testing.assert_allclose([jet.P, jet.S], [want[0][i], want[1][i]], rtol=0, atol=1e-14)
+        series_route = maps._jets(cm.from_series(m.series), grid, ("P", "S"))[2:]
+        assert max(float(np.abs(a - b).max()) for a, b in zip(series_route, want)) > 1e-4
+
+    @pytest.mark.parametrize("phi", GENERATED_PHI, ids=GENERATED_IDS)
+    def test_agrees_with_the_series_route_within_its_truncation(self, phi):
+        # the same series as a bare map takes the series route; the
+        # composition maps both routes' P and S alike, so the base bounds
+        # scale by |tau'| (P) and |tau'|^2 (S) at the moved points
+        m = gen_quiet(phi, order=384, rmax=0.9)
+        bare = cm.from_series(m.series)
+        for variant, other in zip(_composed_variants(m)[:3], _composed_variants(bare)[:3]):
+            grid = cm.GridSpec(30, 48, maps.certified_rmax(variant))
+            for where in (grid, grid.points()[::5], complex(grid.points()[-7])):
+                z, _, f1, P, S = maps._jets(variant, where)
+                _, _, f1_s, P_s, S_s = maps._jets(other, where)
+                w, t1 = z, np.ones_like(z)
+                if variant.pre is not None:
+                    w, d = maps._moved(variant, z)
+                    t1 = np.abs(variant._pre_constants[3] / d**2)
+                base = maps._jets(m, w)[2:]
+                dP, dS = loewner_tolerances(384, w, *base)
+                assert np.all(np.abs(P_s - P) <= dP * t1)
+                assert np.all(np.abs(S_s - S) <= dS * t1**2)
+                np.testing.assert_allclose(f1, f1_s, rtol=0, atol=0)
+                # f comes from the series alike, whether or not f' was asked for
+                f = maps._jets(variant, where, ("P", "S"))[1]
+                np.testing.assert_allclose(f(), maps._jets(other, where)[1](), rtol=0, atol=0)
+        if phi.kind == "const":  # the half-plane's S is exactly 0, the series' is not
+            z, _, S = maps._jets(m, cm.GridSpec(30, 48, 0.9), ("S",))
+            S_s = maps._jets(bare, cm.GridSpec(30, 48, 0.9), ("S",))[2]
+            assert not S.any() and np.abs(S_s).max() > 1e-12
 
 
 class TestJson:

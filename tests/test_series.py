@@ -215,8 +215,9 @@ class TestPointJets:
     """A point of a series map with nothing to compose takes one running
     product: the tracer's f, f', P and S, ``jet_of`` and the scalar
     ``level_value`` are eval_table's running products on a one-point batch,
-    with P and S by the kernel's lines and the full jet by ``_full_jet``,
-    bit for bit."""
+    with P and S by the kernel's lines for a bare series and by
+    ``maps._PHI_STEPS`` from phi for a generated map, and the full jet by
+    ``_full_jet``, bit for bit."""
 
     @staticmethod
     def bits(vals) -> list:
@@ -226,13 +227,20 @@ class TestPointJets:
     def test_equals_the_batch_products_bit_for_bit(self, order):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", cm.TruncationTail)
-            m = cm.gen_herglotz(cm.PhiSpec.polynomial([0.3 + 0.2j, -0.1 + 0.4j]), order=order, rmax=0.8)
-        s = m.series
+            generated = cm.gen_herglotz(cm.PhiSpec.polynomial([0.3 + 0.2j, -0.1 + 0.4j]), order=order, rmax=0.8)
+        for m in (cm.from_series(generated.series), generated):
+            self.check_points(m, generated.series)
+
+    def check_points(self, m, s):
+        generated = m.phi is not None
         u = np.exp(0.7j)
         # |z| = rmax + RADIUS_SLACK exactly on the imaginary axis
         for z in (0j, complex(0.5 * s.rmax * u), complex(s.rmax * u), 1j * (s.rmax + RADIUS_SLACK)):
             f0, f1, f2, f3 = [complex(col[0]) for col in eval_table(s.table, np.array([z]))]
-            P, S = cm.fields(z, f1, f2, f3, ("P", "S")).values()
+            if generated:
+                P, S = maps._from_phi(("P", "S"))([z, *m.phi.jet(z)]).values()
+            else:
+                P, S = cm.fields(z, f1, f2, f3, ("P", "S")).values()
             f, *derivatives = levelset._jet_at(m, z)
             jet = cm.jet_of(m, z)
             for got, want in (([f(), *derivatives], [f0, f1, P, S]),

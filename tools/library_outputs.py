@@ -37,7 +37,9 @@ JET_VIEWS = ("pre_schwarzian", "schwarzian", "classical_lhs", "rhs2", "rhs3", "p
 
 def zoo(cm, np):
     """(name, map): the six closed kinds, each plain, precomposed,
-    postcomposed and both; two generated maps; and z + 1.416 z^81."""
+    postcomposed and both; four generated maps (polynomial, Blaschke,
+    polynomial precomposed and postcomposed, and unimodular-constant phi);
+    and z + 1.416 z^81."""
     closed = [("identity", cm.identity()), ("halfplane", cm.halfplane()), ("strip", cm.strip()),
               ("sector0.5", cm.sector(0.5)), ("polygon5", cm.polygon(5)), ("koebe", cm.koebe())]
     maps = []
@@ -51,6 +53,10 @@ def zoo(cm, np):
         maps.append(("series-lib-poly192", cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), 192, 0.85)))
         blaschke = cm.PhiSpec.blaschke([0.3 + 0.2j], 0.5)
         maps.append(("series-lib-blaschke256", cm.herglotz_map(blaschke, 256, 0.85)))
+        poly = cm.gen_herglotz(cm.PhiSpec.polynomial([0.2, 0.3j]), 192, 0.85)
+        maps.append(("series-lib-poly192-composed",
+                     poly.precomposed(0.2 - 0.1j, 0.7).postcomposed(1.5 - 0.5j, 0.25 + 1j)))
+        maps.append(("series-lib-const256", cm.gen_herglotz(cm.PhiSpec.unimodular_constant(0.3), 256, 0.85)))
     alias = np.zeros(82, dtype=complex)
     alias[1], alias[81] = 1.0, 1.416
     maps.append(("series-lib-alias", cm.from_series(alias, 0.9)))
