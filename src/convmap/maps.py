@@ -24,7 +24,6 @@ from .series import (
     MIN_ORDER,
     PowerSeries,
     certify,
-    certify_points,
     in_radius,
     point_columns,
     series_exp,
@@ -145,7 +144,8 @@ def _padded(coeffs, order: int, rmax: float) -> PowerSeries:
 @dataclass(frozen=True)
 class MapSpec:
     """A conformal map of the disk, either one of the named zoo entries, a
-    truncated series, or a map regenerated from stored generator data.
+    truncated series, or a map regenerated from stored generator data (a
+    series that carries its ``phi``).  A kind takes only its own fields.
 
     ``pre`` precomposes with the disk automorphism
     e^{i theta} (z + a) / (1 + conj(a) z); ``post`` applies scale*f + offset.
@@ -155,14 +155,17 @@ class MapSpec:
     alpha: float | None = None
     n: int | None = None
     series: PowerSeries | None = None
-    phi: PhiSpec | None = None
-    order: int | None = None
     pre: tuple[complex, float] | None = None
     post: tuple[complex, complex] | None = None
 
     def __post_init__(self):
         if self.kind not in _MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
+        # a field its kind ignores would make equal maps unequal, or disagree with the map
+        own = {"sector": "alpha", "polygon": "n", "series": "series", "herglotz": "series"}.get(self.kind)
+        for name in ("alpha", "n", "series"):
+            if name != own and getattr(self, name) is not None:
+                raise ValueError(f"a {self.kind} map takes no {name}")
         if self.kind == "sector":
             if self.alpha is None or not 0.0 < float(self.alpha) <= 1.0:
                 raise ValueError("sector needs alpha in (0, 1]")
@@ -171,21 +174,12 @@ class MapSpec:
             if self.n is None or int(self.n) != self.n or int(self.n) < 3:
                 raise ValueError("polygon needs an integer n >= 3")
             object.__setattr__(self, "n", int(self.n))
-        if self.kind == "series" and self.series is None:
-            raise ValueError("series map needs a PowerSeries")
-        if self.order is not None:
-            object.__setattr__(self, "order", _integral(self.order, "order"))
-        if self.kind == "herglotz":
-            if self.phi is None:
-                raise ValueError("regenerated map needs its phi data")
-            if self.order is None:
-                object.__setattr__(self, "order", DEFAULT_ORDER)
-            if self.series is None:
-                object.__setattr__(self, "series", _herglotz_series(self.phi, self.order, DEFAULT_RMAX))
-        if self.phi is not None and self.series is None:
-            raise ValueError(f"a {self.kind} map takes no phi")
+        if own == "series" and not isinstance(self.series, PowerSeries):
+            raise ValueError(f"a {self.kind} map needs a PowerSeries")
+        if self.kind == "herglotz" and self.series.phi is None:
+            raise ValueError("a herglotz map needs the series generated from its phi")
         # the key of the base map's entry in ``_BASES``, the route table of ``_jets``
-        base = "generated" if self.phi is not None else "series" if self.series is not None else self.kind
+        base = self.kind if self.series is None else "series" if self.series.phi is None else "generated"
         object.__setattr__(self, "_base", base)
         for name, entries in (("pre", self.pre), ("post", self.post)):
             if entries is not None and not all(map(cmath.isfinite, map(complex, entries))):
@@ -206,10 +200,22 @@ class MapSpec:
             object.__setattr__(self, "post", (s, complex(b)))
 
     def precomposed(self, a: complex, theta: float = 0.0) -> "MapSpec":
-        return dataclasses.replace(self, pre=(complex(a), float(theta)))
+        """The map after tau2 = e^{i theta} (z + a)/(1 + conj(a) z); one precomposed with tau1 gets
+        tau1(tau2(z)), whose matrix [[e, e a], [conj(a), 1]] is the product of theirs."""
+        a, theta = complex(a), float(theta)
+        if self.pre is not None and abs(a) < 1.0 and cmath.isfinite(theta):  # else __post_init__ refuses (a, theta)
+            a1, e1, ab1 = self._pre_constants[:3]
+            e2 = cmath.exp(1j * theta)
+            t = e2 + a1 * a.conjugate()
+            a, theta = (e2 * a + a1) / t, cmath.phase(e1 * t / (1.0 + ab1 * e2 * a))
+        return dataclasses.replace(self, pre=(a, theta))
 
     def postcomposed(self, scale: complex = 1.0, offset: complex = 0.0) -> "MapSpec":
-        return dataclasses.replace(self, post=(complex(scale), complex(offset)))
+        """scale * f + offset of the map, after any postcomposition it has."""
+        s, b = complex(scale), complex(offset)
+        if self.post is not None:
+            s, b = s * self.post[0], s * self.post[1] + b
+        return dataclasses.replace(self, post=(s, b))
 
 
 def identity() -> MapSpec:
@@ -264,13 +270,14 @@ def builtin_map(name: str, alpha: float | None = None, n: int | None = None) -> 
 # ---------------------------------------------------------------------------
 # jets, in one vocabulary: f', P = f''/f' and the Schwarzian S.  Every base
 # map is one entry of one route table, ``_BASES``, keyed by ``MapSpec._base``:
-# the six closed forms, a generated map (one that carries its phi) and a bare
-# series.  Each entry gives (f, f', P, S) at the points, f and f' as
-# callables, so that a convexity report, which reads P and S, never forms
+# the six closed forms, a generated map (one whose series carries its phi)
+# and a bare series.  Each entry gives (f, f', P, S) at the points, f and f'
+# as callables, so that a convexity report, which reads P and S, never forms
 # f', and a ``Jet`` holds (f, f', P, S) at one point.  A closed form has P
-# and S as formulas; a generated map forms them from phi and phi' by
-# ``_PHI_STEPS`` and takes only f and f' from its series; a bare series has
-# them from its derivative table by ``_PS_STEPS``.  ``_jets`` composes the
+# and S as formulas; the two series entries read f and f' through one
+# reader, ``_series_jet``, and a generated map forms P and S from phi and
+# phi' by ``_PHI_STEPS``, a bare series from its derivative table by
+# ``_PS_STEPS``.  ``_jets`` composes the
 # values of any entry alike.  The full jet f'' = f' P,
 # f''' = f' (S + 1.5 P^2) is built in one place, ``_full_jet``, in steps
 # that keep their operands in order: from 16,384 points NumPy elides the
@@ -444,18 +451,25 @@ def _from_phi(names: tuple):
     return _compiled(_PHI_STEPS, ("w", "phi", "dphi"), tuple(x for x in names if x != "f1"), "jets", handover=True)
 
 
+def _series_jet(w, m: MapSpec, z, count: int):
+    """(f, [f', ..., f^(count)]) of the map's series at the points w (moved
+    from z), f as a callable, after its radius check: a point takes one
+    running product, in Python complex, which gives f' to f''' whatever the
+    count, an array or a grid ``series_jet_fields``."""
+    if z.ndim == 0:
+        certify(m.series, abs(w))
+        f0, *jet = point_columns(m.series.table, complex(w))
+        return (lambda: f0), jet
+    f, *jet = series_jet_fields(m.series, w, count)
+    return f, jet
+
+
 def _jets_series(w, m: MapSpec, z, names: tuple):
     """A bare series as a base map at the points w (moved from z): (f, f',
     P, S), P and S by ``_PS_STEPS`` when ``names`` asks for them
     (SingularPoint where f' vanishes); an array evaluates f''' only for S."""
-    s = m.series
     count = 3 if "S" in names else 2 if "P" in names else 1
-    if z.ndim == 0:  # one running product, in Python complex
-        certify(s, abs(w))
-        f0, *jet = point_columns(s.table, complex(w))
-        f = lambda: f0
-    else:
-        f, *jet = series_jet_fields(s, w, count)
+    f, jet = _series_jet(w, m, z, count)
     f1 = jet[0]
     if count == 1:
         return f, lambda: f1, None, None
@@ -466,27 +480,17 @@ def _jets_series(w, m: MapSpec, z, names: tuple):
 
 
 def _jets_generated(w, m: MapSpec, z, names: tuple):
-    """A generated map, one that carries its phi, as a base map at the
-    points w (moved from z): P and S from phi and phi' by ``_from_phi``,
-    and f and f' from its series only when ``names`` asks for f' (or f is
-    called).  The series' radius check is made on every request, where
-    ``_jets_series`` makes it."""
-    s, at = m.series, z if isinstance(w, GridSpec) else w  # phi at the points of a grid
-    if z.ndim == 0:  # f and f' by one running product, in Python complex
-        w = at = complex(w)
-        certify(s, abs(w))
-        if "f1" in names:  # all four columns, as fast as two, and with the bits of a batch
-            f0, f1 = point_columns(s.table, w)[:2]
-            f = lambda: f0
-        else:
-            f, f1 = (lambda: point_columns(s.table, w)[0]), None
-    else:
-        certify_points(s, w)
-        f, f1 = series_jet_fields(s, w, 1) if "f1" in names else ((lambda: series_jet_fields(s, w, 1)[0]()), None)
+    """A generated map, one whose series carries its phi, as a base map at
+    the points w (moved from z): P and S from phi and phi' by
+    ``_from_phi``, f and f' from its series, f' only when ``names`` asks
+    for it (an array or a grid evaluates f only when it is called)."""
+    f, jet = _series_jet(w, m, z, "f1" in names)
+    f1 = jet[0] if jet else None
     if names == ("f1",):
         return f, lambda: f1, None, None
+    at = complex(w) if z.ndim == 0 else z if isinstance(w, GridSpec) else w  # phi at the points of a grid
     ps = _from_phi(names)
-    ps = ps([at, *m.phi.jet(at)][: 1 + len(ps.reads)])
+    ps = ps([at, *m.series.phi.jet(at)][: 1 + len(ps.reads)])
     return f, lambda: f1, ps.get("P"), ps.get("S")
 
 
@@ -639,9 +643,9 @@ def jet_of(m: MapSpec, z: complex) -> Jet:
 
 
 def _herglotz_series(phi: PhiSpec, order: int, rmax: float) -> PowerSeries:
-    """The generated series.  Every entry point builds it two calls below its
-    caller (gen_herglotz, herglotz_map and map_from_json through
-    ``_generated``, MapSpec through its ``__init__`` and ``__post_init__``),
+    """The generated series, which carries the ``phi`` it was integrated
+    from.  Every entry point builds it two calls below its caller
+    (gen_herglotz, herglotz_map and map_from_json through ``_generated``),
     so a TruncationTail warning names that caller's line."""
     order = _integral(order, "order")
     if order < MIN_ORDER:
@@ -655,18 +659,19 @@ def _herglotz_series(phi: PhiSpec, order: int, rmax: float) -> PowerSeries:
     log_f1 = series_integrate(PowerSeries(2.0 * ratio.coeffs, rmax), 0.0, cap=order)
     f1 = series_exp(log_f1)
     f = series_integrate(f1, 0.0, cap=order)
+    object.__setattr__(f, "phi", phi)
     f.warn_if_tail_large(5)
     return f
 
 
 def _generated(kind: str, phi: PhiSpec, order: int, rmax: float) -> MapSpec:
-    return MapSpec(kind, phi=phi, order=order, series=_herglotz_series(phi, order, rmax))
+    return MapSpec(kind, series=_herglotz_series(phi, order, rmax))
 
 
 def gen_herglotz(phi: PhiSpec, order: int = DEFAULT_ORDER, rmax: float = DEFAULT_RMAX) -> MapSpec:
     """Integrate f''/f' = 2 phi / (1 - z phi) into a series map normalized by
-    f(0) = 0, f'(0) = 1.  The map remembers ``phi`` and ``order``, but its
-    JSON stores the coefficients.
+    f(0) = 0, f'(0) = 1.  Its series remembers ``phi`` (``m.series.phi``),
+    but its JSON stores the coefficients.
 
     The three series stages (reciprocal, exponential, antiderivative) are all
     lower-triangular recurrences, so the returned coefficients through
@@ -735,8 +740,8 @@ def map_to_json(m: MapSpec) -> dict:
     elif m.kind == "series":
         params["coeffs"] = [complex_pair(c) for c in m.series.coeffs]
     elif m.kind == "herglotz":
-        params["phi"] = phi_to_json(m.phi)
-        params["order"] = m.order
+        params["phi"] = phi_to_json(m.series.phi)
+        params["order"] = m.series.order
     if m.series is not None:
         params["rmax"] = m.series.rmax
     obj = {"type": m.kind, "params": params}
@@ -767,12 +772,8 @@ def map_from_json(obj) -> MapSpec:
                 raise ValueError("series map needs coefficients")
             m = from_series(coeffs, float(params.get("rmax", DEFAULT_RMAX)))
         elif kind == "herglotz":
-            m = _generated(
-                "herglotz",
-                phi_from_json(params.get("phi")),
-                _integral(params.get("order", DEFAULT_ORDER), "order"),
-                float(params.get("rmax", DEFAULT_RMAX)),
-            )
+            order, rmax = params.get("order", DEFAULT_ORDER), float(params.get("rmax", DEFAULT_RMAX))
+            m = _generated("herglotz", phi_from_json(params.get("phi")), order, rmax)
         else:
             m = MapSpec(kind)
         if "pre" in obj:

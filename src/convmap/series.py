@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -52,10 +52,13 @@ def _as_coeffs(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Taylor coefficients at 0 plus the radius within which they are trusted."""
+    """Taylor coefficients at 0 plus the radius within which they are trusted;
+    ``phi``, set by ``maps._herglotz_series`` alone, is the generator it was
+    integrated from, or None.  Equal series have equal coeffs, rmax and phi."""
 
     coeffs: np.ndarray
     rmax: float = DEFAULT_RMAX
+    phi: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
@@ -63,6 +66,15 @@ class PowerSeries:
         if not 0.0 < rmax < 1.0:
             raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
         object.__setattr__(self, "rmax", rmax)
+
+    def __eq__(self, other):
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        return self.rmax == other.rmax and self.phi == other.phi and np.array_equal(self.coeffs, other.coeffs)
+
+    def __hash__(self):
+        # Python complex, so that 0.0 and -0.0, which compare equal, hash alike
+        return hash((tuple(self.coeffs.tolist()), self.rmax, self.phi))
 
     @property
     def order(self) -> int:
@@ -223,25 +235,22 @@ def certify(s: PowerSeries, worst: float) -> None:
         raise RadiusExceeded(f"|z| = {worst:.6g} exceeds the certified radius {s.rmax:g}")
 
 
-def certify_points(s: PowerSeries, z) -> None:
-    """``certify`` at the largest |z| of an array z, or at the rmax of a GridSpec z."""
-    certify(s, z.rmax if isinstance(z, GridSpec) else float(np.abs(z).max(initial=0.0)))
-
-
 def series_jet_fields(s: PowerSeries, z, count: int = 3):
     """(f, f', ..., f^(count)) of the series at array z, or over the points
     of a GridSpec through ``eval_grid``, with f as a callable as
-    ``maps._jets`` returns it.  The running products give f with the
-    derivatives; Horner and the grid route evaluate only the derivatives
-    until f is called.
+    ``maps._jets`` returns it; count 0 gives f alone.  The running products
+    give f with the derivatives; Horner and the grid route evaluate only the
+    derivatives until f is called, and count 0 evaluates nothing until then.
 
     Points outside ``in_radius`` raise RadiusExceeded.
     """
-    certify_points(s, z)
+    certify(s, z.rmax if isinstance(z, GridSpec) else float(np.abs(z).max(initial=0.0)))
     table = s.table
     if isinstance(z, GridSpec):
-        return (lambda: eval_grid(table[:, :1], z)[0], *eval_grid(table[:, 1 : count + 1], z))
-    if _takes_products(z.size, table.shape[0]):
-        jet = eval_table(table, z)  # one product gives every column
-        return (lambda: jet[0], *jet[1 : count + 1])
-    return (lambda: eval_table(table[:, :1], z)[0], *eval_table(table[:, 1 : count + 1], z))
+        columns = lambda a, b: eval_grid(table[:, a:b], z)
+    elif _takes_products(z.size, table.shape[0]):
+        jet = functools.cache(lambda: eval_table(table, z))  # one product gives every column
+        columns = lambda a, b: jet()[a:b]
+    else:
+        columns = lambda a, b: eval_table(table[:, a:b], z)
+    return (lambda: columns(0, 1)[0], *(columns(1, count + 1) if count else ()))

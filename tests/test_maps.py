@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -39,11 +41,6 @@ def gen_quiet(phi: cm.PhiSpec, order: int, rmax: float = 0.9) -> cm.MapSpec:
         return cm.gen_herglotz(phi, order=order, rmax=rmax)
 
 
-def spec_herglotz(phi, order, rmax):
-    # a regenerated map whose series MapSpec builds itself (at its default rmax)
-    return cm.MapSpec("herglotz", phi=phi, order=order)
-
-
 def json_herglotz(phi, order, rmax):
     # a regenerated map read back from its JSON spec
     return cm.map_from_json({"type": "herglotz", "params": {"phi": phi_to_json(phi), "order": order, "rmax": rmax}})
@@ -74,10 +71,35 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cm.identity().precomposed(1.0)
 
-    def test_a_closed_form_takes_no_phi(self):
-        # a map that carries phi takes P and S from it, f and f' from its series
-        with pytest.raises(ValueError, match="a strip map takes no phi"):
-            cm.MapSpec("strip", phi=cm.PhiSpec.unimodular_constant())
+    def test_a_kind_takes_only_its_own_fields(self):
+        # an ignored field would make equal maps unequal: a strip with a
+        # series evaluated the series and wrote no sign of it to JSON
+        series = cm.PowerSeries([0, 1])
+        for kind, kw, message in (
+            ("strip", {"series": series}, "a strip map takes no series"),
+            ("sector", {"alpha": 0.5, "n": 7}, "a sector map takes no n"),
+            ("polygon", {"n": 5, "alpha": 0.5}, "a polygon map takes no alpha"),
+            ("series", {"series": series, "alpha": 0.5}, "a series map takes no alpha"),
+            ("herglotz", {}, "a herglotz map needs a PowerSeries"),
+            ("herglotz", {"series": series}, "a herglotz map needs the series generated from its phi"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                cm.MapSpec(kind, **kw)
+
+    def test_phi_and_order_are_the_series(self):
+        # a map held phi, order and series apart: the identity series with a
+        # foreign phi read f' = 1 and P = 1.176 at 0.3, and a stored order
+        # that its series did not have was written to JSON
+        phi = cm.PhiSpec.polynomial([0.5])
+        generated = cm.herglotz_map(phi, order=64)
+        with pytest.raises(TypeError):
+            cm.MapSpec("series", series=cm.PowerSeries([0, 1]), phi=phi)
+        with pytest.raises(TypeError):
+            cm.MapSpec("herglotz", phi=phi, series=generated.series, order=128)
+        assert [f.name for f in dataclasses.fields(cm.MapSpec)] == ["kind", "alpha", "n", "series", "pre", "post"]
+        assert (generated.series.phi, generated.series.order) == (phi, 64)
+        assert cm.map_to_json(cm.MapSpec("herglotz", series=generated.series))["params"]["order"] == 64
+        assert cm.PowerSeries([0, 1]).phi is None
 
 
 class TestClosedFormJets:
@@ -471,6 +493,36 @@ class TestComposition:
         assert jet.f1 == pytest.approx(2.0j * base.f1)
         assert jet.f3 == pytest.approx(2.0j * base.f3)
 
+    def test_a_second_composition_composes(self):
+        # a second call used to replace the first composition
+        assert cm.koebe().postcomposed(2).postcomposed(3, 1).post == (6, 1)
+        # tau1(tau2(z)) with tau1 = (z + 0.3)/(1 + 0.3 z), tau2 = (z - 0.2i)/(1 + 0.2i z) vanishes
+        # at -a = tau2^-1(-0.3), and its derivative at 0 is e^{i theta} (1 - |a|^2)
+        a, theta = cm.koebe().precomposed(0.3).precomposed(-0.2j).pre
+        want = (0.3 - 0.2j) / (1 + 0.06j)
+        derivative = 0.91 / (1 - 0.06j) ** 2 * 0.96  # tau1'(tau2(0)) tau2'(0)
+        assert a == pytest.approx(want, abs=1e-15)
+        assert np.exp(1j * theta) == pytest.approx(derivative / (1 - abs(want) ** 2), abs=1e-15)
+        # a second automorphism off the disk or not finite is refused as given
+        with pytest.raises(ValueError, match=r"center must satisfy \|a\| < 1, got \(1\+0j\)"):
+            cm.koebe().precomposed(0.3).precomposed(1.0)
+        with pytest.raises(ValueError, match=r"must be finite, got \(\(0.2\+0j\), inf\)"):
+            cm.koebe().precomposed(0.3).precomposed(0.2, float("inf"))
+
+    @pytest.mark.parametrize("m", [cm.strip(), cm.sector(0.5), cm.koebe(),
+                                   gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=96)],
+                             ids=["strip", "sector", "koebe", "series"])
+    def test_twice_composed_equals_both_maps_in_turn(self, m):
+        # s2 (s1 F(tau1(tau2(z))) + b1) + b2, differentiated by mpmath at 50 digits
+        (a1, t1), (s1, b1), (a2, t2), (s2, b2) = (0.3 - 0.2j, 0.7), (1.5 - 0.5j, 0.25 + 1j), (-0.1 + 0.4j, -1.1), (0.5j, -2)
+        twice = m.precomposed(a1, t1).postcomposed(s1, b1).precomposed(a2, t2).postcomposed(s2, b2)
+        F = closed_form(m.kind, alpha=m.alpha or 0.5) if m.series is None else polynomial(m.series.coeffs)
+        taus = [lambda w, a=mp.mpc(a), e=mp.expj(t): e * (w + a) / (1 + mp.conj(a) * w) for a, t in ((a1, t1), (a2, t2))]
+        g = lambda w: s2 * (s1 * F(taus[0](taus[1](w))) + b1) + b2
+        z = np.array([0.1 + 0.2j, -0.35, 0.3j])
+        want = np.array([[complex(v) for v in mp.diffs(g, mp.mpc(w), 3)] for w in z]).T
+        np.testing.assert_allclose(cm.jet_fields(twice, z), want, rtol=1e-12)
+
     def test_normalization_convention(self):
         # sector closed form is not normalized; the affine fix makes it so
         m = normalized(cm.sector(0.25))
@@ -585,20 +637,19 @@ class TestGenerator:
         with pytest.warns(cm.TruncationTail):
             cm.gen_herglotz(cm.PhiSpec.unimodular_constant(0.0), order=16, rmax=0.9)
 
-    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map, spec_herglotz, json_herglotz])
+    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map, json_herglotz])
     def test_tail_warning_names_the_caller(self, build):
         with pytest.warns(cm.TruncationTail) as record:
             build(cm.PhiSpec.unimodular_constant(0.0), order=16, rmax=0.9)
         assert [w.filename for w in record] == [__file__]
 
-    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map, spec_herglotz])
+    @pytest.mark.parametrize("build", [cm.gen_herglotz, cm.herglotz_map])
     def test_order_must_be_integral(self, build):
         phi = cm.PhiSpec.polynomial([0.3])
         with pytest.raises(ValueError, match="expected an integer order, got 64.5"):
             build(phi, order=64.5, rmax=0.9)
         m = build(phi, order=64.0, rmax=0.9)
-        assert type(m.order) is int and m.order == 64
-        assert m.series.order == 64
+        assert type(m.series.order) is int and m.series.order == 64
 
     @pytest.mark.parametrize("name,phi,kw", [
         ("halfplane", cm.PhiSpec.unimodular_constant(0.0), {}),
@@ -641,18 +692,18 @@ class TestGenerator:
 
     def test_herglotz_map_is_tagged(self):
         m = cm.herglotz_map(cm.PhiSpec.polynomial([0.3]), order=64, rmax=0.5)
-        assert m.phi is not None
+        assert m.series.phi is not None
         assert m.kind == "herglotz"
 
     def test_one_constructor_for_every_entry_point(self):
         phi = cm.PhiSpec.blaschke([0.4, -0.2j], theta=0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", cm.TruncationTail)
-            maps = [build(phi, order=64, rmax=0.9) for build in (cm.gen_herglotz, cm.herglotz_map, spec_herglotz)]
+            maps = [build(phi, order=64, rmax=0.9) for build in (cm.gen_herglotz, cm.herglotz_map)]
         for m in maps[1:]:
             np.testing.assert_array_equal(m.series.coeffs, maps[0].series.coeffs)
-        assert all(m.phi == phi and m.order == 64 for m in maps)
-        assert [cm.map_to_json(m)["type"] for m in maps] == ["series", "herglotz", "herglotz"]
+        assert all(m.series.phi == phi and m.series.order == 64 for m in maps)
+        assert [cm.map_to_json(m)["type"] for m in maps] == ["series", "herglotz"]
         assert "coeffs" in cm.map_to_json(maps[0])["params"]
 
     @pytest.mark.parametrize("kw", [
@@ -684,7 +735,7 @@ class TestGenerator:
         # at order 64 this map's truncation read NotConvex (min slack3 -117,
         # max km 46) and its phi "strict"
         m = cm.gen_herglotz(cm.PhiSpec.unimodular_constant(0.3))
-        assert m.order == cm.DEFAULT_ORDER
+        assert m.series.order == cm.DEFAULT_ORDER
         report = cm.convexity_report(m)
         assert report.verdict == "Convex"
         assert report.phi_class.kind == "unimodular_const"
@@ -742,7 +793,8 @@ class TestGeneratedRoute:
     @pytest.fixture
     def series_calls(self, monkeypatch) -> list:
         calls = []
-        for module, name in ((series, "eval_grid"), (series, "series_jet_fields"), (maps, "series_jet_fields")):
+        # every evaluation of a series: the grid route, the batch route and one point's products
+        for module, name in ((series, "eval_grid"), (series, "eval_table"), (maps, "point_columns")):
             def counted(*args, real=getattr(module, name), name=name):
                 calls.append(name)
                 return real(*args)
@@ -757,10 +809,16 @@ class TestGeneratedRoute:
         cm.classify_phi(m)
         cm.phi_values(m, np.array([0.1, 0.2j]))
         assert series_calls == []
-        # a request that reads g reads f' from the series, once
+        # a request that reads g reads f' from the series, once: a grid
+        # through eval_grid, the moved points of a precomposition as an array
         cm.grid_functionals(m, cm.GridSpec(8, 12, 0.5), ("g", "lhs1"))
-        assert series_calls.count("series_jet_fields") == 1
-        assert series_calls.count("eval_grid") == (m.pre is None)
+        assert series_calls == ["eval_grid" if m.pre is None else "eval_table"]
+        # f alone is evaluated only when it is read
+        series_calls.clear()
+        _, f, *_ = maps._jets(m, cm.GridSpec(8, 12, 0.5), ("P", "S"))
+        assert series_calls == []
+        f()
+        assert series_calls == ["eval_grid" if m.pre is None else "eval_table"]
 
     def test_a_low_order_map_has_the_closed_form_in_phi(self):
         # order 8 truncates f' by about 0.8^9: the series route misses P and
@@ -776,7 +834,7 @@ class TestGeneratedRoute:
         for i in range(0, z.size, 7):
             jet = cm.jet_of(m, z[i])
             np.testing.assert_allclose([jet.P, jet.S], [want[0][i], want[1][i]], rtol=0, atol=1e-14)
-        series_route = maps._jets(cm.from_series(m.series), grid, ("P", "S"))[2:]
+        series_route = maps._jets(cm.from_series(m.series.coeffs, m.series.rmax), grid, ("P", "S"))[2:]
         assert max(float(np.abs(a - b).max()) for a, b in zip(series_route, want)) > 1e-4
 
     @pytest.mark.parametrize("phi", GENERATED_PHI, ids=GENERATED_IDS)
@@ -785,7 +843,7 @@ class TestGeneratedRoute:
         # composition maps both routes' P and S alike, so the base bounds
         # scale by |tau'| (P) and |tau'|^2 (S) at the moved points
         m = gen_quiet(phi, order=384, rmax=0.9)
-        bare = cm.from_series(m.series)
+        bare = cm.from_series(m.series.coeffs, m.series.rmax)
         for variant, other in zip(_composed_variants(m)[:3], _composed_variants(bare)[:3]):
             grid = cm.GridSpec(30, 48, maps.certified_rmax(variant))
             for where in (grid, grid.points()[::5], complex(grid.points()[-7])):
@@ -809,7 +867,28 @@ class TestGeneratedRoute:
             assert not S.any() and np.abs(S_s).max() > 1e-12
 
 
+JSON_MAPS = [m for _, m, _ in ZOO] + [
+    cm.from_series([0.0, 1.0, 0.3 - 0.2j, 0.1j], 0.7),
+    cm.herglotz_map(cm.PhiSpec.blaschke([0.4, -0.2j], theta=0.3), order=64, rmax=0.5),
+]
+JSON_IDS = [name for name, _, _ in ZOO] + ["series", "herglotz"]
+
+
 class TestJson:
+    @pytest.mark.parametrize("variant", range(4), ids=["plain", "pre", "post", "both"])
+    @pytest.mark.parametrize("m", JSON_MAPS, ids=JSON_IDS)
+    def test_a_round_trip_gives_back_the_map(self, m, variant):
+        m = _composed_variants(m)[variant]
+        assert cm.map_from_json(json.loads(json.dumps(cm.map_to_json(m)))) == m
+
+    @pytest.mark.parametrize("variant", range(4), ids=["plain", "pre", "post", "both"])
+    def test_a_generated_series_reads_back_bare(self, variant):
+        # its JSON holds the coefficients, not the phi they came from
+        m = gen_quiet(cm.PhiSpec.polynomial([0.2, 0.3j]), order=64)
+        back = cm.map_from_json(cm.map_to_json(_composed_variants(m)[variant]))
+        assert back == _composed_variants(cm.from_series(m.series.coeffs, m.series.rmax))[variant]
+        assert back != _composed_variants(m)[variant]
+
     @pytest.mark.parametrize("name,m,kw", ZOO, ids=[row[0] for row in ZOO])
     def test_zoo_round_trip(self, name, m, kw):
         back = cm.map_from_json(cm.map_to_json(m))
@@ -833,8 +912,8 @@ class TestJson:
     def test_herglotz_round_trip_keeps_phi(self):
         m = cm.herglotz_map(cm.PhiSpec.blaschke([0.4], theta=0.3), order=64, rmax=0.5)
         back = cm.map_from_json(cm.map_to_json(m))
-        assert back.phi is not None
-        assert back.phi.kind == "blaschke"
+        assert back.series.phi is not None
+        assert back.series.phi.kind == "blaschke"
         np.testing.assert_array_equal(back.series.coeffs, m.series.coeffs)
 
     @pytest.mark.parametrize("phi", [
@@ -846,7 +925,7 @@ class TestJson:
         m = cm.herglotz_map(phi, order=64, rmax=0.5)
         spec = cm.map_to_json(m)
         back = cm.map_from_json(json.loads(json.dumps(spec)))
-        assert back.phi == phi
+        assert back.series.phi == phi
         assert cm.map_to_json(back) == spec
         np.testing.assert_array_equal(back.series.coeffs, m.series.coeffs)
 
@@ -888,4 +967,4 @@ class TestJson:
     def test_integral_floats_still_load(self):
         assert cm.map_from_json({"type": "polygon", "params": {"n": 5.0}}).n == 5
         phi = {"kind": "poly", "coeffs": [[0.3, 0.0]]}
-        assert cm.map_from_json({"type": "herglotz", "params": {"phi": phi, "order": 64.0, "rmax": 0.5}}).order == 64
+        assert cm.map_from_json({"type": "herglotz", "params": {"phi": phi, "order": 64.0, "rmax": 0.5}}).series.order == 64

@@ -38,6 +38,19 @@ class TestPowerSeries:
         with pytest.raises(ValueError):
             cm.PowerSeries([1.0, np.nan], 0.9)
 
+    def test_equality_is_of_coefficients_rmax_and_phi(self):
+        # the generated __eq__ compared coefficient arrays inside a tuple and raised
+        a, b = cm.PowerSeries([0.0, 1.0, 0.5j], 0.8), cm.PowerSeries([-0.0, 1.0, 0.5j], 0.8)
+        assert a == b and hash(a) == hash(b)  # 0.0 and -0.0 too
+        for other in (cm.PowerSeries([0.0, 1.0, 0.5j], 0.9), cm.PowerSeries([0.0, 1.0, 0.5j, 1e-300], 0.8),
+                      cm.PowerSeries([0.0, 1.0, 0.5j, 0.0, 0.0], 0.8)):
+            assert a != other
+        phi = cm.PhiSpec.polynomial([0.3, 0.1j])
+        m = cm.herglotz_map(phi, order=64)
+        assert m == cm.herglotz_map(phi, order=64) and hash(m) == hash(cm.herglotz_map(phi, order=64))
+        assert len({m, cm.herglotz_map(phi, order=64), cm.herglotz_map(phi, order=65)}) == 2
+        assert m.series != cm.PowerSeries(m.series.coeffs, m.series.rmax)  # a bare copy has no phi
+
     def test_tail_bound_is_top_term(self):
         assert geometric(40, 0.5).tail_bound() == pytest.approx(0.5**40)
         assert geometric(40).tail_bound() == pytest.approx(0.9**40)
@@ -228,17 +241,17 @@ class TestPointJets:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", cm.TruncationTail)
             generated = cm.gen_herglotz(cm.PhiSpec.polynomial([0.3 + 0.2j, -0.1 + 0.4j]), order=order, rmax=0.8)
-        for m in (cm.from_series(generated.series), generated):
+        for m in (cm.from_series(generated.series.coeffs, generated.series.rmax), generated):
             self.check_points(m, generated.series)
 
     def check_points(self, m, s):
-        generated = m.phi is not None
+        generated = m.series.phi is not None
         u = np.exp(0.7j)
         # |z| = rmax + RADIUS_SLACK exactly on the imaginary axis
         for z in (0j, complex(0.5 * s.rmax * u), complex(s.rmax * u), 1j * (s.rmax + RADIUS_SLACK)):
             f0, f1, f2, f3 = [complex(col[0]) for col in eval_table(s.table, np.array([z]))]
             if generated:
-                P, S = maps._from_phi(("P", "S"))([z, *m.phi.jet(z)]).values()
+                P, S = maps._from_phi(("P", "S"))([z, *m.series.phi.jet(z)]).values()
             else:
                 P, S = cm.fields(z, f1, f2, f3, ("P", "S")).values()
             f, *derivatives = levelset._jet_at(m, z)
