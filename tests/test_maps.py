@@ -74,14 +74,14 @@ class TestConstruction:
     def test_a_kind_takes_only_its_own_fields(self):
         # an ignored field would make equal maps unequal: a strip with a
         # series evaluated the series and wrote no sign of it to JSON
-        series = cm.PowerSeries([0, 1])
+        bare = cm.PowerSeries([0, 1])
         for kind, kw, message in (
-            ("strip", {"series": series}, "a strip map takes no series"),
+            ("strip", {"series": bare}, "a strip map takes no series"),
             ("sector", {"alpha": 0.5, "n": 7}, "a sector map takes no n"),
             ("polygon", {"n": 5, "alpha": 0.5}, "a polygon map takes no alpha"),
-            ("series", {"series": series, "alpha": 0.5}, "a series map takes no alpha"),
+            ("series", {"series": bare, "alpha": 0.5}, "a series map takes no alpha"),
             ("herglotz", {}, "a herglotz map needs a PowerSeries"),
-            ("herglotz", {"series": series}, "a herglotz map needs the series generated from its phi"),
+            ("herglotz", {"series": bare}, "a herglotz map needs the series generated from its phi"),
         ):
             with pytest.raises(ValueError, match=message):
                 cm.MapSpec(kind, **kw)
